@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -396,6 +397,9 @@ def _cmd_cnf(args, cfg: CliConfig) -> int:
         run = cnf.run_external_solver(args.solver, formula, timeout=cfg.budget.max_seconds)
     except FileNotFoundError as exc:
         raise DomainError(f"solver not found: {exc}") from exc
+    except subprocess.TimeoutExpired:
+        print(f"timeout: solver ran past {cfg.budget.max_seconds} s", file=sys.stderr)
+        return 2
     payload["solver"] = run.to_dict()
     decoded = None
     if run.status == "SATISFIABLE" and run.model is not None:

@@ -174,7 +174,11 @@ def write_dimacs(formula: CnfFormula, sink: IO[str] | str | Path) -> None:
 
 
 def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
-    """Parse DIMACS CNF text back into a formula; comments are preserved."""
+    """Parse DIMACS CNF text back into a formula; comments are preserved.
+
+    Malformed text (a bad header, a non-integer token, an unterminated last
+    clause, a clause count that disagrees with the header) raises DomainError.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii") as handle:
             return read_dimacs(handle)
@@ -194,17 +198,23 @@ def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DomainError(f"malformed problem line: {line!r}")
-            variable_count = int(parts[2])
-            declared_clauses = int(parts[3])
+            try:
+                variable_count = int(parts[2])
+                declared_clauses = int(parts[3])
+            except ValueError:
+                raise DomainError(f"non-integer count in problem line: {line!r}") from None
             continue
-        for token in line.split():
-            lit = int(token)
-            if lit == 0:
-                if current:
-                    clauses.append(tuple(current))
-                    current = []
-            else:
-                current.append(lit)
+        try:
+            for token in line.split():
+                lit = int(token)
+                if lit == 0:
+                    if current:
+                        clauses.append(tuple(current))
+                        current = []
+                else:
+                    current.append(lit)
+        except ValueError:
+            raise DomainError(f"non-integer token in clause line: {line!r}") from None
     if current:
         raise DomainError("last clause is not 0-terminated")
     if variable_count is None:
@@ -253,7 +263,10 @@ def decode_model(model: Sequence[int], N: int, inst: VdwInstance) -> Coloring:
 
 
 def parse_solver_output(text: str) -> SolverResult:
-    """Parse `s`/`v` conventions (plus bare SATISFIABLE/UNSATISFIABLE lines)."""
+    """Parse `s`/`v` conventions (plus bare SATISFIABLE/UNSATISFIABLE lines).
+
+    A `v` line holding a non-integer token raises DomainError.
+    """
     status = "UNKNOWN"
     literals: list[int] = []
     saw_values = False
@@ -267,11 +280,14 @@ def parse_solver_output(text: str) -> SolverResult:
             status = "SATISFIABLE" if line in ("SATISFIABLE", "SAT") else "UNSATISFIABLE"
         elif line.startswith("v ") or line == "v":
             saw_values = True
-            for token in line[1:].split():
-                lit = int(token)
-                if lit == 0:
-                    break
-                literals.append(lit)
+            try:
+                for token in line[1:].split():
+                    lit = int(token)
+                    if lit == 0:
+                        break
+                    literals.append(lit)
+            except ValueError:
+                raise DomainError(f"non-integer token in solver value line: {line!r}") from None
     model = tuple(literals) if (status == "SATISFIABLE" and saw_values) else None
     return SolverResult(status=status, model=model)
 

@@ -1,10 +1,15 @@
 """Exact colorability search for small van der Waerden numbers.
 
-Method: backtracking over positions 1..N with branching left to right and
-colors tried in ascending order, plus forced-position propagation.  Each
-color class is a bitmask over positions; for every color c a "forbidden"
-bitmask records the positions where assigning c would complete a
-monochromatic k-AP (an AP all of whose other members already carry c).
+Method: backtracking over positions 1..N, branching from the middle out
+with colors tried in ascending order, plus forced-position propagation.
+Each color class is a bitmask; for every color c a "forbidden" bitmask
+records the positions where assigning c would complete a monochromatic
+k-AP (an AP all of whose other members already carry c).  Bit i of every
+mask stands for the i-th position in middle-out order (nearest the centre
+(N + 1) / 2 first, ties left first), so the kernel, which always branches
+on the lowest unassigned bit, branches middle-out; certificates are mapped
+back to the original positions.  A middle position lies on more APs than
+an end one, so its color constrains more of the rest early.
 After every assignment the forbidden masks are refreshed from the APs
 through that position; a position with every color forbidden fails the
 branch at once, and a position with exactly one color left is assigned
@@ -219,52 +224,63 @@ def _ap_other_masks(k: int, p: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=128)
+def _order(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Middle-out labels of [1, N]: (position of each label, label of each position).
+
+    Labels 1..N sort positions by distance from (N + 1) / 2, ties left
+    first; index 0 of both tuples is unused.
+    """
+    positions = sorted(range(1, N + 1), key=lambda p: (abs(2 * p - N - 1), p))
+    label = [0] * (N + 1)
+    for i, p in enumerate(positions, start=1):
+        label[p] = i
+    return (0, *positions), tuple(label)
+
+
+@lru_cache(maxsize=128)
 def _aps_through(k: int, N: int) -> tuple[tuple[int, ...], ...]:
-    """For each position p, the full masks of every k-AP in [1, N] containing p."""
-    masks = []
+    """For each label q, the full label masks of every k-AP in [1, N] through q."""
+    label = _order(N)[1]
+    per: list[list[int]] = [[] for _ in range(N + 1)]
     for d in range(1, (N - 1) // (k - 1) + 1):
         for a in range(1, N - (k - 1) * d + 1):
+            members = [label[p] for p in range(a, a + k * d, d)]
             m = 0
-            for j in range(k):
-                m |= 1 << (a + j * d)
-            masks.append(m)
-    per: list[list[int]] = [[] for _ in range(N + 1)]
-    for m in masks:
-        mm = m
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            per[low.bit_length() - 1].append(m)
+            for q in members:
+                m |= 1 << q
+            for q in members:
+                per[q].append(m)
     return tuple(tuple(lst) for lst in per)
 
 
 @lru_cache(maxsize=8)
 def _pair_threats(N: int) -> tuple[tuple[int, ...], ...]:
-    """k = 3 only: table[u][v] masks the positions completing a 3-AP with u, v.
+    """k = 3 only: table[lu][lv] masks the labels completing a 3-AP with labels lu, lv.
 
     Two same-colored positions u != v threaten 2v-u, 2u-v, and (u+v)/2 when
     the gap is even; nothing else can complete a 3-term AP through both.
     """
+    position, label = _order(N)
     table = [(0,) * (N + 1)]
-    for u in range(1, N + 1):
+    for lu in range(1, N + 1):
+        u = position[lu]
         row = [0]
-        for v in range(1, N + 1):
+        for lv in range(1, N + 1):
+            v = position[lv]
             m = 0
             if v != u:
                 for t in (2 * v - u, 2 * u - v):
                     if 1 <= t <= N:
-                        m |= 1 << t
+                        m |= 1 << label[t]
                 if (u + v) % 2 == 0:
-                    mid = (u + v) // 2
-                    if mid not in (u, v):
-                        m |= 1 << mid
+                    m |= 1 << label[(u + v) // 2]
             row.append(m)
         table.append(tuple(row))
     return tuple(table)
 
 
 def _assign_prop(cm, fb, un, used, p, c, aps_through, r, pair_table=None):
-    """Assign color c to position p, then propagate forced positions.
+    """Assign color c to the position labelled p, then propagate forced positions.
 
     Mutates cm (class masks) and fb (forbidden masks).  Returns
     (ok, un, used, count) where count is the number of assignments made;
@@ -340,7 +356,7 @@ def _assign_prop(cm, fb, un, used, p, c, aps_through, r, pair_table=None):
 
 
 def _run_tree_r2(N, aps_through, cm0, cm1, fb0, fb1, un, max_nodes, deadline, stop, charge):
-    """Two-color engine on scalar bitmasks; canonical form fixes position 1.
+    """Two-color engine on scalar bitmasks; canonical form fixes the first branch to color 0.
 
     Same contract as _run_tree; the caller pre-assigns nothing, symmetry is
     realized by offering only color 0 while no position is colored yet.
@@ -520,9 +536,10 @@ def _run_tree(N, r, aps_through, cm, fb, un, used, max_nodes, deadline, stop, ch
 
 
 def _masks_to_coloring(masks, N, r) -> Coloring:
+    label = _order(N)[1]
     colors = []
     for p in range(1, N + 1):
-        bit = 1 << p
+        bit = 1 << label[p]
         for c in range(r):
             if masks[c] & bit:
                 colors.append(c)
@@ -533,23 +550,25 @@ def _masks_to_coloring(masks, N, r) -> Coloring:
 
 
 def _full_mask(N: int) -> int:
-    return ((1 << N) - 1) << 1  # bits 1..N
+    return ((1 << N) - 1) << 1  # labels 1..N
 
 
 def _split_prefixes(N, r, aps_through, threads, symmetry, pair_table=None):
     """Partition the decision tree near the root into >= threads leaves.
 
-    Returns ("leaves", [...]) with states (cm, fb, un, used), or an immediate
-    ("SAT", masks) / ("UNSAT", None) when the prefix tree settles the answer.
+    Returns ("leaves", [...], made) with states (cm, fb, un, used), or an
+    immediate ("SAT", masks, made) / ("UNSAT", None, made) when the prefix
+    tree settles the answer; made counts the assignments the split took.
     """
     leaves = [([0] * r, [0] * r, _full_mask(N), 0)]
     rounds = 0
+    made = 0
     while len(leaves) < threads and rounds < 24:
         rounds += 1
         grown = []
         for cm, fb, un, used in leaves:
             if un == 0:
-                return "SAT", cm
+                return "SAT", cm, made
             low = un & -un
             p = low.bit_length() - 1
             limit = min(used + 1, r) if symmetry else r
@@ -557,16 +576,17 @@ def _split_prefixes(N, r, aps_through, threads, symmetry, pair_table=None):
                 if fb[c] & low:
                     continue
                 cm2, fb2 = list(cm), list(fb)
-                ok, un2, used2, _made = _assign_prop(cm2, fb2, un, used, p, c, aps_through, r, pair_table)
+                ok, un2, used2, count = _assign_prop(cm2, fb2, un, used, p, c, aps_through, r, pair_table)
+                made += count
                 if not ok:
                     continue
                 if un2 == 0:
-                    return "SAT", cm2
+                    return "SAT", cm2, made
                 grown.append((cm2, fb2, un2, used2))
         if not grown:
-            return "UNSAT", None
+            return "UNSAT", None, made
         leaves = grown
-    return "leaves", leaves
+    return "leaves", leaves, made
 
 
 _PAR_STOP = None
@@ -582,34 +602,47 @@ def _parallel_init(stop, spent):
 def _parallel_worker(args):
     # deadline is absolute CLOCK_MONOTONIC time, shared across forked workers
     N, r, k, leaf, max_nodes, deadline, symmetry = args
+    stop = _PAR_STOP
+    spent = _PAR_SPENT
+    if stop.is_set():
+        return "ABORTED", None, 0
     cm, fb, un, used = leaf
     aps = _aps_through(k, N)
     pair_table = _pair_threats(N) if k == 3 and r > 2 else None
-    stop = _PAR_STOP
-    spent = _PAR_SPENT
+    charged = 0
 
     def charge(delta: int) -> bool:
+        nonlocal charged
+        charged += delta
         with spent.get_lock():
             spent.value += delta
-            if spent.value > max_nodes:
+            if spent.value >= max_nodes:
                 stop.set()
                 return False
         return True
 
-    return _run_tree(
+    status, masks, nodes = _run_tree(
         N, r, aps, list(cm), list(fb), un, used,
         max_nodes, deadline, stop, charge, symmetry, pair_table,
     )
+    # the tree charges only every 1024 branches; settle the rest, and a
+    # decision whose last nodes crossed the shared budget is a timeout, as
+    # it would be at one worker
+    if not charge(nodes - charged) and status in ("SAT", "UNSAT"):
+        return "TIMEOUT", None, nodes
+    return status, masks, nodes
 
 
 def _run_parallel(N, r, k, aps_through, threads, max_nodes, deadline, symmetry, pair_table=None):
     """Fan the subtree roots out over a process pool (thread pool if fork is
     unavailable); SAT short-circuits, UNSAT needs every subtree exhausted."""
-    kind, payload = _split_prefixes(N, r, aps_through, threads * 8, symmetry, pair_table)
+    kind, payload, made = _split_prefixes(N, r, aps_through, threads * 8, symmetry, pair_table)
+    if made >= max_nodes:
+        return "TIMEOUT", None, made
     if kind == "SAT":
-        return "SAT", payload, 0
+        return "SAT", payload, made
     if kind == "UNSAT":
-        return "UNSAT", None, 0
+        return "UNSAT", None, made
     leaves = payload
     jobs = [(N, r, k, leaf, max_nodes, deadline, symmetry) for leaf in leaves]
 
@@ -618,14 +651,14 @@ def _run_parallel(N, r, k, aps_through, threads, max_nodes, deadline, symmetry, 
     except ValueError:
         ctx = None
 
-    total_nodes = 0
+    total_nodes = made
     sat_masks = None
     timed_out = False
     aborted = False
 
     if ctx is not None:
         stop = ctx.Event()
-        spent = ctx.Value("q", 0)
+        spent = ctx.Value("q", made)
         executor = ProcessPoolExecutor(
             max_workers=threads,
             mp_context=ctx,
@@ -635,7 +668,7 @@ def _run_parallel(N, r, k, aps_through, threads, max_nodes, deadline, symmetry, 
     else:  # pragma: no cover - exercised only on fork-less platforms
         stop = threading.Event()
         lock = threading.Lock()
-        box = {"nodes": 0}
+        box = {"nodes": made}
 
         class _Spent:
             def get_lock(self):
@@ -684,8 +717,9 @@ def decide_colorability(
 
     SAT outcomes carry a verified certificate; UNSAT means the search space
     was exhausted; TIMEOUT carries partial node statistics.  Sequential mode
-    is deterministic: branch positions left to right, colors ascending,
-    forced positions propagated.
+    is deterministic: branch positions from the middle out (nearest
+    (N + 1) / 2 first, ties left first), colors ascending, forced positions
+    propagated.
     """
     if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         raise DomainError(f"N must be a positive integer, got {N!r}")
@@ -735,19 +769,21 @@ def _extend_certificate(cert: Coloring, k: int) -> Coloring | None:
 
 
 def _seed_state(N, r, aps_through, seed_colors, prefix_len, pair_table=None):
-    """Assign the first prefix_len seed colors and propagate; None on conflict."""
+    """Assign the seed colors of positions 1..prefix_len and propagate; None on conflict."""
+    label = _order(N)[1]
     cm = [0] * r
     fb = [0] * r
     un = _full_mask(N)
     used = 0
     for p in range(1, prefix_len + 1):
         c = seed_colors[p - 1]
-        bit = 1 << p
+        q = label[p]
+        bit = 1 << q
         if not un & bit:
             if cm[c] & bit:
                 continue  # already forced to the seed color
             return None
-        ok, un, used, _made = _assign_prop(cm, fb, un, used, p, c, aps_through, r, pair_table)
+        ok, un, used, _made = _assign_prop(cm, fb, un, used, q, c, aps_through, r, pair_table)
         if not ok:
             return None
     return cm, fb, un, used

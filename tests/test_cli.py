@@ -238,6 +238,25 @@ class TestCnfCommand:
         )
         assert code == 2
 
+    def test_solver_malformed_value_line_exit_one(self, capsys, tmp_path):
+        solver = tmp_path / "solver.py"
+        solver.write_text("#!/usr/bin/env python3\nprint('s SATISFIABLE')\nprint('v 1 x 0')\n")
+        code, _, err = run(
+            capsys, "cnf", "--r", "2", "--k", "3", "--n-max", "8",
+            "--out", str(tmp_path / "w.cnf"), "--solver", f"python3 {solver}",
+        )
+        assert code == 1 and "non-integer token" in err
+
+    def test_solver_timeout_exit_two(self, capsys, tmp_path):
+        solver = tmp_path / "solver.py"
+        solver.write_text("#!/usr/bin/env python3\nimport time\ntime.sleep(30)\n")
+        code, _, err = run(
+            capsys, "cnf", "--r", "2", "--k", "3", "--n-max", "9",
+            "--out", str(tmp_path / "w.cnf"), "--solver", f"python3 {solver}",
+            "--max-seconds", "0.5",
+        )
+        assert code == 2 and "timeout" in err
+
 
 class TestConfigAndUsage:
     def test_usage_error_64(self, capsys):

@@ -115,6 +115,10 @@ class TestDimacs:
             read_dimacs(io.StringIO("p cnf 2 2\n1 2 0\n"))  # count mismatch
         with pytest.raises(DomainError):
             read_dimacs(io.StringIO("p cnf 2 1\n1 2\n"))  # unterminated clause
+        with pytest.raises(DomainError):
+            read_dimacs(io.StringIO("p cnf 2 1\n1 x 0\n"))  # non-integer literal
+        with pytest.raises(DomainError):
+            read_dimacs(io.StringIO("p cnf two 1\n1 2 0\n"))  # non-integer count
 
 
 class TestDecodeModel:
@@ -202,6 +206,10 @@ class TestSolverOutput:
     def test_unknown(self):
         res = parse_solver_output("c nothing to see\n")
         assert res.status == "UNKNOWN" and res.model is None
+
+    def test_malformed_value_line(self):
+        with pytest.raises(DomainError):
+            parse_solver_output("s SATISFIABLE\nv 1 -2 x3 0\n")
 
 
 def _fake_solver(tmp_path, body: str):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from waerden import (
@@ -157,11 +160,23 @@ class TestDecideColorability:
         assert a.stats.nodes == b.stats.nodes
 
     def test_parallel_status_matches(self):
-        for n in (8, 9, 26, 27):
-            inst = VdwInstance(2, 3) if n < 20 else VdwInstance(3, 3)
+        cases = ((2, 3, 8), (2, 3, 9), (3, 3, 26), (3, 3, 27), (2, 4, 35), (3, 4, 12), (4, 3, 12))
+        for r, k, n in cases:
+            inst = VdwInstance(r, k)
             seq = decide_colorability(n, inst, threads=1).status
             par = decide_colorability(n, inst, threads=2).status
-            assert seq == par
+            assert seq == par, (r, k, n)
+
+    def test_parallel_counts_prefix_split_nodes(self):
+        # (2,3) at N=8 and N=9 is settled inside the prefix split
+        for n in (8, 9):
+            out = decide_colorability(n, VdwInstance(2, 3), threads=2)
+            assert out.stats.nodes > 0, n
+
+    def test_parallel_honours_node_budget(self):
+        out = decide_colorability(35, VdwInstance(2, 4), Budget(max_nodes=1000), threads=2)
+        assert out.status is SearchStatus.TIMEOUT
+        assert out.stats.nodes >= 1000
 
     def test_domain_and_config_errors(self):
         with pytest.raises(DomainError):
@@ -172,6 +187,29 @@ class TestDecideColorability:
             Budget(max_nodes=0)
         with pytest.raises(ConfigError):
             Budget(max_seconds=0.0)
+
+
+@lru_cache(maxsize=None)
+def _colorable(n, r, k):
+    return oracles.brute_force_colorable(n, r, k)
+
+
+class TestMiddleOutOrder:
+    """The engine branches middle-out on relabelled bits; answers and
+    certificates must still be those of the original positions."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 12), r=st.integers(2, 4), k=st.integers(3, 5))
+    def test_matches_brute_force(self, n, r, k):
+        want = _colorable(n, r, k)
+        for symmetry in (True, False):
+            out = decide_colorability(n, VdwInstance(r, k), symmetry_breaking=symmetry)
+            assert (out.status is SearchStatus.SAT) == want, symmetry
+            if want:
+                cert = out.certificate
+                assert (cert.N, cert.r, len(cert.colors)) == (n, r, n)
+                assert verify_certificate(cert, k)
+                assert not oracles.naive_has_mono_ap(cert.colors, k)
 
 
 class TestComputeW:
