@@ -21,9 +21,16 @@ complete for SAT/UNSAT because AP-freeness is invariant under color
 permutation; forced assignments are exempt, so the explored space sits
 between the canonical colorings and the full space.
 
-Parallel mode partitions the decision tree near the root into several
-subtrees per worker and fans them over a process pool; SAT short-circuits
-the rest, UNSAT requires every subtree to be exhausted.  The SAT/UNSAT
+There is one propagation kernel.  For k = 3 it reads the new threats of an
+assignment from a table of the third member of every 3-AP through two
+labels, instead of scanning the APs through the assigned position.
+
+Parallel mode first searches serially for up to _SERIAL_NODES nodes, so a
+small tree is decided exactly as at one worker, without starting a pool.
+A larger tree is partitioned near the root into several subtrees per
+worker, fanned over a process pool of multiprocessing's default context;
+SAT short-circuits the rest, UNSAT requires every subtree to be exhausted.
+The serial nodes count toward the node total and the budget.  The SAT/UNSAT
 answer is identical across worker counts; certificates may differ in
 parallel mode but always verify.
 
@@ -34,9 +41,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -210,19 +216,6 @@ def verify_certificate(coloring: Coloring, k: int) -> bool:
     return find_mono_ap(coloring, k) is None
 
 
-@lru_cache(maxsize=None)
-def _ap_other_masks(k: int, p: int) -> tuple[int, ...]:
-    """Bitmasks of the first k-1 members of every k-AP whose last member is p."""
-    out = []
-    for d in range(1, (p - 1) // (k - 1) + 1):
-        a = p - (k - 1) * d
-        m = 0
-        for j in range(k - 1):
-            m |= 1 << (a + j * d)
-        out.append(m)
-    return tuple(out)
-
-
 @lru_cache(maxsize=128)
 def _order(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Middle-out labels of [1, N]: (position of each label, label of each position).
@@ -253,6 +246,14 @@ def _aps_through(k: int, N: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(lst) for lst in per)
 
 
+def _tables(N: int, k: int):
+    """(aps_through, pair_table) for the kernel: the k = 3 pair-threat table
+    replaces the AP table, so only one of the two is built."""
+    if k == 3:
+        return None, _pair_threats(N)
+    return _aps_through(k, N), None
+
+
 @lru_cache(maxsize=8)
 def _pair_threats(N: int) -> tuple[tuple[int, ...], ...]:
     """k = 3 only: table[lu][lv] masks the labels completing a 3-AP with labels lu, lv.
@@ -279,7 +280,7 @@ def _pair_threats(N: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _assign_prop(cm, fb, un, used, p, c, aps_through, r, pair_table=None):
+def _assign_prop(cm, fb, un, used, p, c, aps_through, pair_table=None):
     """Assign color c to the position labelled p, then propagate forced positions.
 
     Mutates cm (class masks) and fb (forbidden masks).  Returns
@@ -330,153 +331,24 @@ def _assign_prop(cm, fb, un, used, p, c, aps_through, r, pair_table=None):
         hit = new_threats & un  # only these positions can change status
         if not hit:
             continue
-        dead = hit
-        for c3 in range(r):
-            dead &= fb[c3]
-            if not dead:
-                break
-        if dead:
-            return False, un, used, count
-        for c2 in range(r):
-            if c2 == qc:
-                continue  # fb[qc] was just set on every hit position
-            forced = hit & ~fb[c2]
-            if not forced:
-                continue
-            for c3 in range(r):
-                if c3 != c2:
-                    forced &= fb[c3]
-                    if not forced:
-                        break
-            while forced:
-                low = forced & -forced
-                forced ^= low
+        # count the colors still free at each hit position, saturating at two
+        one = two = 0
+        for f in fb:
+            free = hit & ~f
+            two |= one & free
+            one |= free
+        if hit & ~one:
+            return False, un, used, count  # a position with every color forbidden
+        forced = one & ~two
+        if not forced:
+            continue
+        for c2, f in enumerate(fb):
+            mine = forced & ~f
+            while mine:
+                low = mine & -mine
+                mine ^= low
                 pending.append((low.bit_length() - 1, c2))
     return True, un, used, count
-
-
-def _run_tree_r2(N, aps_through, cm0, cm1, fb0, fb1, un, max_nodes, deadline, stop, charge):
-    """Two-color engine on scalar bitmasks; canonical form fixes the first branch to color 0.
-
-    Same contract as _run_tree; the caller pre-assigns nothing, symmetry is
-    realized by offering only color 0 while no position is colored yet.
-    """
-    nodes = 0
-    charged = 0
-    branches = 0
-    monotonic = time.monotonic
-    frames = []  # [cands, idx, bit, cm0, cm1, fb0, fb1, un]
-    while True:
-        if un == 0:
-            return "SAT", [cm0, cm1], nodes
-        low = un & -un
-        cands = []
-        if not fb0 & low:
-            cands.append(0)
-        if not fb1 & low and (cm0 or cm1):  # color 1 only once something is colored
-            cands.append(1)
-        frames.append([cands, 0, low, cm0, cm1, fb0, fb1, un])
-        while True:
-            if not frames:
-                return "UNSAT", None, nodes
-            frame = frames[-1]
-            cands, idx, low, s0, s1, f0, f1, su = frame
-            if idx == len(cands):
-                frames.pop()
-                continue
-            frame[1] = idx + 1
-            cm0, cm1, fb0, fb1, un = s0, s1, f0, f1, su
-            branches += 1
-            if branches & _CHECK_MASK == 0:
-                if deadline is not None and monotonic() >= deadline:
-                    return "TIMEOUT", None, nodes
-                if stop is not None and stop.is_set():
-                    return "ABORTED", None, nodes
-                if charge is not None:
-                    if not charge(nodes - charged):
-                        return "TIMEOUT", None, nodes
-                    charged = nodes
-            # inline assign + propagate
-            pend_bit = [low]
-            pend_col = [cands[idx]]
-            ok = True
-            while pend_bit:
-                qbit = pend_bit.pop()
-                qc = pend_col.pop()
-                if not un & qbit:
-                    if (cm0 if qc == 0 else cm1) & qbit:
-                        continue
-                    ok = False
-                    break
-                un &= ~qbit
-                nodes += 1
-                q = qbit.bit_length() - 1
-                if qc == 0:
-                    if fb0 & qbit:
-                        ok = False
-                        break
-                    cm0 |= qbit
-                    ncm = ~cm0
-                    hits = [
-                        rem for am in aps_through[q]
-                        if (rem := am & ncm) & (rem - 1) == 0
-                    ]
-                    nt = 0
-                    for rem in hits:
-                        if rem == 0:
-                            ok = False
-                            break
-                        nt |= rem
-                    if not ok:
-                        break
-                    nt &= ~fb0
-                    if nt:
-                        fb0 |= nt
-                        hit = nt & un
-                        if hit:
-                            if hit & fb1:
-                                ok = False  # some position has both colors forbidden
-                                break
-                            while hit:  # every hit position is forced to color 1
-                                b = hit & -hit
-                                hit ^= b
-                                pend_bit.append(b)
-                                pend_col.append(1)
-                else:
-                    if fb1 & qbit:
-                        ok = False
-                        break
-                    cm1 |= qbit
-                    ncm = ~cm1
-                    hits = [
-                        rem for am in aps_through[q]
-                        if (rem := am & ncm) & (rem - 1) == 0
-                    ]
-                    nt = 0
-                    for rem in hits:
-                        if rem == 0:
-                            ok = False
-                            break
-                        nt |= rem
-                    if not ok:
-                        break
-                    nt &= ~fb1
-                    if nt:
-                        fb1 |= nt
-                        hit = nt & un
-                        if hit:
-                            if hit & fb0:
-                                ok = False
-                                break
-                            while hit:
-                                b = hit & -hit
-                                hit ^= b
-                                pend_bit.append(b)
-                                pend_col.append(0)
-            if nodes >= max_nodes:
-                return "TIMEOUT", None, nodes
-            if ok:
-                break
 
 
 def _run_tree(N, r, aps_through, cm, fb, un, used, max_nodes, deadline, stop, charge, symmetry, pair_table=None):
@@ -485,11 +357,6 @@ def _run_tree(N, r, aps_through, cm, fb, un, used, max_nodes, deadline, stop, ch
     Returns (status, class_masks_or_None, nodes) with status in
     {"SAT", "UNSAT", "TIMEOUT", "ABORTED"}.
     """
-    if r == 2 and symmetry:
-        return _run_tree_r2(
-            N, aps_through, cm[0], cm[1], fb[0], fb[1], un,
-            max_nodes, deadline, stop, charge,
-        )
     nodes = 0
     charged = 0
     branches = 0
@@ -527,7 +394,7 @@ def _run_tree(N, r, aps_through, cm, fb, un, used, max_nodes, deadline, stop, ch
                     if not charge(nodes - charged):
                         return "TIMEOUT", None, nodes
                     charged = nodes
-            ok, un, used, made = _assign_prop(cm, fb, un0, used0, p, cands[idx], aps_through, r, pair_table)
+            ok, un, used, made = _assign_prop(cm, fb, un0, used0, p, cands[idx], aps_through, pair_table)
             nodes += made
             if nodes >= max_nodes:
                 return "TIMEOUT", None, nodes
@@ -576,7 +443,7 @@ def _split_prefixes(N, r, aps_through, threads, symmetry, pair_table=None):
                 if fb[c] & low:
                     continue
                 cm2, fb2 = list(cm), list(fb)
-                ok, un2, used2, count = _assign_prop(cm2, fb2, un, used, p, c, aps_through, r, pair_table)
+                ok, un2, used2, count = _assign_prop(cm2, fb2, un, used, p, c, aps_through, pair_table)
                 made += count
                 if not ok:
                     continue
@@ -589,6 +456,10 @@ def _split_prefixes(N, r, aps_through, threads, symmetry, pair_table=None):
     return "leaves", leaves, made
 
 
+# nodes a multi-worker search runs serially before it starts a pool; every
+# desk-tier proof fits (the largest, (3,3) at N = 27, takes 3,583)
+_SERIAL_NODES = 4096
+
 _PAR_STOP = None
 _PAR_SPENT = None
 
@@ -600,15 +471,13 @@ def _parallel_init(stop, spent):
 
 
 def _parallel_worker(args):
-    # deadline is absolute CLOCK_MONOTONIC time, shared across forked workers
+    # deadline is absolute CLOCK_MONOTONIC time, which every process shares
     N, r, k, leaf, max_nodes, deadline, symmetry = args
     stop = _PAR_STOP
     spent = _PAR_SPENT
     if stop.is_set():
         return "ABORTED", None, 0
     cm, fb, un, used = leaf
-    aps = _aps_through(k, N)
-    pair_table = _pair_threats(N) if k == 3 and r > 2 else None
     charged = 0
 
     def charge(delta: int) -> bool:
@@ -621,6 +490,7 @@ def _parallel_worker(args):
                 return False
         return True
 
+    aps, pair_table = _tables(N, k)
     status, masks, nodes = _run_tree(
         N, r, aps, list(cm), list(fb), un, used,
         max_nodes, deadline, stop, charge, symmetry, pair_table,
@@ -633,75 +503,45 @@ def _parallel_worker(args):
     return status, masks, nodes
 
 
-def _run_parallel(N, r, k, aps_through, threads, max_nodes, deadline, symmetry, pair_table=None):
-    """Fan the subtree roots out over a process pool (thread pool if fork is
-    unavailable); SAT short-circuits, UNSAT needs every subtree exhausted."""
+def _search(N, r, k, aps_through, threads, max_nodes, deadline, symmetry, pair_table):
+    """Search serially (for up to _SERIAL_NODES nodes when threads > 1), then
+    fan the subtree roots out over a process pool; SAT short-circuits, UNSAT
+    needs every subtree exhausted."""
+    serial_budget = max_nodes if threads == 1 else min(max_nodes, _SERIAL_NODES)
+    status, masks, serial = _run_tree(
+        N, r, aps_through, [0] * r, [0] * r, _full_mask(N), 0,
+        serial_budget, deadline, None, None, symmetry, pair_table,
+    )
+    # decided, out of time, or out of the caller's nodes: no pool
+    if status != "TIMEOUT" or serial < serial_budget or serial >= max_nodes:
+        return status, masks, serial
     kind, payload, made = _split_prefixes(N, r, aps_through, threads * 8, symmetry, pair_table)
+    made += serial
     if made >= max_nodes:
         return "TIMEOUT", None, made
-    if kind == "SAT":
-        return "SAT", payload, made
-    if kind == "UNSAT":
-        return "UNSAT", None, made
-    leaves = payload
-    jobs = [(N, r, k, leaf, max_nodes, deadline, symmetry) for leaf in leaves]
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = None
-
+    if kind != "leaves":
+        return kind, payload, made
+    jobs = [(N, r, k, leaf, max_nodes, deadline, symmetry) for leaf in payload]
+    stop = multiprocessing.Event()
+    spent = multiprocessing.Value("q", made)
     total_nodes = made
     sat_masks = None
-    timed_out = False
-    aborted = False
-
-    if ctx is not None:
-        stop = ctx.Event()
-        spent = ctx.Value("q", made)
-        executor = ProcessPoolExecutor(
-            max_workers=threads,
-            mp_context=ctx,
-            initializer=_parallel_init,
-            initargs=(stop, spent),
-        )
-    else:  # pragma: no cover - exercised only on fork-less platforms
-        stop = threading.Event()
-        lock = threading.Lock()
-        box = {"nodes": made}
-
-        class _Spent:
-            def get_lock(self):
-                return lock
-
-            @property
-            def value(self):
-                return box["nodes"]
-
-            @value.setter
-            def value(self, v):
-                box["nodes"] = v
-
-        _parallel_init(stop, _Spent())
-        executor = ThreadPoolExecutor(max_workers=threads)
-
-    with executor as pool:
+    unfinished = False
+    with ProcessPoolExecutor(
+        max_workers=threads, initializer=_parallel_init, initargs=(stop, spent),
+    ) as pool:
         futures = [pool.submit(_parallel_worker, job) for job in jobs]
         for fut in as_completed(futures):
             status, masks, nodes = fut.result()
             total_nodes += nodes
-            if status == "SAT":
-                if sat_masks is None:
-                    sat_masks = masks
+            if status == "SAT" and sat_masks is None:
+                sat_masks = masks
+            if status in ("SAT", "TIMEOUT"):
                 stop.set()
-            elif status == "TIMEOUT":
-                timed_out = True
-                stop.set()
-            elif status == "ABORTED":
-                aborted = True
+            unfinished |= status in ("TIMEOUT", "ABORTED")
     if sat_masks is not None:
         return "SAT", sat_masks, total_nodes
-    if timed_out or aborted:
+    if unfinished:
         return "TIMEOUT", None, total_nodes
     return "UNSAT", None, total_nodes
 
@@ -730,18 +570,10 @@ def decide_colorability(
     r, k = inst.r, inst.k
     started = time.perf_counter()
     deadline = time.monotonic() + budget.max_seconds
-    aps = _aps_through(k, N)
-    pair_table = _pair_threats(N) if k == 3 and r > 2 else None
-    if threads == 1:
-        status, masks, nodes = _run_tree(
-            N, r, aps, [0] * r, [0] * r, _full_mask(N), 0,
-            budget.max_nodes, deadline, None, None, symmetry_breaking, pair_table,
-        )
-    else:
-        status, masks, nodes = _run_parallel(
-            N, r, k, aps, threads, budget.max_nodes, deadline,
-            symmetry_breaking, pair_table,
-        )
+    aps, pair_table = _tables(N, k)
+    status, masks, nodes = _search(
+        N, r, k, aps, threads, budget.max_nodes, deadline, symmetry_breaking, pair_table,
+    )
     stats = SearchStats(nodes=nodes, seconds=time.perf_counter() - started)
     if status == "SAT":
         certificate = _masks_to_coloring(masks, N, r)
@@ -753,99 +585,6 @@ def decide_colorability(
     return SearchOutcome(SearchStatus.TIMEOUT, None, stats)
 
 
-def _extend_certificate(cert: Coloring, k: int) -> Coloring | None:
-    """Try to append one position to an AP-free coloring; None if no color fits."""
-    new_n = cert.N + 1
-    masks = [0] * cert.r
-    for p, c in enumerate(cert.colors, start=1):
-        masks[c] |= 1 << p
-    apl = _ap_other_masks(k, new_n)
-    for c in range(cert.r):
-        cm = masks[c]
-        if any(m & cm == m for m in apl):
-            continue
-        return Coloring(N=new_n, r=cert.r, colors=cert.colors + (c,))
-    return None
-
-
-def _seed_state(N, r, aps_through, seed_colors, prefix_len, pair_table=None):
-    """Assign the seed colors of positions 1..prefix_len and propagate; None on conflict."""
-    label = _order(N)[1]
-    cm = [0] * r
-    fb = [0] * r
-    un = _full_mask(N)
-    used = 0
-    for p in range(1, prefix_len + 1):
-        c = seed_colors[p - 1]
-        q = label[p]
-        bit = 1 << q
-        if not un & bit:
-            if cm[c] & bit:
-                continue  # already forced to the seed color
-            return None
-        ok, un, used, _made = _assign_prop(cm, fb, un, used, q, c, aps_through, r, pair_table)
-        if not ok:
-            return None
-    return cm, fb, un, used
-
-
-def _decide_seeded(N, inst, seed, budget, threads):
-    """decide_colorability for a SAT-leaning N, retrying around a known seed.
-
-    Searches the subspace that keeps a long prefix of the previous
-    certificate, widening the re-searched suffix exponentially; a subspace
-    UNSAT only escalates, never concludes.  The final fallback is the full
-    search, so the outcome equals decide_colorability's.
-    """
-    r, k = inst.r, inst.k
-    started = time.perf_counter()
-    deadline = time.monotonic() + budget.max_seconds
-    nodes_left = budget.max_nodes
-    total = 0
-    aps = _aps_through(k, N)
-    pair_table = _pair_threats(N) if k == 3 and r > 2 else None
-    backoff = 8
-    while backoff <= 32 and len(seed) - backoff > 0:
-        state = _seed_state(N, r, aps, seed, len(seed) - backoff, pair_table)
-        if state is not None:
-            cm, fb, un, used = state
-            if un == 0:
-                status, masks, nodes = "SAT", cm, 0
-            else:
-                # symmetry stays on: with a non-empty prefix the two-color
-                # engine is unrestricted anyway, and for r > 2 a too-narrow
-                # subspace merely escalates the backoff
-                status, masks, nodes = _run_tree(
-                    N, r, aps, cm, fb, un, used,
-                    max(nodes_left, 1), deadline, None, None, True, pair_table,
-                )
-            total += nodes
-            nodes_left -= nodes
-            if status == "SAT":
-                stats = SearchStats(total, time.perf_counter() - started)
-                certificate = _masks_to_coloring(masks, N, r)
-                if not verify_certificate(certificate, k):
-                    raise IntegrityError("seeded search produced an invalid certificate")
-                return SearchOutcome(SearchStatus.SAT, certificate, stats)
-            if status == "TIMEOUT":
-                return SearchOutcome(
-                    SearchStatus.TIMEOUT, None,
-                    SearchStats(total, time.perf_counter() - started),
-                )
-        backoff *= 4
-    # escalation exhausted; fall through to the authoritative full search
-    remaining = Budget(
-        max_nodes=max(nodes_left, 1),
-        max_seconds=max(deadline - time.monotonic(), 1e-3),
-    )
-    outcome = decide_colorability(N, inst, remaining, threads=threads)
-    return SearchOutcome(
-        outcome.status,
-        outcome.certificate,
-        SearchStats(total + outcome.stats.nodes, time.perf_counter() - started),
-    )
-
-
 def compute_W(
     inst: VdwInstance,
     budget: Budget | None = None,
@@ -854,9 +593,10 @@ def compute_W(
 ) -> ComputeWResult:
     """Least N such that every r-coloring of [1, N] has a monochromatic k-AP.
 
-    Searches upward from N = k, reusing each SAT certificate as a seed for
-    the next N (monotonicity).  Budget exhaustion raises BudgetExhausted with
-    the best proven bracket [last_SAT + 1, infinity).
+    Decides N = k, k + 1, ... in turn with a full search each, until one is
+    UNSAT; the last SAT certificate is the coloring of [1, value - 1].
+    Budget exhaustion raises BudgetExhausted with the best proven bracket
+    [last_SAT + 1, infinity).
     """
     if budget is None:
         budget = Budget()
@@ -881,17 +621,8 @@ def compute_W(
                 nodes=total_nodes,
                 seconds=time.perf_counter() - started,
             )
-        if prev_cert is not None:
-            extended = _extend_certificate(prev_cert, inst.k)
-            if extended is not None:
-                prev_cert = extended
-                N += 1
-                continue
         sub_budget = Budget(max_nodes=nodes_left, max_seconds=max(deadline - now, 1e-3))
-        if prev_cert is not None:
-            outcome = _decide_seeded(N, inst, prev_cert.colors, sub_budget, threads)
-        else:
-            outcome = decide_colorability(N, inst, sub_budget, threads=threads)
+        outcome = decide_colorability(N, inst, sub_budget, threads=threads)
         total_nodes += outcome.stats.nodes
         nodes_left -= outcome.stats.nodes
         if outcome.status is SearchStatus.SAT:

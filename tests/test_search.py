@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import product
 
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import waerden
 from waerden import (
     Budget,
     BudgetExhausted,
@@ -135,16 +139,16 @@ class TestDecideColorability:
 
     @pytest.mark.extended
     def test_monotone_unsat_w43(self):
-        # the exhaustive trees at 76 and 77 run to ~2e10 propagation nodes;
-        # within the acceptance-tier budget this engine cannot finish them,
-        # so this records the honest outcome rather than being skipped
+        # at 1 worker, 600 s ran 104,519,339 nodes at N=76 without finishing
+        # the proof (see README); this records the honest outcome rather
+        # than being skipped
         budget = Budget(max_nodes=10**10, max_seconds=600)
         for n in (76, 77):
             outcome = decide_colorability(n, VdwInstance(4, 3), budget, threads=2)
             assert outcome.status is SearchStatus.UNSAT, (
                 f"decide({n},(4,3)) returned {outcome.status.value} after "
-                f"{outcome.stats.nodes} nodes; the full tree (~2e10 nodes) "
-                "exceeds this budget, see the decisions ledger"
+                f"{outcome.stats.nodes} nodes; at 1 worker, 600s ran "
+                "104,519,339 nodes at N=76 without finishing the proof (see README)"
             )
 
     def test_timeout_reports_partial_stats(self):
@@ -160,23 +164,57 @@ class TestDecideColorability:
         assert a.stats.nodes == b.stats.nodes
 
     def test_parallel_status_matches(self):
-        cases = ((2, 3, 8), (2, 3, 9), (3, 3, 26), (3, 3, 27), (2, 4, 35), (3, 4, 12), (4, 3, 12))
-        for r, k, n in cases:
+        cases = (
+            (2, 3, 8, True), (2, 3, 9, True), (3, 3, 26, True), (3, 3, 27, True),
+            (2, 4, 35, True), (3, 4, 12, True), (4, 3, 12, True),
+            # trees that outgrow the serial first pass and run on the pool:
+            # 21,425 nodes (UNSAT) and 33,749 nodes (SAT) at one worker
+            (3, 3, 27, False), (4, 3, 61, True),
+        )
+        for r, k, n, symmetry in cases:
             inst = VdwInstance(r, k)
-            seq = decide_colorability(n, inst, threads=1).status
-            par = decide_colorability(n, inst, threads=2).status
-            assert seq == par, (r, k, n)
+            seq = decide_colorability(n, inst, threads=1, symmetry_breaking=symmetry).status
+            par = decide_colorability(n, inst, threads=2, symmetry_breaking=symmetry).status
+            assert seq == par, (r, k, n, symmetry)
 
     def test_parallel_counts_prefix_split_nodes(self):
-        # (2,3) at N=8 and N=9 is settled inside the prefix split
+        # (2,3) at N=8 and N=9 is settled by the serial first pass
         for n in (8, 9):
             out = decide_colorability(n, VdwInstance(2, 3), threads=2)
             assert out.stats.nodes > 0, n
 
     def test_parallel_honours_node_budget(self):
-        out = decide_colorability(35, VdwInstance(2, 4), Budget(max_nodes=1000), threads=2)
-        assert out.status is SearchStatus.TIMEOUT
-        assert out.stats.nodes >= 1000
+        # the first budget ends inside the serial first pass, the second on the pool
+        for n, inst, max_nodes in ((35, VdwInstance(2, 4), 1000), (76, VdwInstance(4, 3), 20_000)):
+            out = decide_colorability(n, inst, Budget(max_nodes=max_nodes), threads=2)
+            assert out.status is SearchStatus.TIMEOUT, (n, inst)
+            assert out.stats.nodes >= max_nodes, (n, inst)
+
+    def test_pool_runs_under_spawn(self, tmp_path):
+        # the pool uses multiprocessing's default context, so it must also
+        # work where that context spawns rather than forks
+        script = tmp_path / "spawn_search.py"
+        script.write_text(
+            "import multiprocessing\n"
+            "from waerden import VdwInstance, decide_colorability\n"
+            "\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    out = decide_colorability(27, VdwInstance(3, 3), threads=2, symmetry_breaking=False)\n"
+            "    print(out.status.value, out.stats.nodes)\n"
+        )
+        src = os.path.dirname(os.path.dirname(waerden.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # an UNSAT tree is exhausted in full, so the 2-worker count is fixed
+        # whatever the start method; this tree outgrows the serial first pass
+        want = decide_colorability(27, VdwInstance(3, 3), threads=2, symmetry_breaking=False)
+        assert want.stats.nodes > 21_425
+        assert proc.stdout.split() == [want.status.value, str(want.stats.nodes)]
 
     def test_domain_and_config_errors(self):
         with pytest.raises(DomainError):
@@ -187,6 +225,22 @@ class TestDecideColorability:
             Budget(max_nodes=0)
         with pytest.raises(ConfigError):
             Budget(max_seconds=0.0)
+
+
+@pytest.mark.parametrize(
+    "r, k, n, status, nodes",
+    [
+        (2, 4, 35, SearchStatus.UNSAT, 1_310),  # r = 2
+        (2, 4, 34, SearchStatus.SAT, 883),
+        (3, 3, 27, SearchStatus.UNSAT, 3_583),  # k = 3 pair table
+        (3, 4, 100, SearchStatus.SAT, 151),  # AP scan
+    ],
+)
+def test_one_worker_node_counts(r, k, n, status, nodes):
+    """The search tree of each kernel path is pinned, so a kernel change
+    that walks a different tree shows up here."""
+    out = decide_colorability(n, VdwInstance(r, k))
+    assert (out.status, out.stats.nodes) == (status, nodes)
 
 
 @lru_cache(maxsize=None)
@@ -229,6 +283,13 @@ class TestComputeW:
                 res = compute_W(inst, threads=threads)
                 assert res.value == expect
                 assert verify_certificate(res.certificate, inst.k)
+
+    @pytest.mark.parametrize("r, k", [(2, 3), (2, 4), (3, 3)])
+    def test_two_workers_stay_serial_on_small_trees(self, r, k):
+        # every tree up to N = W fits the serial first pass, so no pool starts
+        one = compute_W(VdwInstance(r, k), threads=1)
+        two = compute_W(VdwInstance(r, k), threads=2)
+        assert (two.value, two.stats.nodes) == (one.value, one.stats.nodes)
 
     def test_allowlist_enforced(self):
         with pytest.raises(DomainError):
