@@ -15,7 +15,9 @@ as a fallback when no status line is printed.
 
 from __future__ import annotations
 
+import os
 import shlex
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
@@ -301,7 +303,8 @@ def run_external_solver(
 
     Exit codes 10/20 stand in for a missing status line.  The solver binary
     not existing raises FileNotFoundError; timeouts raise
-    subprocess.TimeoutExpired.
+    subprocess.TimeoutExpired after killing the solver's whole process
+    group, so no helper process it started outlives the call.
     """
     argv = shlex.split(command) if isinstance(command, str) else list(command)
     with tempfile.NamedTemporaryFile(
@@ -310,12 +313,19 @@ def run_external_solver(
         path = Path(handle.name)
         write_dimacs(formula, handle)
     try:
-        proc = subprocess.run(
-            [*argv, str(path)], capture_output=True, text=True, timeout=timeout
-        )
+        with subprocess.Popen(
+            [*argv, str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        ) as proc:
+            try:
+                stdout, _ = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                raise
     finally:
         path.unlink(missing_ok=True)
-    parsed = parse_solver_output(proc.stdout)
+    parsed = parse_solver_output(stdout)
     status = parsed.status
     if status == "UNKNOWN":
         if proc.returncode == 10:

@@ -21,9 +21,14 @@ complete for SAT/UNSAT because AP-freeness is invariant under color
 permutation; forced assignments are exempt, so the explored space sits
 between the canonical colorings and the full space.
 
-There is one propagation kernel.  For k = 3 it reads the new threats of an
-assignment from a table of the third member of every 3-AP through two
-labels, instead of scanning the APs through the assigned position.
+There is one propagation kernel.  For k > 3 every k-AP has an index, and
+the search state holds, for each color, a bit-sliced counter of how many
+of every AP's members carry that color: bit i of level j is bit j of the
+count of AP i.  Assigning a color to a position adds the mask of the APs
+through it to that color's counter with a ripple carry over the levels;
+each AP whose count reaches k - 1 forbids the color at its last member.
+For k = 3 the new threats come instead from a table of the third member of
+every 3-AP through two labels.
 
 Parallel mode first searches serially for up to _SERIAL_NODES nodes, so a
 small tree is decided exactly as at one worker, without starting a pool.
@@ -70,7 +75,14 @@ class SearchStatus(Enum):
 
 @dataclass(frozen=True)
 class Budget:
-    """Node and wall-time limits for one search call."""
+    """Node and wall-time limits for one search call.
+
+    One worker stops within one branch (at most N assignments) of
+    max_nodes.  A multi-worker search charges the shared count only every
+    1024 branches of each running job, so it can run up to
+    threads * 1024 * N assignments past max_nodes before every worker sees
+    the budget spent.
+    """
 
     max_nodes: int = 10**9
     max_seconds: float = 600.0
@@ -216,7 +228,12 @@ def verify_certificate(coloring: Coloring, k: int) -> bool:
     return find_mono_ap(coloring, k) is None
 
 
-@lru_cache(maxsize=128)
+# compute_W decides each N once and a pool worker uses one table, so a few
+# entries suffice; one AP table for k = 7 at N = 4096 is hundreds of MiB
+_TABLE_CACHE = 2
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
 def _order(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Middle-out labels of [1, N]: (position of each label, label of each position).
 
@@ -230,31 +247,51 @@ def _order(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (0, *positions), tuple(label)
 
 
-@lru_cache(maxsize=128)
-def _aps_through(k: int, N: int) -> tuple[tuple[int, ...], ...]:
-    """For each label q, the full label masks of every k-AP in [1, N] through q."""
-    label = _order(N)[1]
-    per: list[list[int]] = [[] for _ in range(N + 1)]
+@lru_cache(maxsize=_TABLE_CACHE)
+def _ap_index(k: int, N: int):
+    """Index every k-AP in [1, N]: (through, members, levels, full_levels).
+
+    through[q] masks the indices of the APs through label q, members[i] is
+    the label mask of AP i, levels = bit length of k - 1 is the number of
+    counter levels per color, and full_levels lists the levels whose bits
+    spell k - 1.
+    """
+    position, label = _order(N)
+    bit = [1 << q for q in label]
+    members = []
+    incident: list[list[int]] = [[] for _ in range(N + 1)]  # by position
     for d in range(1, (N - 1) // (k - 1) + 1):
         for a in range(1, N - (k - 1) * d + 1):
-            members = [label[p] for p in range(a, a + k * d, d)]
-            m = 0
-            for q in members:
-                m |= 1 << q
-            for q in members:
-                per[q].append(m)
-    return tuple(tuple(lst) for lst in per)
+            i = len(members)
+            members.append(sum(bit[a : a + k * d : d]))
+            for p in range(a, a + k * d, d):
+                incident[p].append(i)
+    size = (len(members) + 7) // 8
+    through = [0]
+    for p in position[1:]:
+        buf = bytearray(size)
+        for i in incident[p]:
+            buf[i >> 3] |= 1 << (i & 7)
+        through.append(int.from_bytes(buf, "little"))
+    levels = (k - 1).bit_length()
+    full_levels = tuple(j for j in range(levels) if (k - 1) >> j & 1)
+    return tuple(through), tuple(members), levels, full_levels
 
 
 def _tables(N: int, k: int):
-    """(aps_through, pair_table) for the kernel: the k = 3 pair-threat table
-    replaces the AP table, so only one of the two is built."""
+    """(ap_index, pair_table) for the kernel: the k = 3 pair-threat table
+    replaces the AP index, so only one of the two is built."""
     if k == 3:
         return None, _pair_threats(N)
-    return _aps_through(k, N), None
+    return _ap_index(k, N), None
 
 
-@lru_cache(maxsize=8)
+def _counters(r: int, aps) -> list[int]:
+    """Empty per-AP color counters: levels ints per color, none for k = 3."""
+    return [0] * (r * aps[2]) if aps is not None else []
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
 def _pair_threats(N: int) -> tuple[tuple[int, ...], ...]:
     """k = 3 only: table[lu][lv] masks the labels completing a 3-AP with labels lu, lv.
 
@@ -280,15 +317,20 @@ def _pair_threats(N: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _assign_prop(cm, fb, un, used, p, c, aps_through, pair_table=None):
+def _assign_prop(cm, fb, cnt, un, used, p, c, aps, pair_table=None):
     """Assign color c to the position labelled p, then propagate forced positions.
 
-    Mutates cm (class masks) and fb (forbidden masks).  Returns
-    (ok, un, used, count) where count is the number of assignments made;
-    ok is False on conflict (a dead position or a completed mono AP).
-    When pair_table is given (k = 3) threats come from the pair table
-    instead of scanning APs.
+    Mutates cm (class masks), fb (forbidden masks) and cnt (AP counters).
+    Returns (ok, un, used, count) where count is the number of assignments
+    made; ok is False on conflict (a dead position or a forced position
+    already taken).  When pair_table is given (k = 3) threats come from the
+    pair table; otherwise cnt holds, for each color, the bit-sliced count
+    of that color's members in every indexed AP, and an AP whose count
+    reaches k - 1 threatens its last member.  No count reaches k: a
+    position is never given a color its forbidden mask holds.
     """
+    if pair_table is None:
+        through, members, levels, full_levels = aps
     pending = [(p, c)]
     count = 0
     while pending:
@@ -315,15 +357,22 @@ def _assign_prop(cm, fb, un, used, p, c, aps_through, pair_table=None):
                 mm ^= lowb
                 new_threats |= row[lowb.bit_length() - 1]
         else:
-            ncm = ~cmq
-            hits = [
-                rem for am in aps_through[q]
-                if (rem := am & ncm) & (rem - 1) == 0
-            ]
-            for rem in hits:
-                if rem == 0:
-                    return False, un, used, count  # monochromatic AP completed
-                new_threats |= rem
+            # ripple-carry add one to the count of every AP through q
+            base = qc * levels
+            carry = full = through[q]
+            for j in range(base, base + levels):
+                lv = cnt[j]
+                cnt[j] = lv ^ carry
+                carry &= lv
+                if not carry:
+                    break
+            for j in full_levels:
+                full &= cnt[base + j]
+            while full:
+                i = full.bit_length() - 1
+                full ^= 1 << i
+                new_threats |= members[i]
+            new_threats &= ~cmq
         new_threats &= ~fb[qc]
         if not new_threats:
             continue
@@ -351,7 +400,7 @@ def _assign_prop(cm, fb, un, used, p, c, aps_through, pair_table=None):
     return True, un, used, count
 
 
-def _run_tree(N, r, aps_through, cm, fb, un, used, max_nodes, deadline, stop, charge, symmetry, pair_table=None):
+def _run_tree(N, r, aps, cm, fb, cnt, un, used, max_nodes, deadline, stop, charge, symmetry, pair_table=None):
     """Backtrack from the given state (mutated in place) until decided.
 
     Returns (status, class_masks_or_None, nodes) with status in
@@ -361,7 +410,7 @@ def _run_tree(N, r, aps_through, cm, fb, un, used, max_nodes, deadline, stop, ch
     charged = 0
     branches = 0
     monotonic = time.monotonic
-    # frames: [candidate_colors, next_index, position, cm0, fb0, un0, used0]
+    # frames: [candidate_colors, next_index, position, cm0, fb0, cnt0, un0, used0]
     frames = []
     while True:
         if un == 0:
@@ -372,18 +421,19 @@ def _run_tree(N, r, aps_through, cm, fb, un, used, max_nodes, deadline, stop, ch
         if limit > r:
             limit = r
         cands = [c for c in range(limit) if not fb[c] & low]
-        frames.append([cands, 0, p, tuple(cm), tuple(fb), un, used])
+        frames.append([cands, 0, p, tuple(cm), tuple(fb), tuple(cnt), un, used])
         while True:
             if not frames:
                 return "UNSAT", None, nodes
             frame = frames[-1]
-            cands, idx, p, cm0, fb0, un0, used0 = frame
+            cands, idx, p, cm0, fb0, cnt0, un0, used0 = frame
             if idx == len(cands):
                 frames.pop()
                 continue
             frame[1] = idx + 1
             cm[:] = cm0
             fb[:] = fb0
+            cnt[:] = cnt0
             branches += 1
             if branches & _CHECK_MASK == 0:
                 if deadline is not None and monotonic() >= deadline:
@@ -394,7 +444,7 @@ def _run_tree(N, r, aps_through, cm, fb, un, used, max_nodes, deadline, stop, ch
                     if not charge(nodes - charged):
                         return "TIMEOUT", None, nodes
                     charged = nodes
-            ok, un, used, made = _assign_prop(cm, fb, un0, used0, p, cands[idx], aps_through, pair_table)
+            ok, un, used, made = _assign_prop(cm, fb, cnt, un0, used0, p, cands[idx], aps, pair_table)
             nodes += made
             if nodes >= max_nodes:
                 return "TIMEOUT", None, nodes
@@ -420,20 +470,20 @@ def _full_mask(N: int) -> int:
     return ((1 << N) - 1) << 1  # labels 1..N
 
 
-def _split_prefixes(N, r, aps_through, threads, symmetry, pair_table=None):
+def _split_prefixes(N, r, aps, threads, symmetry, pair_table=None):
     """Partition the decision tree near the root into >= threads leaves.
 
-    Returns ("leaves", [...], made) with states (cm, fb, un, used), or an
+    Returns ("leaves", [...], made) with states (cm, fb, cnt, un, used), or an
     immediate ("SAT", masks, made) / ("UNSAT", None, made) when the prefix
     tree settles the answer; made counts the assignments the split took.
     """
-    leaves = [([0] * r, [0] * r, _full_mask(N), 0)]
+    leaves = [([0] * r, [0] * r, _counters(r, aps), _full_mask(N), 0)]
     rounds = 0
     made = 0
     while len(leaves) < threads and rounds < 24:
         rounds += 1
         grown = []
-        for cm, fb, un, used in leaves:
+        for cm, fb, cnt, un, used in leaves:
             if un == 0:
                 return "SAT", cm, made
             low = un & -un
@@ -442,14 +492,14 @@ def _split_prefixes(N, r, aps_through, threads, symmetry, pair_table=None):
             for c in range(limit):
                 if fb[c] & low:
                     continue
-                cm2, fb2 = list(cm), list(fb)
-                ok, un2, used2, count = _assign_prop(cm2, fb2, un, used, p, c, aps_through, pair_table)
+                cm2, fb2, cnt2 = list(cm), list(fb), list(cnt)
+                ok, un2, used2, count = _assign_prop(cm2, fb2, cnt2, un, used, p, c, aps, pair_table)
                 made += count
                 if not ok:
                     continue
                 if un2 == 0:
                     return "SAT", cm2, made
-                grown.append((cm2, fb2, un2, used2))
+                grown.append((cm2, fb2, cnt2, un2, used2))
         if not grown:
             return "UNSAT", None, made
         leaves = grown
@@ -477,7 +527,7 @@ def _parallel_worker(args):
     spent = _PAR_SPENT
     if stop.is_set():
         return "ABORTED", None, 0
-    cm, fb, un, used = leaf
+    cm, fb, cnt, un, used = leaf
     charged = 0
 
     def charge(delta: int) -> bool:
@@ -492,7 +542,7 @@ def _parallel_worker(args):
 
     aps, pair_table = _tables(N, k)
     status, masks, nodes = _run_tree(
-        N, r, aps, list(cm), list(fb), un, used,
+        N, r, aps, list(cm), list(fb), list(cnt), un, used,
         max_nodes, deadline, stop, charge, symmetry, pair_table,
     )
     # the tree charges only every 1024 branches; settle the rest, and a
@@ -503,19 +553,19 @@ def _parallel_worker(args):
     return status, masks, nodes
 
 
-def _search(N, r, k, aps_through, threads, max_nodes, deadline, symmetry, pair_table):
+def _search(N, r, k, aps, threads, max_nodes, deadline, symmetry, pair_table):
     """Search serially (for up to _SERIAL_NODES nodes when threads > 1), then
     fan the subtree roots out over a process pool; SAT short-circuits, UNSAT
     needs every subtree exhausted."""
     serial_budget = max_nodes if threads == 1 else min(max_nodes, _SERIAL_NODES)
     status, masks, serial = _run_tree(
-        N, r, aps_through, [0] * r, [0] * r, _full_mask(N), 0,
+        N, r, aps, [0] * r, [0] * r, _counters(r, aps), _full_mask(N), 0,
         serial_budget, deadline, None, None, symmetry, pair_table,
     )
     # decided, out of time, or out of the caller's nodes: no pool
     if status != "TIMEOUT" or serial < serial_budget or serial >= max_nodes:
         return status, masks, serial
-    kind, payload, made = _split_prefixes(N, r, aps_through, threads * 8, symmetry, pair_table)
+    kind, payload, made = _split_prefixes(N, r, aps, threads * 8, symmetry, pair_table)
     made += serial
     if made >= max_nodes:
         return "TIMEOUT", None, made

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import sys
+import time
 
 from waerden import read_dimacs, encode, VdwInstance
 from waerden.cli import main
@@ -256,6 +260,46 @@ class TestCnfCommand:
             "--max-seconds", "0.5",
         )
         assert code == 2 and "timeout" in err
+
+    def test_solver_timeout_kills_process_group(self, capsys, tmp_path):
+        # the fake solver starts a sleeping helper and reports its pid; a
+        # timeout must take the helper down with the solver
+        pid_file = tmp_path / "helper.pid"
+        solver = tmp_path / "solver.py"
+        solver.write_text(
+            "import subprocess, sys, time\n"
+            "helper = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+            f"open({str(pid_file)!r}, 'w').write(str(helper.pid))\n"
+            "time.sleep(60)\n"
+        )
+        code, _, err = run(
+            capsys, "cnf", "--r", "2", "--k", "3", "--n-max", "9",
+            "--out", str(tmp_path / "w.cnf"), "--solver", f"{sys.executable} {solver}",
+            "--max-seconds", "2",
+        )
+        pid = int(pid_file.read_text())
+        try:
+            assert code == 2 and "timeout" in err
+            deadline = time.monotonic() + 10
+            while _running(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(pid)
+        finally:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """True while pid names a live process; a zombie awaiting its reaper is gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
 
 
 class TestConfigAndUsage:

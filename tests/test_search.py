@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 import waerden
+from waerden import search
 from waerden import (
     Budget,
     BudgetExhausted,
@@ -168,8 +169,9 @@ class TestDecideColorability:
             (2, 3, 8, True), (2, 3, 9, True), (3, 3, 26, True), (3, 3, 27, True),
             (2, 4, 35, True), (3, 4, 12, True), (4, 3, 12, True),
             # trees that outgrow the serial first pass and run on the pool:
-            # 21,425 nodes (UNSAT) and 33,749 nodes (SAT) at one worker
-            (3, 3, 27, False), (4, 3, 61, True),
+            # 21,425 nodes (UNSAT), 33,749 and 41,338 nodes (SAT) at one
+            # worker; the last sends AP counters to the workers
+            (3, 3, 27, False), (4, 3, 61, True), (2, 6, 180, True),
         )
         for r, k, n, symmetry in cases:
             inst = VdwInstance(r, k)
@@ -184,11 +186,19 @@ class TestDecideColorability:
             assert out.stats.nodes > 0, n
 
     def test_parallel_honours_node_budget(self):
-        # the first budget ends inside the serial first pass, the second on the pool
-        for n, inst, max_nodes in ((35, VdwInstance(2, 4), 1000), (76, VdwInstance(4, 3), 20_000)):
-            out = decide_colorability(n, inst, Budget(max_nodes=max_nodes), threads=2)
+        # the first budget ends inside the serial first pass, the others on
+        # the pool, where each worker charges the budget every 1024 branches
+        # of at most N assignments each
+        threads = 2
+        cases = (
+            (35, VdwInstance(2, 4), 1000),
+            (76, VdwInstance(4, 3), 20_000),
+            (178, VdwInstance(2, 5), 40_000),
+        )
+        for n, inst, max_nodes in cases:
+            out = decide_colorability(n, inst, Budget(max_nodes=max_nodes), threads=threads)
             assert out.status is SearchStatus.TIMEOUT, (n, inst)
-            assert out.stats.nodes >= max_nodes, (n, inst)
+            assert max_nodes <= out.stats.nodes <= max_nodes + threads * 1024 * n, (n, inst)
 
     def test_pool_runs_under_spawn(self, tmp_path):
         # the pool uses multiprocessing's default context, so it must also
@@ -233,7 +243,8 @@ class TestDecideColorability:
         (2, 4, 35, SearchStatus.UNSAT, 1_310),  # r = 2
         (2, 4, 34, SearchStatus.SAT, 883),
         (3, 3, 27, SearchStatus.UNSAT, 3_583),  # k = 3 pair table
-        (3, 4, 100, SearchStatus.SAT, 151),  # AP scan
+        (3, 4, 100, SearchStatus.SAT, 151),  # AP counters
+        (2, 6, 180, SearchStatus.SAT, 41_338),
     ],
 )
 def test_one_worker_node_counts(r, k, n, status, nodes):
@@ -241,6 +252,16 @@ def test_one_worker_node_counts(r, k, n, status, nodes):
     that walks a different tree shows up here."""
     out = decide_colorability(n, VdwInstance(r, k))
     assert (out.status, out.stats.nodes) == (status, nodes)
+
+
+@pytest.mark.parametrize(
+    "r, k, n, max_nodes, nodes",
+    [(2, 5, 178, 40_000, 40_001), (3, 4, 293, 2_000, 2_001)],
+)
+def test_one_worker_slice_node_counts(r, k, n, max_nodes, nodes):
+    """The first max_nodes of a proof too large to finish are pinned too."""
+    out = decide_colorability(n, VdwInstance(r, k), Budget(max_nodes=max_nodes))
+    assert (out.status, out.stats.nodes) == (SearchStatus.TIMEOUT, nodes)
 
 
 @lru_cache(maxsize=None)
@@ -296,6 +317,13 @@ class TestComputeW:
             compute_W(VdwInstance(2, 6))
         with pytest.raises(DomainError):
             compute_W(VdwInstance(3, 4))
+
+    def test_table_caches_stay_small(self):
+        # compute_W builds a table for every N it decides; only a few stay
+        compute_W(VdwInstance(2, 4))
+        compute_W(VdwInstance(3, 3))
+        for cache in (search._order, search._ap_index, search._pair_threats):
+            assert cache.cache_info().currsize <= 4, cache
 
     def test_force_with_tiny_budget_times_out_honestly(self):
         with pytest.raises(BudgetExhausted) as info:
