@@ -5,9 +5,10 @@ certificates), 2 search timeout or unknown solver outcome, 3 registry
 integrity error, 64 usage error.  Output on stdout is deterministic for
 identical inputs; node counts and timings go to stderr.
 
-Defaults: precision 6, threads 1 (env override WAERDEN_THREADS), budget
-10^9 nodes / 600 s, text output.  A JSON config file (--config) may set
-precision, threads, max_nodes, max_seconds, and format; explicit flags win.
+Defaults: precision 6, one search worker process (--threads, env override
+WAERDEN_THREADS), budget 10^9 nodes / 600 s, text output.  A JSON config
+file (--config) may set precision, threads (the worker count), max_nodes,
+max_seconds, and format; explicit flags win.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _common_options() -> argparse.ArgumentParser:
         help="output format (csv/markdown apply to table-a only)",
     )
     common.add_argument("--precision", type=int, default=None, help="decimal places for logarithms")
-    common.add_argument("--threads", type=int, default=None, help="worker threads for search")
+    common.add_argument("--threads", type=int, default=None, help="worker processes for search")
     common.add_argument("--max-nodes", type=int, default=None, help="search node budget")
     common.add_argument("--max-seconds", type=float, default=None, help="search wall-time budget")
     common.add_argument("--config", type=Path, default=None, help="JSON config file")

@@ -32,12 +32,14 @@ every 3-AP through two labels.
 
 Parallel mode first searches serially for up to _SERIAL_NODES nodes, so a
 small tree is decided exactly as at one worker, without starting a pool.
-A larger tree is partitioned near the root into several subtrees per
-worker, fanned over a process pool of multiprocessing's default context;
-SAT short-circuits the rest, UNSAT requires every subtree to be exhausted.
-The serial nodes count toward the node total and the budget.  The SAT/UNSAT
-answer is identical across worker counts; certificates may differ in
-parallel mode but always verify.
+A larger tree is handed to a process pool of multiprocessing's default
+context where the serial pass stopped: the branches it left are cut near
+the root into several jobs per worker, and the subtree it stopped inside
+resumes from its frames, so no assignment is made twice and an UNSAT
+proof counts the same nodes at any worker count.  SAT short-circuits the
+rest and cancels the jobs not yet started; UNSAT requires every job to be
+exhausted.  The SAT/UNSAT answer is identical across worker counts;
+certificates may differ in parallel mode but always verify.
 
 W(r, 2) = r + 1 by pigeonhole; the engine only accepts k >= 3.
 """
@@ -64,7 +66,7 @@ from .errors import (
 # (W(2,6) = 1132, W(3,4) = 293, and beyond) needs force=True and may time out.
 FEASIBLE_INSTANCES = frozenset({(2, 3), (2, 4), (2, 5), (3, 3), (4, 3)})
 
-_CHECK_MASK = 1023  # consult the clock / stop flag every 1024 branch nodes
+_CHECK_MASK = 1023  # consult the clock every 1024 branches (pool jobs poll by nodes too)
 
 
 class SearchStatus(Enum):
@@ -77,11 +79,12 @@ class SearchStatus(Enum):
 class Budget:
     """Node and wall-time limits for one search call.
 
-    One worker stops within one branch (at most N assignments) of
-    max_nodes.  A multi-worker search charges the shared count only every
-    1024 branches of each running job, so it can run up to
-    threads * 1024 * N assignments past max_nodes before every worker sees
-    the budget spent.
+    The budget is checked before each branch, so one worker stops within
+    one branch (at most N assignments) of max_nodes; a branch that decides
+    the tree reports its answer.  A multi-worker search resumes the serial
+    pass on the pool, and each running job charges the shared count every
+    _POLL_NODES (256) nodes, so it can run up to threads * (256 + N)
+    assignments past max_nodes before every worker sees the budget spent.
     """
 
     max_nodes: int = 10**9
@@ -400,56 +403,78 @@ def _assign_prop(cm, fb, cnt, un, used, p, c, aps, pair_table=None):
     return True, un, used, count
 
 
-def _run_tree(N, r, aps, cm, fb, cnt, un, used, max_nodes, deadline, stop, charge, symmetry, pair_table=None):
-    """Backtrack from the given state (mutated in place) until decided.
+def _root_frame(N, r, aps, symmetry):
+    """The frame of the empty coloring, which branches on label 1."""
+    colors = list(range(1 if symmetry else r))
+    unassigned = ((1 << N) - 1) << 1  # labels 1..N
+    return [colors, 0, 1, (0,) * r, (0,) * r, tuple(_counters(r, aps)), unassigned, 0]
+
+
+def _run_tree(r, aps, frames, max_nodes, deadline, symmetry, pair_table=None, poll=None, tally=None, leaves=None):
+    """Backtrack depth first from a stack of frames until decided.
+
+    A frame [colors, next, p, cm, fb, cnt, un, used] is a node of the tree:
+    its state, the label p it branches on and the colors to try there, of
+    which colors[next:] are still untried.  The stack, mutated in place,
+    holds the nodes on the current path, so its untried colors are exactly
+    the branches not yet made.  The budget is checked just before each
+    assignment: a run stopped on max_nodes leaves every branch it has not
+    made in the stack, and a later run resumes them.
+
+    The clock is read every 1024 branches.  With poll, the run also calls
+    poll(nodes) every _POLL_NODES nodes and stops with the status it
+    returns, if any.  With tally, tally[d] counts the nodes at depth d the
+    run branched on.  With leaves, the run makes only the branches of the
+    given frames: each child that is neither dead nor a coloring is appended
+    to leaves as a frame instead of being searched.
 
     Returns (status, class_masks_or_None, nodes) with status in
-    {"SAT", "UNSAT", "TIMEOUT", "ABORTED"}.
+    {"SAT", "UNSAT", "TIMEOUT", "ABORTED"}; UNSAT means the stack ran out.
     """
     nodes = 0
-    charged = 0
     branches = 0
+    mark = max_nodes if poll is None else min(_POLL_NODES, max_nodes)
     monotonic = time.monotonic
-    # frames: [candidate_colors, next_index, position, cm0, fb0, cnt0, un0, used0]
-    frames = []
-    while True:
+    cm, fb, cnt = [], [], []
+    while frames:
+        frame = frames[-1]
+        cands, idx, p, cm0, fb0, cnt0, un0, used0 = frame
+        if idx == len(cands):
+            frames.pop()
+            continue
+        if nodes >= mark:
+            if nodes >= max_nodes:
+                return "TIMEOUT", None, nodes
+            halt = poll(nodes)
+            if halt is not None:
+                return halt, None, nodes
+            mark = min(nodes + _POLL_NODES, max_nodes)
+        branches += 1
+        if branches & _CHECK_MASK == 0 and monotonic() >= deadline:
+            return "TIMEOUT", None, nodes
+        frame[1] = idx + 1
+        cm[:] = cm0
+        fb[:] = fb0
+        cnt[:] = cnt0
+        ok, un, used, made = _assign_prop(cm, fb, cnt, un0, used0, p, cands[idx], aps, pair_table)
+        nodes += made
+        if not ok:
+            continue
         if un == 0:
             return "SAT", list(cm), nodes
         low = un & -un
-        p = low.bit_length() - 1
-        limit = used + 1 if symmetry else r
-        if limit > r:
-            limit = r
-        cands = [c for c in range(limit) if not fb[c] & low]
-        frames.append([cands, 0, p, tuple(cm), tuple(fb), tuple(cnt), un, used])
-        while True:
-            if not frames:
-                return "UNSAT", None, nodes
-            frame = frames[-1]
-            cands, idx, p, cm0, fb0, cnt0, un0, used0 = frame
-            if idx == len(cands):
-                frames.pop()
-                continue
-            frame[1] = idx + 1
-            cm[:] = cm0
-            fb[:] = fb0
-            cnt[:] = cnt0
-            branches += 1
-            if branches & _CHECK_MASK == 0:
-                if deadline is not None and monotonic() >= deadline:
-                    return "TIMEOUT", None, nodes
-                if stop is not None and stop.is_set():
-                    return "ABORTED", None, nodes
-                if charge is not None:
-                    if not charge(nodes - charged):
-                        return "TIMEOUT", None, nodes
-                    charged = nodes
-            ok, un, used, made = _assign_prop(cm, fb, cnt, un0, used0, p, cands[idx], aps, pair_table)
-            nodes += made
-            if nodes >= max_nodes:
-                return "TIMEOUT", None, nodes
-            if ok:
-                break
+        limit = used + 1 if symmetry and used < r else r
+        child = [
+            [c for c in range(limit) if not fb[c] & low], 0, low.bit_length() - 1,
+            tuple(cm), tuple(fb), tuple(cnt), un, used,
+        ]
+        if leaves is not None:
+            leaves.append(child)
+            continue
+        if tally is not None:
+            tally[len(frames)] += 1
+        frames.append(child)
+    return "UNSAT", None, nodes
 
 
 def _masks_to_coloring(masks, N, r) -> Coloring:
@@ -466,49 +491,49 @@ def _masks_to_coloring(masks, N, r) -> Coloring:
     return Coloring(N=N, r=r, colors=tuple(colors))
 
 
-def _full_mask(N: int) -> int:
-    return ((1 << N) - 1) << 1  # labels 1..N
+def _split(r, aps, frames, tally, target, nodes, max_nodes, deadline, symmetry, pair_table):
+    """Cut the branches a stopped serial pass left in `frames` into pool jobs.
 
+    The jobs are the live nodes at the first depth d that holds at least
+    `target` of them (at most 24), in depth-first order, less those the
+    pass exhausted: first the rest of the node the pass stopped inside,
+    frames[d:], then a one-frame stack for each node the pass never
+    reached.  tally[d] counts the nodes the pass reached at depth d; the
+    others are made a level at a time from the frames' untried colors, so
+    no assignment is made twice.  `nodes` is the count so far.
 
-def _split_prefixes(N, r, aps, threads, symmetry, pair_table=None):
-    """Partition the decision tree near the root into >= threads leaves.
-
-    Returns ("leaves", [...], made) with states (cm, fb, cnt, un, used), or an
-    immediate ("SAT", masks, made) / ("UNSAT", None, made) when the prefix
-    tree settles the answer; made counts the assignments the split took.
+    Returns ("jobs", stacks, nodes), or (status, masks_or_None, nodes) when
+    the levels find a coloring, run out of branches or spend the budget.
     """
-    leaves = [([0] * r, [0] * r, _counters(r, aps), _full_mask(N), 0)]
-    rounds = 0
-    made = 0
-    while len(leaves) < threads and rounds < 24:
-        rounds += 1
-        grown = []
-        for cm, fb, cnt, un, used in leaves:
-            if un == 0:
-                return "SAT", cm, made
-            low = un & -un
-            p = low.bit_length() - 1
-            limit = min(used + 1, r) if symmetry else r
-            for c in range(limit):
-                if fb[c] & low:
-                    continue
-                cm2, fb2, cnt2 = list(cm), list(fb), list(cnt)
-                ok, un2, used2, count = _assign_prop(cm2, fb2, cnt2, un, used, p, c, aps, pair_table)
-                made += count
-                if not ok:
-                    continue
-                if un2 == 0:
-                    return "SAT", cm2, made
-                grown.append((cm2, fb2, cnt2, un2, used2))
-        if not grown:
-            return "UNSAT", None, made
-        leaves = grown
-    return "leaves", leaves, made
+    level = []
+    for depth in range(1, 25):
+        # in DFS order the untried children of frames[depth - 1] come first,
+        # then the children of the last level, which hang off lower frames
+        sources = [frames[depth - 1], *level] if depth <= len(frames) else level
+        level = []
+        for frame in sources:
+            status, masks, made = _run_tree(
+                r, aps, [frame], max_nodes - nodes, deadline, symmetry, pair_table, leaves=level,
+            )
+            nodes += made
+            if status != "UNSAT":
+                return status, masks, nodes
+        if not level and depth >= len(frames):
+            return "UNSAT", None, nodes
+        if tally[depth] + len(level) >= target:
+            break
+    jobs = [frames[depth:]] if depth < len(frames) else []
+    return "jobs", jobs + [[frame] for frame in level], nodes
 
 
 # nodes a multi-worker search runs serially before it starts a pool; every
 # desk-tier proof fits (the largest, (3,3) at N = 27, takes 3,583)
 _SERIAL_NODES = 4096
+
+# a pool job polls the stop flag and charges the shared budget every
+# _POLL_NODES nodes, so it stops within _POLL_NODES + N nodes of a decision
+# elsewhere; polling costs a lock and a shared read, negligible per 256 nodes
+_POLL_NODES = 256
 
 _PAR_STOP = None
 _PAR_SPENT = None
@@ -522,78 +547,77 @@ def _parallel_init(stop, spent):
 
 def _parallel_worker(args):
     # deadline is absolute CLOCK_MONOTONIC time, which every process shares
-    N, r, k, leaf, max_nodes, deadline, symmetry = args
+    N, r, k, frames, max_nodes, deadline, symmetry = args
     stop = _PAR_STOP
     spent = _PAR_SPENT
     if stop.is_set():
         return "ABORTED", None, 0
-    cm, fb, cnt, un, used = leaf
     charged = 0
 
-    def charge(delta: int) -> bool:
+    def poll(nodes: int) -> str | None:
+        """Add the nodes run since the last poll to the shared count; the
+        status to stop with once the budget is spent or the search is stopped."""
         nonlocal charged
-        charged += delta
         with spent.get_lock():
-            spent.value += delta
+            spent.value += nodes - charged
+            charged = nodes
             if spent.value >= max_nodes:
                 stop.set()
-                return False
-        return True
+                return "TIMEOUT"
+        return "ABORTED" if stop.is_set() else None
 
     aps, pair_table = _tables(N, k)
-    status, masks, nodes = _run_tree(
-        N, r, aps, list(cm), list(fb), list(cnt), un, used,
-        max_nodes, deadline, stop, charge, symmetry, pair_table,
-    )
-    # the tree charges only every 1024 branches; settle the rest, and a
-    # decision whose last nodes crossed the shared budget is a timeout, as
-    # it would be at one worker
-    if not charge(nodes - charged) and status in ("SAT", "UNSAT"):
-        return "TIMEOUT", None, nodes
+    status, masks, nodes = _run_tree(r, aps, frames, max_nodes, deadline, symmetry, pair_table, poll=poll)
+    poll(nodes)  # charge the nodes since the last poll
     return status, masks, nodes
 
 
 def _search(N, r, k, aps, threads, max_nodes, deadline, symmetry, pair_table):
     """Search serially (for up to _SERIAL_NODES nodes when threads > 1), then
-    fan the subtree roots out over a process pool; SAT short-circuits, UNSAT
-    needs every subtree exhausted."""
-    serial_budget = max_nodes if threads == 1 else min(max_nodes, _SERIAL_NODES)
-    status, masks, serial = _run_tree(
-        N, r, aps, [0] * r, [0] * r, _counters(r, aps), _full_mask(N), 0,
-        serial_budget, deadline, None, None, symmetry, pair_table,
+    fan the branches the serial pass left out over a process pool; SAT
+    short-circuits, UNSAT needs every job exhausted."""
+    frames = [_root_frame(N, r, aps, symmetry)]
+    if threads == 1:
+        return _run_tree(r, aps, frames, max_nodes, deadline, symmetry, pair_table)
+    tally = [0] * (N + 1)
+    serial_budget = min(max_nodes, _SERIAL_NODES)
+    status, masks, nodes = _run_tree(
+        r, aps, frames, serial_budget, deadline, symmetry, pair_table, tally=tally,
     )
     # decided, out of time, or out of the caller's nodes: no pool
-    if status != "TIMEOUT" or serial < serial_budget or serial >= max_nodes:
-        return status, masks, serial
-    kind, payload, made = _split_prefixes(N, r, aps, threads * 8, symmetry, pair_table)
-    made += serial
-    if made >= max_nodes:
-        return "TIMEOUT", None, made
-    if kind != "leaves":
-        return kind, payload, made
-    jobs = [(N, r, k, leaf, max_nodes, deadline, symmetry) for leaf in payload]
+    if status != "TIMEOUT" or nodes < serial_budget or nodes >= max_nodes:
+        return status, masks, nodes
+    status, jobs, nodes = _split(
+        r, aps, frames, tally, threads * 8, nodes, max_nodes, deadline, symmetry, pair_table,
+    )
+    if status != "jobs":
+        return status, jobs, nodes
+    if nodes >= max_nodes:
+        return "TIMEOUT", None, nodes
     stop = multiprocessing.Event()
-    spent = multiprocessing.Value("q", made)
-    total_nodes = made
-    sat_masks = None
-    unfinished = False
+    spent = multiprocessing.Value("q", nodes)
     with ProcessPoolExecutor(
         max_workers=threads, initializer=_parallel_init, initargs=(stop, spent),
     ) as pool:
-        futures = [pool.submit(_parallel_worker, job) for job in jobs]
+        futures = [
+            pool.submit(_parallel_worker, (N, r, k, job, max_nodes, deadline, symmetry))
+            for job in jobs
+        ]
         for fut in as_completed(futures):
-            status, masks, nodes = fut.result()
-            total_nodes += nodes
-            if status == "SAT" and sat_masks is None:
-                sat_masks = masks
-            if status in ("SAT", "TIMEOUT"):
+            if fut.result()[0] in ("SAT", "TIMEOUT"):
                 stop.set()
-            unfinished |= status in ("TIMEOUT", "ABORTED")
-    if sat_masks is not None:
-        return "SAT", sat_masks, total_nodes
-    if unfinished:
-        return "TIMEOUT", None, total_nodes
-    return "UNSAT", None, total_nodes
+                break
+        # once the answer is known, the jobs still queued never start
+        pool.shutdown(cancel_futures=True)
+    results = [fut.result() for fut in futures if not fut.cancelled()]
+    nodes += sum(made for _, _, made in results)
+    for status, masks, _ in results:
+        if status == "SAT":
+            return "SAT", masks, nodes
+    # a job is cancelled only after another has answered SAT or TIMEOUT
+    if all(status == "UNSAT" for status, _, _ in results):
+        return "UNSAT", None, nodes
+    return "TIMEOUT", None, nodes
 
 
 def decide_colorability(

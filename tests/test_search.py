@@ -6,11 +6,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from functools import lru_cache
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -187,8 +189,8 @@ class TestDecideColorability:
 
     def test_parallel_honours_node_budget(self):
         # the first budget ends inside the serial first pass, the others on
-        # the pool, where each worker charges the budget every 1024 branches
-        # of at most N assignments each
+        # the pool, where each worker charges the budget every _POLL_NODES
+        # nodes and stops at the next branch of at most N assignments
         threads = 2
         cases = (
             (35, VdwInstance(2, 4), 1000),
@@ -198,7 +200,8 @@ class TestDecideColorability:
         for n, inst, max_nodes in cases:
             out = decide_colorability(n, inst, Budget(max_nodes=max_nodes), threads=threads)
             assert out.status is SearchStatus.TIMEOUT, (n, inst)
-            assert max_nodes <= out.stats.nodes <= max_nodes + threads * 1024 * n, (n, inst)
+            bound = max_nodes + threads * (search._POLL_NODES + n)
+            assert max_nodes <= out.stats.nodes <= bound, (n, inst)
 
     def test_pool_runs_under_spawn(self, tmp_path):
         # the pool uses multiprocessing's default context, so it must also
@@ -220,11 +223,13 @@ class TestDecideColorability:
             env={**os.environ, "PYTHONPATH": path}, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        # an UNSAT tree is exhausted in full, so the 2-worker count is fixed
-        # whatever the start method; this tree outgrows the serial first pass
-        want = decide_colorability(27, VdwInstance(3, 3), threads=2, symmetry_breaking=False)
-        assert want.stats.nodes > 21_425
-        assert proc.stdout.split() == [want.status.value, str(want.stats.nodes)]
+        # the tree outgrows the serial first pass, and the pool resumes it
+        # without repeating an assignment, so the UNSAT proof counts the
+        # same 21,425 nodes as at one worker whatever the start method
+        assert 21_425 > search._SERIAL_NODES
+        one = decide_colorability(27, VdwInstance(3, 3), symmetry_breaking=False)
+        assert (one.status, one.stats.nodes) == (SearchStatus.UNSAT, 21_425)
+        assert proc.stdout.split() == ["UNSAT", "21425"]
 
     def test_domain_and_config_errors(self):
         with pytest.raises(DomainError):
@@ -285,6 +290,70 @@ class TestMiddleOutOrder:
                 assert (cert.N, cert.r, len(cert.colors)) == (n, r, n)
                 assert verify_certificate(cert, k)
                 assert not oracles.naive_has_mono_ap(cert.colors, k)
+
+
+class TestPoolPath:
+    """With a serial first pass of a few nodes, small trees reach the split
+    and the pool, in many shapes: the pass can stop at any depth, inside a
+    leaf or between leaves, and the split can settle the tree itself."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12), r=st.integers(2, 4), k=st.integers(3, 5),
+        serial=st.integers(1, 8), symmetry=st.booleans(),
+    )
+    @example(n=9, r=2, k=3, serial=1, symmetry=True)
+    @example(n=10, r=2, k=3, serial=5, symmetry=False)
+    @example(n=12, r=2, k=3, serial=2, symmetry=False)
+    def test_two_workers_match_brute_force(self, n, r, k, serial, symmetry):
+        want = _colorable(n, r, k)
+        inst = VdwInstance(r, k)
+        with mock.patch.object(search, "_SERIAL_NODES", serial):
+            out = decide_colorability(n, inst, threads=2, symmetry_breaking=symmetry)
+        assert (out.status is SearchStatus.SAT) == want
+        if want:
+            assert verify_certificate(out.certificate, k)
+            assert not oracles.naive_has_mono_ap(out.certificate.colors, k)
+        else:
+            # every branch is made once, by the serial pass, the split or a job
+            one = decide_colorability(n, inst, symmetry_breaking=symmetry)
+            assert out.stats.nodes == one.stats.nodes
+
+    @pytest.mark.parametrize("serial", [1_000, 4_096, 12_000, 16_000])
+    def test_jobs_are_the_leaves_the_serial_pass_left(self, serial):
+        # (3,3) at N=27 without symmetry: 24 live nodes at the split depth,
+        # and 21,425 nodes in all, so each budget exhausts more of them
+        n, r, k = 27, 3, 3
+        aps, pair_table = search._tables(n, k)
+        deadline = time.monotonic() + 60
+
+        def split(budget):
+            frames = [search._root_frame(n, r, aps, False)]
+            tally = [0] * (n + 1)
+            nodes = 0
+            if budget:
+                status, _, nodes = search._run_tree(
+                    r, aps, frames, budget, deadline, False, pair_table, tally=tally,
+                )
+                assert status == "TIMEOUT"
+            status, jobs, nodes = search._split(
+                r, aps, frames, tally, 16, nodes, 10**9, deadline, False, pair_table,
+            )
+            assert status == "jobs"
+            return jobs, nodes
+
+        leaves = [job[0][2:] for job in split(0)[0]]
+        jobs, nodes = split(serial)
+        assert len(leaves) == 24 and len(jobs) < 24
+        # the node the pass stopped inside resumes from its frames, and the
+        # leaves after it follow in DFS order; a frame's state is its [2:]
+        assert [job[0][2:] for job in jobs] == leaves[-len(jobs):]
+        # run to the end, the jobs make every branch not yet made, once
+        for job in jobs:
+            status, _, made = search._run_tree(r, aps, job, 10**9, deadline, False, pair_table)
+            assert status == "UNSAT"
+            nodes += made
+        assert nodes == 21_425
 
 
 class TestComputeW:
