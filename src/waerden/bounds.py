@@ -22,12 +22,13 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 
+from ._record import Record
 from .errors import DomainError, InfeasibleRangeError
 from .numerics import bracket_exponent
 
 
 @dataclass(frozen=True, order=True)
-class VdwInstance:
+class VdwInstance(Record):
     """A van der Waerden problem: r colors, arithmetic progressions of length k.
 
     k >= 3 throughout; W(r, 2) = r + 1 by pigeonhole and is out of scope.
@@ -46,9 +47,6 @@ class VdwInstance:
     def key(self) -> tuple[int, int]:
         return (self.r, self.k)
 
-    def to_dict(self) -> dict:
-        return {"r": self.r, "k": self.k}
-
 
 class RangeSource(str, Enum):
     COROLLARY_ONLY = "corollary_only"
@@ -56,7 +54,7 @@ class RangeSource(str, Enum):
 
 
 @dataclass(frozen=True)
-class PowerOfTenBound:
+class PowerOfTenBound(Record):
     """(10**ten_exponent)**log10(r), rendered as the paper-of-record style
 
     power-of-ten form; numerically this equals r**ten_exponent exactly.
@@ -69,9 +67,6 @@ class PowerOfTenBound:
     def render(self) -> str:
         return f"(10^{self.ten_exponent})^log10({self.r}) = {self.value}"
 
-    def to_dict(self) -> dict:
-        return {"ten_exponent": self.ten_exponent, "r": self.r, "value": self.value}
-
 
 def power_of_ten_bound(r: int, n: int) -> PowerOfTenBound:
     """Upper bound r**(n+1) in power-of-ten clothing (exact integer value)."""
@@ -81,7 +76,7 @@ def power_of_ten_bound(r: int, n: int) -> PowerOfTenBound:
 
 
 @dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(Record):
     """The triple inequality r**n <= W < r**(n+1) <= r**(k*k), clause by clause."""
 
     instance: VdwInstance
@@ -114,7 +109,7 @@ class ConjectureReport:
 
 
 @dataclass(frozen=True)
-class NRange:
+class NRange(Record):
     """Candidate window for the bracket exponent n of an unknown W."""
 
     low: int
@@ -127,12 +122,9 @@ class NRange:
     def __len__(self) -> int:
         return self.high - self.low + 1
 
-    def to_dict(self) -> dict:
-        return {"low": self.low, "high": self.high, "source": self.source.value}
-
 
 @dataclass(frozen=True)
-class ErdosRadoReport:
+class ErdosRadoReport(Record):
     """Erdos-Rado lower bound and the exponent threshold that clears it.
 
     The threshold is (ln 2 + ln(k-1)) / (2 ln r) + (k-1)/2; when an exponent n
@@ -148,20 +140,9 @@ class ErdosRadoReport:
     power_exceeds_bound: bool | None = None
     theorem_chain_holds: bool | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "instance": self.instance.to_dict(),
-            "lower_bound_value": self.lower_bound_value,
-            "exponent_threshold": self.exponent_threshold,
-            "n": self.n,
-            "exceeds_threshold": self.exceeds_threshold,
-            "power_exceeds_bound": self.power_exceeds_bound,
-            "theorem_chain_holds": self.theorem_chain_holds,
-        }
-
 
 @dataclass(frozen=True)
-class SameRComparison:
+class SameRComparison(Record):
     """W' < r**n <= W < r**(n+1) for two values with the same r, k' < k."""
 
     r: int
@@ -181,19 +162,11 @@ class SameRComparison:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "n": self.n,
-            "small_below_power": self.small_below_power,
-            "power_at_most_big": self.power_at_most_big,
-            "big_below_next": self.big_below_next,
-            "graham_holds": self.graham_holds,
-            "all_hold": self.all_hold,
-        }
+        return {**super().to_dict(), "all_hold": self.all_hold}
 
 
 @dataclass(frozen=True)
-class SameKComparison:
+class SameKComparison(Record):
     """r'**n' <= W' < W < r**(n+1) for two values with the same k, r' < r."""
 
     n_small: int
@@ -213,19 +186,11 @@ class SameKComparison:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n_small": self.n_small,
-            "n_big": self.n_big,
-            "small_power_holds": self.small_power_holds,
-            "strictly_increasing": self.strictly_increasing,
-            "big_below_next": self.big_below_next,
-            "exponents_ordered": self.exponents_ordered,
-            "all_hold": self.all_hold,
-        }
+        return {**super().to_dict(), "all_hold": self.all_hold}
 
 
 @dataclass(frozen=True)
-class ExponentRelations:
+class ExponentRelations(Record):
     """How the bracket exponent n sits relative to r, k and the log window."""
 
     instance: VdwInstance
@@ -237,19 +202,6 @@ class ExponentRelations:
     within_log_window: bool  # n > log_r(k) - 1, decided as k < r**(n+1)
     below_square_cap: bool  # n <= k*k - 1
     log_window_low: float  # log(k)/log(r) - 1, for display only
-
-    def to_dict(self) -> dict:
-        return {
-            "instance": self.instance.to_dict(),
-            "w": self.w,
-            "n": self.n,
-            "first_branch_witnessed": self.first_branch_witnessed,
-            "second_branch_applies": self.second_branch_applies,
-            "second_branch_holds": self.second_branch_holds,
-            "within_log_window": self.within_log_window,
-            "below_square_cap": self.below_square_cap,
-            "log_window_low": self.log_window_low,
-        }
 
 
 def graham_condition(k: int, n: int) -> bool:
@@ -308,6 +260,12 @@ def n_range(inst: VdwInstance, lower_bound: int | None = None) -> NRange:
             f"lower bound forces n >= {low} but n <= {high} is required"
         )
     return NRange(low=low, high=high, source=source)
+
+
+def n_range_dict(inst: VdwInstance, window: NRange) -> dict:
+    """The window's document plus its upper power r**(high+1), as base^exp and as a value."""
+    top = window.high + 1
+    return {**window.to_dict(), "upper_power": f"{inst.r}^{top}", "upper_power_value": inst.r**top}
 
 
 def _sqrt_as_float(x: int) -> float:

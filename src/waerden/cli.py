@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 domain/config error (including invalid
 certificates), 2 search timeout or unknown solver outcome, 3 registry
 integrity error, 64 usage error.  Output on stdout is deterministic for
-identical inputs; node counts and timings go to stderr.
+identical inputs at one worker, except `stats.seconds` in the JSON of
+search and compute-w, the one field that varies; with more workers a
+certificate, and the node count of a SAT or TIMEOUT answer, may differ
+between runs.  Node counts and timings also go to stderr.
 
 Defaults: precision 6, one search worker process (--threads, env override
 WAERDEN_THREADS), budget 10^9 nodes / 600 s, text output.  A JSON config
@@ -280,16 +283,12 @@ def _cmd_check(args, cfg: CliConfig) -> int:
 def _cmd_nrange(args, cfg: CliConfig) -> int:
     _require_text_or_json(cfg, "nrange")
     inst = VdwInstance(args.r, args.k)
-    window = bounds.n_range(inst, args.lower)
-    upper_value = inst.r ** (window.high + 1)
+    doc = bounds.n_range_dict(inst, bounds.n_range(inst, args.lower))
     if cfg.output_format == "json":
-        payload = window.to_dict()
-        payload["upper_power"] = f"{inst.r}^{window.high + 1}"
-        payload["upper_power_value"] = upper_value
-        _emit_json(payload)
+        _emit_json(doc)
     else:
-        _emit(f"[{window.low}, {window.high}]")
-        _emit(f"upper power bound: {inst.r}^{window.high + 1} = {upper_value}")
+        _emit(f"[{doc['low']}, {doc['high']}]")
+        _emit(f"upper power bound: {doc['upper_power']} = {doc['upper_power_value']}")
     return 0
 
 
@@ -309,23 +308,18 @@ def _cmd_erdos_rado(args, cfg: CliConfig) -> int:
     return 0
 
 
+_TABLE_A_RENDERERS = {
+    "text": registry.table_a_text,
+    "csv": registry.table_a_csv,
+    "markdown": registry.table_a_markdown,
+}
+
+
 def _cmd_table_a(args, cfg: CliConfig) -> int:
-    if cfg.output_format == "csv":
-        sys.stdout.write(registry.table_a_csv())
-        return 0
-    if cfg.output_format == "markdown":
-        sys.stdout.write(registry.table_a_markdown())
-        return 0
-    rows = registry.table_a()
     if cfg.output_format == "json":
-        _emit_json([row.to_dict() for row in rows])
-        return 0
-    cells = [tuple(str(c) for c in row.cells()) for row in rows]
-    header = registry.TABLE_COLUMNS
-    widths = [max(len(header[i]), *(len(row[i]) for row in cells)) for i in range(len(header))]
-    _emit("  ".join(header[i].ljust(widths[i]) for i in range(len(header))).rstrip())
-    for row in cells:
-        _emit("  ".join(row[i].ljust(widths[i]) for i in range(len(header))).rstrip())
+        _emit_json([row.to_dict() for row in registry.table_a()])
+    else:
+        sys.stdout.write(_TABLE_A_RENDERERS[cfg.output_format]())
     return 0
 
 

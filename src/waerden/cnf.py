@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
 
+from ._record import Record
 from .bounds import VdwInstance
 from .errors import DecodeError, DomainError, TriviallySatisfiableError
 from .search import Coloring
@@ -32,7 +33,7 @@ ENCODING_VERSION = "direct-onehot-1"
 
 
 @dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Record):
     """Clauses over variables 1..variable_count; negative literal = negation.
 
     Comment lines (without the leading "c ") ride along for DIMACS output but
@@ -72,19 +73,12 @@ class CnfFormula:
 
 
 @dataclass(frozen=True)
-class SolverResult:
+class SolverResult(Record):
     """Outcome of parsing solver output: status plus model literals (no 0)."""
 
     status: str  # "SATISFIABLE" | "UNSATISFIABLE" | "UNKNOWN"
     model: tuple[int, ...] | None
     returncode: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "model": None if self.model is None else list(self.model),
-            "returncode": self.returncode,
-        }
 
 
 def _aps(N: int, k: int) -> list[tuple[int, ...]]:
@@ -97,13 +91,9 @@ def _aps(N: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def variable_for(position: int, color: int, r: int) -> int:
-    """One-hot variable for (position, 0-based color); positions and colors 1-checked."""
-    if r == 2:
-        raise DomainError("r = 2 uses one variable per position, not one-hot variables")
-    if not 0 <= color < r:
-        raise DomainError(f"color {color} outside [0, {r - 1}]")
-    return (position - 1) * r + color + 1
+def _one_hot(i: int, c: int, r: int) -> int:
+    """The one-hot variable saying position i has color c - 1 (c in 1..r)."""
+    return (i - 1) * r + c
 
 
 def encode(N: int, inst: VdwInstance) -> CnfFormula:
@@ -131,18 +121,15 @@ def encode(N: int, inst: VdwInstance) -> CnfFormula:
             clauses.append(positions)  # not all color 0
         return CnfFormula(N, tuple(clauses), comments)
     # one-hot: at-least-one, pairwise at-most-one, then per-(AP, color) clauses
-    def var(i: int, c: int) -> int:
-        return (i - 1) * r + c
-
     for i in range(1, N + 1):
-        clauses.append(tuple(var(i, c) for c in range(1, r + 1)))
+        clauses.append(tuple(_one_hot(i, c, r) for c in range(1, r + 1)))
     for i in range(1, N + 1):
         for c1 in range(1, r + 1):
             for c2 in range(c1 + 1, r + 1):
-                clauses.append((-var(i, c1), -var(i, c2)))
+                clauses.append((-_one_hot(i, c1, r), -_one_hot(i, c2, r)))
     for positions in aps:
         for c in range(1, r + 1):
-            clauses.append(tuple(-var(p, c) for p in positions))
+            clauses.append(tuple(-_one_hot(p, c, r) for p in positions))
     return CnfFormula(N * r, tuple(clauses), comments)
 
 
@@ -255,7 +242,7 @@ def decode_model(model: Sequence[int], N: int, inst: VdwInstance) -> Coloring:
         return Coloring(N=N, r=r, colors=colors)
     colors_list: list[int] = []
     for i in range(1, N + 1):
-        true_colors = [c for c in range(1, r + 1) if assignment[(i - 1) * r + c]]
+        true_colors = [c for c in range(1, r + 1) if assignment[_one_hot(i, c, r)]]
         if len(true_colors) != 1:
             raise DecodeError(
                 f"position {i}: one-hot violation, {len(true_colors)} colors true"

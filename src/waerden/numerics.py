@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
+from ._record import Record
 from .errors import ConfigError, DomainError, IntegrityError
 
 DEFAULT_DELTA_PRECISION = 6
@@ -34,7 +35,7 @@ def _require_base(base: int, what: str = "base") -> None:
 
 
 @dataclass(frozen=True)
-class RadixExpansion:
+class RadixExpansion(Record):
     """Digit sequence of a positive integer, most significant digit first.
 
     Digits lie in [0, base-1]; the leading digit is nonzero.  Invalid digit
@@ -58,12 +59,9 @@ class RadixExpansion:
             if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d <= self.base - 1:
                 raise DomainError(f"digit {d!r} outside [0, {self.base - 1}]")
 
-    def to_dict(self) -> dict:
-        return {"base": self.base, "digits": list(self.digits)}
-
 
 @dataclass(frozen=True)
-class Bracket:
+class Bracket(Record):
     """Power bracket (base, n): base**n <= N < base**(n+1) for the associated N."""
 
     base: int
@@ -81,11 +79,11 @@ class Bracket:
         return self.low <= value < self.high
 
     def to_dict(self) -> dict:
-        return {"base": self.base, "n": self.n, "low": self.low, "high": self.high}
+        return {**super().to_dict(), "low": self.low, "high": self.high}
 
 
 @dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(Record):
     """Real exponent delta = log_base(N), reported at a stated decimal precision.
 
     ``lower``/``upper`` come from the exact bracket; the true delta lies in
@@ -98,17 +96,9 @@ class DeltaReport:
     upper: int
     precision: int
 
-    def to_dict(self) -> dict:
-        return {
-            "value": str(self.value),
-            "lower": self.lower,
-            "upper": self.upper,
-            "precision": self.precision,
-        }
-
 
 @dataclass(frozen=True)
-class ApproxErrors:
+class ApproxErrors(Record):
     """Relative errors of approximating N by base**n.
 
     ``leading_error`` = |1 - base**n / N| as an exact rational;
@@ -136,7 +126,7 @@ class ApproxErrors:
 
 
 @dataclass(frozen=True)
-class IntersectionBracket:
+class IntersectionBracket(Record):
     """Simultaneous base-r and base-k brackets of the same integer.
 
     ``common_low``/``common_high`` bound the non-empty intersection
@@ -148,14 +138,6 @@ class IntersectionBracket:
     m: int
     common_low: int
     common_high: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "common_low": self.common_low,
-            "common_high": self.common_high,
-        }
 
 
 def expand(N: int, base: int) -> RadixExpansion:

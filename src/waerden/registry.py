@@ -14,16 +14,18 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from decimal import Decimal
 from typing import Literal
 
+from ._record import Record
 from .bounds import (
     VdwInstance,
     conjecture_certificate,
     erdos_rado,
     exponent_relations,
     n_range,
+    n_range_dict,
 )
 from .errors import IntegrityError
 from .numerics import bracket_exponent, delta
@@ -74,7 +76,7 @@ _DISPLAY_ULP = Decimal("0.001")
 
 
 @dataclass(frozen=True)
-class KnownValue:
+class KnownValue(Record):
     inst: VdwInstance
     kind: Literal["exact", "lower_bound"]
     value: int
@@ -90,7 +92,7 @@ class KnownValue:
 
 
 @dataclass(frozen=True)
-class TableARow:
+class TableARow(Record):
     """One derived-table row; power cells are exact integers rendered base^exp."""
 
     r: int
@@ -105,46 +107,10 @@ class TableARow:
     r_pow_k_squared: str
 
     def cells(self) -> tuple:
-        return (
-            self.r,
-            self.k,
-            self.sqrt_n_plus_1,
-            self.n,
-            self.log_r_w,
-            self.n_plus_1,
-            self.r_pow_n,
-            self.w,
-            self.r_pow_n_plus_1,
-            self.r_pow_k_squared,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "k": self.k,
-            "sqrt_n_plus_1": self.sqrt_n_plus_1,
-            "n": self.n,
-            "log_r_w": self.log_r_w,
-            "n_plus_1": self.n_plus_1,
-            "r_pow_n": self.r_pow_n,
-            "w": self.w,
-            "r_pow_n_plus_1": self.r_pow_n_plus_1,
-            "r_pow_k_squared": self.r_pow_k_squared,
-        }
+        return astuple(self)
 
 
-TABLE_COLUMNS = (
-    "r",
-    "k",
-    "sqrt_n_plus_1",
-    "n",
-    "log_r_w",
-    "n_plus_1",
-    "r_pow_n",
-    "w",
-    "r_pow_n_plus_1",
-    "r_pow_k_squared",
-)
+TABLE_COLUMNS = tuple(f.name for f in fields(TableARow))
 
 
 def known_values() -> tuple[KnownValue, ...]:
@@ -218,17 +184,26 @@ def table_a_csv() -> str:
     return buf.getvalue()
 
 
+def _aligned() -> tuple[list[tuple[str, ...]], list[int]]:
+    """The header and the table rows as strings, with each column's width."""
+    rows = [TABLE_COLUMNS, *(tuple(map(str, row.cells())) for row in table_a())]
+    return rows, [max(map(len, column)) for column in zip(*rows)]
+
+
 def table_a_markdown() -> str:
-    rows = [tuple(str(c) for c in row.cells()) for row in table_a()]
-    header = TABLE_COLUMNS
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows)) for i in range(len(header))
-    ]
-    def fmt(cells):
-        return "| " + " | ".join(c.ljust(widths[i]) for i, c in enumerate(cells)) + " |"
-    lines = [fmt(header), "| " + " | ".join("-" * w for w in widths) + " |"]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    rows, widths = _aligned()
+    rows.insert(1, tuple("-" * w for w in widths))
+    return "".join(
+        "| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |\n" for row in rows
+    )
+
+
+def table_a_text() -> str:
+    """Columns padded to their widths and two spaces apart, trailing blanks cut."""
+    rows, widths = _aligned()
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in rows
+    )
 
 
 def report(inst: VdwInstance) -> dict:
@@ -262,10 +237,7 @@ def report(inst: VdwInstance) -> dict:
         doc["exponent_relations"] = exponent_relations(inst, exact_value).to_dict()
 
     window_bound = exact_value if exact_value is not None else lower_bound
-    window = n_range(inst, window_bound)
-    doc["n_range"] = window.to_dict()
-    doc["n_range"]["upper_power"] = _pow_str(inst.r, window.high + 1)
-    doc["n_range"]["upper_power_value"] = inst.r ** (window.high + 1)
+    doc["n_range"] = n_range_dict(inst, n_range(inst, window_bound))
 
     exact_n = bracket_exponent(exact_value, inst.r).n if exact_value is not None else None
     doc["erdos_rado"] = erdos_rado(inst, exact_n).to_dict()

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from ._record import Record
 from .bounds import VdwInstance, n_range
 from .errors import (
     BudgetExhausted,
@@ -66,7 +67,11 @@ from .errors import (
 # (W(2,6) = 1132, W(3,4) = 293, and beyond) needs force=True and may time out.
 FEASIBLE_INSTANCES = frozenset({(2, 3), (2, 4), (2, 5), (3, 3), (4, 3)})
 
-_CHECK_MASK = 1023  # consult the clock every 1024 branches (pool jobs poll by nodes too)
+# a search reads the clock, and a pool job also polls the stop flag and
+# charges the shared budget, every _POLL_NODES nodes, so it stops within
+# _POLL_NODES + N nodes of its deadline or of a decision elsewhere; polling
+# costs a lock and a shared read, negligible per 256 nodes
+_POLL_NODES = 256
 
 
 class SearchStatus(Enum):
@@ -76,15 +81,17 @@ class SearchStatus(Enum):
 
 
 @dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Node and wall-time limits for one search call.
 
-    The budget is checked before each branch, so one worker stops within
-    one branch (at most N assignments) of max_nodes; a branch that decides
-    the tree reports its answer.  A multi-worker search resumes the serial
+    The node budget is checked before each branch, so one worker stops
+    within one branch (at most N assignments) of max_nodes; a branch that
+    decides the tree reports its answer.  Every worker reads the clock
+    every _POLL_NODES (256) nodes, so it makes at most 256 + N assignments
+    after max_seconds has passed.  A multi-worker search resumes the serial
     pass on the pool, and each running job charges the shared count every
-    _POLL_NODES (256) nodes, so it can run up to threads * (256 + N)
-    assignments past max_nodes before every worker sees the budget spent.
+    256 nodes, so it can run up to threads * (256 + N) assignments past
+    max_nodes before every worker sees the budget spent.
     """
 
     max_nodes: int = 10**9
@@ -98,16 +105,13 @@ class Budget:
 
 
 @dataclass(frozen=True)
-class SearchStats:
+class SearchStats(Record):
     nodes: int
     seconds: float
 
-    def to_dict(self) -> dict:
-        return {"nodes": self.nodes, "seconds": self.seconds}
-
 
 @dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """Total assignment of colors 0..r-1 to positions 1..N (colors[i-1] is position i)."""
 
     N: int
@@ -140,7 +144,7 @@ class Coloring:
 
 
 @dataclass(frozen=True)
-class APWitness:
+class APWitness(Record):
     """Monochromatic AP a, a+d, ..., a+(k-1)d, all carrying `color`."""
 
     a: int
@@ -150,42 +154,24 @@ class APWitness:
     def positions(self, k: int) -> list[int]:
         return [self.a + j * self.d for j in range(k)]
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "d": self.d, "color": self.color}
-
 
 @dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     status: SearchStatus
     certificate: Coloring | None
     stats: SearchStats
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "certificate": None if self.certificate is None else self.certificate.to_dict(),
-            "stats": self.stats.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
-class ComputeWResult:
+class ComputeWResult(Record):
     instance: VdwInstance
     value: int
     certificate: Coloring  # AP-free coloring of [1, value - 1]
     stats: SearchStats
 
-    def to_dict(self) -> dict:
-        return {
-            "instance": self.instance.to_dict(),
-            "value": self.value,
-            "certificate": self.certificate.to_dict(),
-            "stats": self.stats.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
-class PlannedInterval:
+class PlannedInterval(Record):
     """One candidate bracket [r**n, r**(n+1)), with its cumulative form [1, r**(n+1)]."""
 
     n: int
@@ -421,20 +407,18 @@ def _run_tree(r, aps, frames, max_nodes, deadline, symmetry, pair_table=None, po
     assignment: a run stopped on max_nodes leaves every branch it has not
     made in the stack, and a later run resumes them.
 
-    The clock is read every 1024 branches.  With poll, the run also calls
-    poll(nodes) every _POLL_NODES nodes and stops with the status it
-    returns, if any.  With tally, tally[d] counts the nodes at depth d the
-    run branched on.  With leaves, the run makes only the branches of the
-    given frames: each child that is neither dead nor a coloring is appended
-    to leaves as a frame instead of being searched.
+    Every _POLL_NODES nodes the run reads the clock and stops at the
+    deadline; with poll it also calls poll(nodes) there and stops with the
+    status that returns, if any.  With tally, tally[d] counts the nodes at
+    depth d the run branched on.  With leaves, the run makes only the
+    branches of the given frames: each child that is neither dead nor a
+    coloring is appended to leaves as a frame instead of being searched.
 
     Returns (status, class_masks_or_None, nodes) with status in
     {"SAT", "UNSAT", "TIMEOUT", "ABORTED"}; UNSAT means the stack ran out.
     """
     nodes = 0
-    branches = 0
-    mark = max_nodes if poll is None else min(_POLL_NODES, max_nodes)
-    monotonic = time.monotonic
+    mark = min(_POLL_NODES, max_nodes)
     cm, fb, cnt = [], [], []
     while frames:
         frame = frames[-1]
@@ -443,15 +427,13 @@ def _run_tree(r, aps, frames, max_nodes, deadline, symmetry, pair_table=None, po
             frames.pop()
             continue
         if nodes >= mark:
-            if nodes >= max_nodes:
+            if nodes >= max_nodes or time.monotonic() >= deadline:
                 return "TIMEOUT", None, nodes
-            halt = poll(nodes)
-            if halt is not None:
-                return halt, None, nodes
+            if poll is not None:
+                halt = poll(nodes)
+                if halt is not None:
+                    return halt, None, nodes
             mark = min(nodes + _POLL_NODES, max_nodes)
-        branches += 1
-        if branches & _CHECK_MASK == 0 and monotonic() >= deadline:
-            return "TIMEOUT", None, nodes
         frame[1] = idx + 1
         cm[:] = cm0
         fb[:] = fb0
@@ -529,11 +511,6 @@ def _split(r, aps, frames, tally, target, nodes, max_nodes, deadline, symmetry, 
 # nodes a multi-worker search runs serially before it starts a pool; every
 # desk-tier proof fits (the largest, (3,3) at N = 27, takes 3,583)
 _SERIAL_NODES = 4096
-
-# a pool job polls the stop flag and charges the shared budget every
-# _POLL_NODES nodes, so it stops within _POLL_NODES + N nodes of a decision
-# elsewhere; polling costs a lock and a shared read, negligible per 256 nodes
-_POLL_NODES = 256
 
 _PAR_STOP = None
 _PAR_SPENT = None
@@ -649,14 +626,12 @@ def decide_colorability(
         N, r, k, aps, threads, budget.max_nodes, deadline, symmetry_breaking, pair_table,
     )
     stats = SearchStats(nodes=nodes, seconds=time.perf_counter() - started)
+    certificate = None
     if status == "SAT":
         certificate = _masks_to_coloring(masks, N, r)
         if not verify_certificate(certificate, k):
             raise IntegrityError("search produced a certificate that fails verification")
-        return SearchOutcome(SearchStatus.SAT, certificate, stats)
-    if status == "UNSAT":
-        return SearchOutcome(SearchStatus.UNSAT, None, stats)
-    return SearchOutcome(SearchStatus.TIMEOUT, None, stats)
+    return SearchOutcome(SearchStatus(status), certificate, stats)
 
 
 def compute_W(

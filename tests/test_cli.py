@@ -8,7 +8,9 @@ import signal
 import sys
 import time
 
-from waerden import read_dimacs, encode, VdwInstance
+import pytest
+
+from waerden import read_dimacs, encode, VdwInstance, known_values
 from waerden.cli import main
 
 
@@ -131,6 +133,19 @@ class TestSearchCommands:
             capsys, "search", "--r", "2", "--k", "4", "--n-max", "30", "--max-nodes", "5"
         )
         assert code == 2 and out.splitlines()[0] == "TIMEOUT"
+
+    def test_search_json_varies_only_in_seconds(self, capsys):
+        docs = []
+        for _ in range(2):
+            code, out, _ = run(
+                capsys, "search", "--r", "2", "--k", "4", "--n-max", "34", "--format", "json"
+            )
+            assert code == 0
+            doc = json.loads(out)
+            del doc["stats"]["seconds"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert docs[0]["status"] == "SAT" and docs[0]["stats"]["nodes"] > 0
 
     def test_compute_w(self, capsys):
         code, out, _ = run(capsys, "compute-w", "--r", "2", "--k", "3")
@@ -347,3 +362,136 @@ class TestConfigAndUsage:
     def test_csv_only_for_table(self, capsys):
         code, _, err = run(capsys, "expand", "9", "--base", "2", "--format", "csv")
         assert code == 1 and "table-a" in err
+
+
+def _shape(doc):
+    """Key order of a JSON document: a dict becomes [(key, shape), ...], a
+    list of dicts the one shape all its items share, anything else None."""
+    if isinstance(doc, dict):
+        return [(key, _shape(value)) for key, value in doc.items()]
+    if isinstance(doc, list) and doc and all(isinstance(item, dict) for item in doc):
+        shapes = [_shape(item) for item in doc]
+        assert all(s == shapes[0] for s in shapes)
+        return [shapes[0]]
+    return None
+
+
+def _keys(names: str) -> dict:
+    return dict.fromkeys(names.split())
+
+
+# The documents of the README's "JSON schemas" list, as templates whose key
+# order is the documented order; None marks a leaf.
+_INSTANCE = _keys("r k")
+_CERTIFICATE = _keys("r N colors")
+_STATS = _keys("nodes seconds")
+_NRANGE = _keys("low high source upper_power upper_power_value")
+_CHECK = {
+    "instance": _INSTANCE, "w": None, "n": None,
+    "triple": _keys("lower_holds upper_holds square_cap_holds"),
+    "all_hold": None, "condition_holds": None,
+    "power_of_ten_bound": _keys("ten_exponent r value"),
+}
+_ERDOS_RADO = {
+    "instance": _INSTANCE,
+    **_keys("lower_bound_value exponent_threshold n exceeds_threshold power_exceeds_bound theorem_chain_holds"),
+}
+_TABLE_ROW = _keys("r k sqrt_n_plus_1 n log_r_w n_plus_1 r_pow_n w r_pow_n_plus_1 r_pow_k_squared")
+_PLAN_ROW = _keys("n low high cumulative hinted")
+_EXPONENT_RELATIONS = {
+    "instance": _INSTANCE,
+    **_keys(
+        "w n first_branch_witnessed second_branch_applies second_branch_holds "
+        "within_log_window below_square_cap log_window_low"
+    ),
+}
+_REPORT_KEYS = (
+    "instance known table_row conjecture n_range erdos_rado exponent_relations plan conjectural_bracket"
+)
+_REPORT_EXACT = {
+    "instance": _INSTANCE,
+    "known": {"instance": _INSTANCE, **_keys("kind value source")},
+    "table_row": _TABLE_ROW,
+    "conjecture": _CHECK,
+    "n_range": _NRANGE,
+    "erdos_rado": _ERDOS_RADO,
+    "exponent_relations": _EXPONENT_RELATIONS,
+    "plan": None,
+    "conjectural_bracket": None,
+}
+_REPORT_LOWER = {
+    **_REPORT_EXACT,
+    "table_row": None,
+    "conjecture": None,
+    "exponent_relations": None,
+    "plan": [_PLAN_ROW],
+    "conjectural_bracket": _keys("low high assumption conjectural"),
+}
+
+_SCHEMAS = [
+    (("expand", "9", "--base", "2"), _keys("base digits")),
+    (("bracket", "1132", "--base", "2"), _keys("base n low high")),
+    (("delta", "9", "--base", "2"), _keys("value lower upper precision")),
+    (("check", "9", "--r", "2", "--k", "3"), _CHECK),
+    (("nrange", "--r", "2", "--k", "7", "--lower", "3703"), _NRANGE),
+    (("erdos-rado", "--r", "3", "--k", "3", "--n", "3"), _ERDOS_RADO),
+    (("erdos-rado", "--r", "3", "--k", "3"), _ERDOS_RADO),
+    (("table-a",), [_TABLE_ROW]),
+    (("search", "--r", "2", "--k", "3", "--n-max", "8"),
+     {"status": None, "certificate": _CERTIFICATE, "stats": _STATS}),
+    (("search", "--r", "2", "--k", "3", "--n-max", "9"),
+     {"status": None, "certificate": None, "stats": _STATS}),
+    (("compute-w", "--r", "2", "--k", "3"),
+     {"instance": _INSTANCE, "value": None, "certificate": _CERTIFICATE, "stats": _STATS}),
+    (("plan", "--r", "2", "--k", "7", "--lower", "3703"), [_PLAN_ROW]),
+    (("report", "--r", "2", "--k", "3"), _REPORT_EXACT),
+    (("report", "--r", "5", "--k", "3"), _REPORT_LOWER),
+]
+
+
+class TestJsonSchemas:
+    @pytest.mark.parametrize("argv, template", _SCHEMAS, ids=[" ".join(a) for a, _ in _SCHEMAS])
+    def test_key_order(self, capsys, argv, template):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert _shape(json.loads(out)) == _shape(template)
+
+    def test_cnf(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "cnf", "--r", "2", "--k", "3", "--n-max", "9",
+            "--out", str(tmp_path / "w.cnf"), "--format", "json",
+        )
+        assert code == 0
+        assert _shape(json.loads(out)) == _shape(_keys("out variable_count clause_count solver"))
+
+    def test_cnf_with_solver_model(self, capsys, tmp_path):
+        solver = tmp_path / "solver.py"
+        solver.write_text("print('s SATISFIABLE')\nprint('v 1 2 -3 -4 5 6 -7 -8 0')\n")
+        code, out, _ = run(
+            capsys, "cnf", "--r", "2", "--k", "3", "--n-max", "8", "--out", str(tmp_path / "w.cnf"),
+            "--solver", f"{sys.executable} {solver}", "--format", "json",
+        )
+        assert code == 0
+        assert _shape(json.loads(out)) == _shape({
+            **_keys("out variable_count clause_count"),
+            "solver": _keys("status model returncode"),
+            "certificate": _keys("r k N colors"),
+            "certificate_verifies": None,
+        })
+
+    @pytest.mark.parametrize("witness", [False, True])
+    def test_verify(self, capsys, tmp_path, witness):
+        path = tmp_path / "cert.json"
+        colors = [1, 1, 1] if witness else [1, 1, 0, 0, 1, 1, 0, 0]
+        path.write_text(json.dumps({"r": 2, "k": 3, "N": len(colors), "colors": colors}))
+        _, out, _ = run(capsys, "verify", str(path), "--format", "json")
+        expected = {"valid": None, "k": None, "witness": _keys("a d color") if witness else None}
+        assert _shape(json.loads(out)) == _shape(expected)
+
+    def test_report_keys_for_every_registry_instance(self, capsys):
+        for entry in known_values():
+            code, out, _ = run(
+                capsys, "report", "--r", str(entry.inst.r), "--k", str(entry.inst.k)
+            )
+            assert code == 0
+            assert list(json.loads(out)) == _REPORT_KEYS.split()

@@ -24,7 +24,7 @@ from waerden import (
     verify_certificate,
     write_dimacs,
 )
-from waerden.cnf import expected_clause_count, variable_for
+from waerden.cnf import expected_clause_count
 
 
 class TestEncode:
@@ -67,11 +67,16 @@ class TestEncode:
                 else:
                     assert f.clause_count == n + n * 3 + ap_count * r
 
-    def test_variable_for(self):
-        assert variable_for(1, 1, 3) == 2  # position 1, 0-based color 1
-        assert variable_for(2, 2, 3) == 6
-        with pytest.raises(DomainError):
-            variable_for(1, 0, 2)
+    def test_one_hot_variables(self):
+        # variable (i - 1) * r + c says position i has 0-based color c - 1
+        f = encode(4, VdwInstance(3, 3))
+        assert f.clauses[1] == (4, 5, 6)  # position 2 has some color
+        assert f.clauses[7] == (-4, -5)  # position 2 not colors 0 and 1 at once
+        assert f.clauses[17] == (-2, -5, -8)  # AP (1, 2, 3) not all color 1
+        assert encode(3, VdwInstance(4, 3)).clauses[2] == (9, 10, 11, 12)
+        # position 1 color 1 is variable 2, position 2 color 2 is variable 6
+        model = (-1, 2, -3, -4, -5, 6)
+        assert decode_model(model, 2, VdwInstance(3, 3)).colors == (1, 2)
 
     def test_formula_validation(self):
         with pytest.raises(DomainError):

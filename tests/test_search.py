@@ -203,6 +203,21 @@ class TestDecideColorability:
             bound = max_nodes + threads * (search._POLL_NODES + n)
             assert max_nodes <= out.stats.nodes <= bound, (n, inst)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_honours_wall_time_budget(self, threads):
+        # the (4,3) proof at N=76 runs far past 0.2 s; the clock is read
+        # every _POLL_NODES nodes, by the serial pass and by every pool job,
+        # so the search stops on time long before its node budget
+        max_nodes = 2_000_000
+        started = time.monotonic()
+        out = decide_colorability(
+            76, VdwInstance(4, 3), Budget(max_nodes=max_nodes, max_seconds=0.2), threads=threads
+        )
+        elapsed = time.monotonic() - started
+        assert out.status is SearchStatus.TIMEOUT
+        assert out.certificate is None and 0 < out.stats.nodes < max_nodes
+        assert elapsed < 3, elapsed
+
     def test_pool_runs_under_spawn(self, tmp_path):
         # the pool uses multiprocessing's default context, so it must also
         # work where that context spawns rather than forks
