@@ -23,7 +23,7 @@ from decimal import Decimal
 from enum import Enum
 
 from ._record import Record
-from .errors import DomainError, InfeasibleRangeError
+from .errors import DomainError, InfeasibleRangeError, require_int
 from .numerics import bracket_exponent
 
 
@@ -38,10 +38,8 @@ class VdwInstance(Record):
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 2:
-            raise DomainError(f"r must be an integer >= 2, got {self.r!r}")
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 3:
-            raise DomainError(f"k must be an integer >= 3, got {self.k!r}")
+        require_int(self.r, 2, "r must be an integer >= 2")
+        require_int(self.k, 3, "k must be an integer >= 3")
 
     @property
     def key(self) -> tuple[int, int]:
@@ -206,17 +204,14 @@ class ExponentRelations(Record):
 
 def graham_condition(k: int, n: int) -> bool:
     """True iff k*k >= n + 1 (equivalently n <= k*k - 1), exactly."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"k must be an integer >= 1, got {k!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"n must be an integer >= 0, got {n!r}")
+    require_int(k, 1, "k must be an integer >= 1")
+    require_int(n, 0, "n must be an integer >= 0")
     return k * k >= n + 1
 
 
 def conjecture_certificate(W: int, inst: VdwInstance) -> ConjectureReport:
     """Evaluate r**n <= W < r**(n+1) <= r**(k*k) with exact integers."""
-    if not isinstance(W, int) or isinstance(W, bool) or W < inst.r:
-        raise DomainError(f"W must be an integer >= r = {inst.r}, got {W!r}")
+    require_int(W, inst.r, f"W must be an integer >= r = {inst.r}")
     r, k = inst.r, inst.k
     n = bracket_exponent(W, r).n
     r_n = r**n
@@ -246,8 +241,7 @@ def n_range(inst: VdwInstance, lower_bound: int | None = None) -> NRange:
         low = 1
         source = RangeSource.COROLLARY_ONLY
     else:
-        if not isinstance(lower_bound, int) or isinstance(lower_bound, bool):
-            raise DomainError(f"lower bound must be an integer, got {lower_bound!r}")
+        require_int(lower_bound, -math.inf, "lower bound must be an integer")
         if lower_bound < inst.r:
             raise DomainError(
                 f"lower bound {lower_bound} is below r = {inst.r}; no usable bracket"
@@ -283,8 +277,7 @@ def erdos_rado(inst: VdwInstance, n: int | None = None) -> ErdosRadoReport:
     threshold = (math.log(2) + math.log(k - 1)) / (2 * math.log(r)) + (k - 1) / 2
     if n is None:
         return ErdosRadoReport(inst, lower_value, threshold)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"n must be an integer >= 0, got {n!r}")
+    require_int(n, 0, "n must be an integer >= 0")
     exceeds = n > threshold
     power_ok = r ** (2 * n) > bound_squared
     return ErdosRadoReport(
@@ -346,8 +339,7 @@ def pair_compare_same_k(
 
 def exponent_relations(inst: VdwInstance, W: int) -> ExponentRelations:
     """Relate n to r and k: the two possibility branches plus the log window."""
-    if not isinstance(W, int) or isinstance(W, bool) or W < inst.r:
-        raise DomainError(f"W must be an integer >= r = {inst.r}, got {W!r}")
+    require_int(W, inst.r, f"W must be an integer >= r = {inst.r}")
     r, k = inst.r, inst.k
     n = bracket_exponent(W, r).n
     second_applies = k < r < k * k and k == n

@@ -1,17 +1,22 @@
 """One binary, subcommand per operation; built for batch use and scripting.
 
 Exit codes: 0 success, 1 domain/config error (including invalid
-certificates), 2 search timeout or unknown solver outcome, 3 registry
-integrity error, 64 usage error.  Output on stdout is deterministic for
-identical inputs at one worker, except `stats.seconds` in the JSON of
-search and compute-w, the one field that varies; with more workers a
-certificate, and the node count of a SAT or TIMEOUT answer, may differ
-between runs.  Node counts and timings also go to stderr.
+certificates and malformed certificate or config files), 2 search timeout
+or unknown solver outcome, 3 registry integrity error, 64 usage error.
+Output on stdout is deterministic for identical inputs at one worker,
+except `stats.seconds` in the JSON of search and compute-w, the one field
+that varies; with more workers a certificate, and the node count of a SAT
+or TIMEOUT answer, may differ between runs.  Node counts and timings also
+go to stderr.
 
-Defaults: precision 6, one search worker process (--threads, env override
-WAERDEN_THREADS), budget 10^9 nodes / 600 s, text output.  A JSON config
+Defaults are the library's: the precision of `numerics.delta` (6), the
+`search.Budget()` limits (10^9 nodes / 600 s), one search worker process
+(--threads, env override WAERDEN_THREADS), and text output.  A JSON config
 file (--config) may set precision, threads (the worker count), max_nodes,
 max_seconds, and format; explicit flags win.
+
+Each handler returns its JSON document, its text lines and its exit code;
+`main` alone picks the format and writes stdout.
 """
 
 from __future__ import annotations
@@ -32,15 +37,15 @@ from .errors import (
     DecodeError,
     DomainError,
     IntegrityError,
+    require_int,
 )
 
 _ENV_THREADS = "WAERDEN_THREADS"
 
 DEFAULTS = {
-    "precision": 6,
+    "precision": numerics.DEFAULT_DELTA_PRECISION,
     "threads": 1,
-    "max_nodes": 10**9,
-    "max_seconds": 600.0,
+    **search.Budget().to_dict(),
     "format": "text",
 }
 
@@ -77,62 +82,49 @@ def _common_options() -> argparse.ArgumentParser:
 
 def build_parser() -> _Parser:
     common = _common_options()
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--r", type=int, required=True)
+    instance.add_argument("--k", type=int, required=True)
     parser = _Parser(prog="waerden", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[common], help="base-b digit expansion of N")
+    def command(name, handler, help, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("expand", _cmd_expand, "base-b digit expansion of N")
     p.add_argument("N", type=int)
     p.add_argument("--base", type=int, required=True)
-    p.set_defaults(handler=_cmd_expand)
 
-    p = sub.add_parser("bracket", parents=[common], help="exponent n with b^n <= N < b^(n+1)")
+    p = command("bracket", _cmd_bracket, "exponent n with b^n <= N < b^(n+1)")
     p.add_argument("N", type=int)
     p.add_argument("--base", type=int, required=True)
-    p.set_defaults(handler=_cmd_bracket)
 
-    p = sub.add_parser("delta", parents=[common], help="log_base N at the configured precision")
+    p = command("delta", _cmd_delta, "log_base N at the configured precision")
     p.add_argument("N", type=int)
     p.add_argument("--base", type=int, required=True)
-    p.set_defaults(handler=_cmd_delta)
 
-    p = sub.add_parser("check", parents=[common], help="triple inequality r^n <= W < r^(n+1) <= r^(k^2)")
+    p = command("check", _cmd_check, "triple inequality r^n <= W < r^(n+1) <= r^(k^2)", instance)
     p.add_argument("W", type=int)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("nrange", parents=[common], help="exponent window [low, k^2-1]")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = command("nrange", _cmd_nrange, "exponent window [low, k^2-1]", instance)
     p.add_argument("--lower", type=int, default=None, help="published lower bound on W")
-    p.set_defaults(handler=_cmd_nrange)
 
-    p = sub.add_parser("erdos-rado", parents=[common], help="Erdos-Rado lower bound and threshold")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = command("erdos-rado", _cmd_erdos_rado, "Erdos-Rado lower bound and threshold", instance)
     p.add_argument("--n", type=int, default=None)
-    p.set_defaults(handler=_cmd_erdos_rado)
 
-    p = sub.add_parser("table-a", parents=[common], help="known-values table with derived columns")
-    p.set_defaults(handler=_cmd_table_a)
+    command("table-a", _cmd_table_a, "known-values table with derived columns")
 
-    p = sub.add_parser("search", parents=[common], help="decide colorability of [1, n-max]")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = command("search", _cmd_search, "decide colorability of [1, n-max]", instance)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--cert-out", type=Path, default=None, help="write SAT certificate JSON here")
-    p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser("compute-w", parents=[common], help="exact W(r,k) by upward search")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = command("compute-w", _cmd_compute_w, "exact W(r,k) by upward search", instance)
     p.add_argument("--force", action="store_true", help="run instances outside the desk-scale allowlist")
     p.add_argument("--cert-out", type=Path, default=None, help="write the W-1 certificate JSON here")
-    p.set_defaults(handler=_cmd_compute_w)
 
-    p = sub.add_parser("plan", parents=[common], help="candidate brackets [r^n, r^(n+1)) to test")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = command("plan", _cmd_plan, "candidate brackets [r^n, r^(n+1)) to test", instance)
     p.add_argument("--lower", type=int, required=True)
     p.add_argument(
         "--hint",
@@ -142,11 +134,8 @@ def build_parser() -> _Parser:
         default=None,
         help="mark exponents in [LOW, HIGH] as favored (caller-supplied guesswork)",
     )
-    p.set_defaults(handler=_cmd_plan)
 
-    p = sub.add_parser("cnf", parents=[common], help="emit DIMACS CNF for (N, r, k)")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = command("cnf", _cmd_cnf, "emit DIMACS CNF for (N, r, k)", instance)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument(
@@ -154,17 +143,12 @@ def build_parser() -> _Parser:
         default=None,
         help="external SAT solver command; runs `CMD <file>` and parses s/v lines (exit 10/20 fallback)",
     )
-    p.set_defaults(handler=_cmd_cnf)
 
-    p = sub.add_parser("verify", parents=[common], help="check a certificate JSON for k-AP freeness")
+    p = command("verify", _cmd_verify, "check a certificate JSON for k-AP freeness")
     p.add_argument("certificate", type=Path)
     p.add_argument("--k", type=int, default=None, help="AP length (defaults to the file's k)")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("report", parents=[common], help="consolidated JSON report for an instance")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_report)
+    command("report", _cmd_report, "consolidated JSON report for an instance", instance)
 
     return parser
 
@@ -173,8 +157,8 @@ def _load_config_file(path: Path | None) -> dict:
     if path is None:
         return {}
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
@@ -201,8 +185,7 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
         except ValueError as exc:
             raise ConfigError(f"{_ENV_THREADS} must be an integer") from exc
     threads = pick(threads, "threads")
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
+    require_int(threads, 1, "threads must be an integer >= 1", ConfigError)
     precision = pick(args.precision, "precision")
     fmt = pick(args.format, "format")
     if fmt not in ("text", "json", "csv", "markdown"):
@@ -214,166 +197,118 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
     return CliConfig(precision=precision, threads=threads, budget=budget, output_format=fmt)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(payload) -> None:
-    _emit(json.dumps(payload, indent=2))
-
-
-def _require_text_or_json(cfg: CliConfig, command: str) -> None:
-    if cfg.output_format in ("csv", "markdown"):
-        raise ConfigError(f"format {cfg.output_format!r} is only supported by table-a, not {command}")
+# What every _cmd_* handler returns: the JSON document (None prints nothing
+# in JSON), the text lines, and the exit code.
+_Output = tuple[object, list[str], int]
 
 
 def _stats_to_stderr(stats: search.SearchStats) -> None:
     print(f"nodes={stats.nodes} seconds={stats.seconds:.3f}", file=sys.stderr)
 
 
-def _cmd_expand(args, cfg: CliConfig) -> int:
-    _require_text_or_json(cfg, "expand")
+def _colors(coloring: search.Coloring) -> str:
+    return " ".join(map(str, coloring.colors))
+
+
+def _cmd_expand(args, cfg: CliConfig) -> _Output:
     expansion = numerics.expand(args.N, args.base)
-    if cfg.output_format == "json":
-        _emit_json(expansion.to_dict())
-    else:
-        _emit(" ".join(str(d) for d in expansion.digits))
-    return 0
+    return expansion.to_dict(), [" ".join(map(str, expansion.digits))], 0
 
 
-def _cmd_bracket(args, cfg: CliConfig) -> int:
-    _require_text_or_json(cfg, "bracket")
+def _cmd_bracket(args, cfg: CliConfig) -> _Output:
     br = numerics.bracket_exponent(args.N, args.base)
-    if cfg.output_format == "json":
-        _emit_json(br.to_dict())
-    else:
-        _emit(f"n = {br.n}")
-        _emit(f"{args.base}^{br.n} <= {args.N} < {args.base}^{br.n + 1}")
-    return 0
+    b, n = args.base, br.n
+    return br.to_dict(), [f"n = {n}", f"{b}^{n} <= {args.N} < {b}^{n + 1}"], 0
 
 
-def _cmd_delta(args, cfg: CliConfig) -> int:
-    _require_text_or_json(cfg, "delta")
+def _cmd_delta(args, cfg: CliConfig) -> _Output:
     report = numerics.delta(args.N, args.base, precision=cfg.precision)
-    if cfg.output_format == "json":
-        _emit_json(report.to_dict())
-    else:
-        _emit(str(report.value))
-        _emit(f"n = {report.lower}")
-    return 0
+    return report.to_dict(), [str(report.value), f"n = {report.lower}"], 0
 
 
-def _cmd_check(args, cfg: CliConfig) -> int:
-    _require_text_or_json(cfg, "check")
-    inst = VdwInstance(args.r, args.k)
-    rep = bounds.conjecture_certificate(args.W, inst)
-    if cfg.output_format == "json":
-        _emit_json(rep.to_dict())
-        return 0
-    r, k, n = inst.r, inst.k, rep.n
-    _emit(f"n = {n}")
-    _emit(f"{r}^{n} <= {rep.w}: {'pass' if rep.lower_holds else 'FAIL'}")
-    _emit(f"{rep.w} < {r}^{n + 1}: {'pass' if rep.upper_holds else 'FAIL'}")
-    _emit(f"{r}^{n + 1} <= {r}^{k * k}: {'pass' if rep.square_cap_holds else 'FAIL'}")
-    _emit(f"condition k^2 >= n+1: {'holds' if rep.condition_holds else 'fails'} ({k * k} vs {n + 1})")
-    _emit(f"power-of-ten bound: {rep.power_of_ten.render()}")
-    return 0
+def _cmd_check(args, cfg: CliConfig) -> _Output:
+    rep = bounds.conjecture_certificate(args.W, args.inst)
+    r, k, n = args.inst.r, args.inst.k, rep.n
+    return rep.to_dict(), [
+        f"n = {n}",
+        f"{r}^{n} <= {rep.w}: {'pass' if rep.lower_holds else 'FAIL'}",
+        f"{rep.w} < {r}^{n + 1}: {'pass' if rep.upper_holds else 'FAIL'}",
+        f"{r}^{n + 1} <= {r}^{k * k}: {'pass' if rep.square_cap_holds else 'FAIL'}",
+        f"condition k^2 >= n+1: {'holds' if rep.condition_holds else 'fails'} ({k * k} vs {n + 1})",
+        f"power-of-ten bound: {rep.power_of_ten.render()}",
+    ], 0
 
 
-def _cmd_nrange(args, cfg: CliConfig) -> int:
-    _require_text_or_json(cfg, "nrange")
-    inst = VdwInstance(args.r, args.k)
-    doc = bounds.n_range_dict(inst, bounds.n_range(inst, args.lower))
-    if cfg.output_format == "json":
-        _emit_json(doc)
-    else:
-        _emit(f"[{doc['low']}, {doc['high']}]")
-        _emit(f"upper power bound: {doc['upper_power']} = {doc['upper_power_value']}")
-    return 0
+def _cmd_nrange(args, cfg: CliConfig) -> _Output:
+    doc = bounds.n_range_dict(args.inst, bounds.n_range(args.inst, args.lower))
+    return doc, [
+        f"[{doc['low']}, {doc['high']}]",
+        f"upper power bound: {doc['upper_power']} = {doc['upper_power_value']}",
+    ], 0
 
 
-def _cmd_erdos_rado(args, cfg: CliConfig) -> int:
-    _require_text_or_json(cfg, "erdos-rado")
-    inst = VdwInstance(args.r, args.k)
-    rep = bounds.erdos_rado(inst, args.n)
-    if cfg.output_format == "json":
-        _emit_json(rep.to_dict())
-        return 0
-    _emit(f"lower bound: W({inst.r},{inst.k}) > {rep.lower_bound_value!r}")
-    _emit(f"exponent threshold: {rep.exponent_threshold!r}")
+def _cmd_erdos_rado(args, cfg: CliConfig) -> _Output:
+    rep = bounds.erdos_rado(args.inst, args.n)
+    lines = [
+        f"lower bound: W({args.inst.r},{args.inst.k}) > {rep.lower_bound_value!r}",
+        f"exponent threshold: {rep.exponent_threshold!r}",
+    ]
     if rep.n is not None:
-        _emit(f"n = {rep.n} exceeds threshold: {'yes' if rep.exceeds_threshold else 'no'}")
-        _emit(f"r^n exceeds bound (exact): {'yes' if rep.power_exceeds_bound else 'no'}")
-        _emit(f"theorem chain holds: {'yes' if rep.theorem_chain_holds else 'no'}")
-    return 0
+        lines += [
+            f"n = {rep.n} exceeds threshold: {'yes' if rep.exceeds_threshold else 'no'}",
+            f"r^n exceeds bound (exact): {'yes' if rep.power_exceeds_bound else 'no'}",
+            f"theorem chain holds: {'yes' if rep.theorem_chain_holds else 'no'}",
+        ]
+    return rep.to_dict(), lines, 0
 
 
 _TABLE_A_RENDERERS = {
-    "text": registry.table_a_text,
     "csv": registry.table_a_csv,
     "markdown": registry.table_a_markdown,
 }
 
 
-def _cmd_table_a(args, cfg: CliConfig) -> int:
-    if cfg.output_format == "json":
-        _emit_json([row.to_dict() for row in registry.table_a()])
-    else:
-        sys.stdout.write(_TABLE_A_RENDERERS[cfg.output_format]())
-    return 0
+def _cmd_table_a(args, cfg: CliConfig) -> _Output:
+    render = _TABLE_A_RENDERERS.get(cfg.output_format, registry.table_a_text)
+    return [row.to_dict() for row in registry.table_a()], render().splitlines(), 0
 
 
 def _write_certificate(path: Path, cert: search.Coloring, k: int) -> None:
     path.write_text(search.certificate_to_json(cert, k) + "\n")
 
 
-def _cmd_search(args, cfg: CliConfig) -> int:
-    _require_text_or_json(cfg, "search")
-    inst = VdwInstance(args.r, args.k)
-    outcome = search.decide_colorability(args.n_max, inst, cfg.budget, threads=cfg.threads)
+def _cmd_search(args, cfg: CliConfig) -> _Output:
+    outcome = search.decide_colorability(args.n_max, args.inst, cfg.budget, threads=cfg.threads)
     _stats_to_stderr(outcome.stats)
-    if cfg.output_format == "json":
-        _emit_json(outcome.to_dict())
-    else:
-        _emit(outcome.status.value)
-        if outcome.certificate is not None:
-            _emit("certificate: " + " ".join(str(c) for c in outcome.certificate.colors))
-    if outcome.certificate is not None and args.cert_out is not None:
-        _write_certificate(args.cert_out, outcome.certificate, inst.k)
-    return 2 if outcome.status is search.SearchStatus.TIMEOUT else 0
+    lines = [outcome.status.value]
+    if outcome.certificate is not None:
+        lines.append("certificate: " + _colors(outcome.certificate))
+        if args.cert_out is not None:
+            _write_certificate(args.cert_out, outcome.certificate, args.inst.k)
+    return outcome.to_dict(), lines, 2 if outcome.status is search.SearchStatus.TIMEOUT else 0
 
 
-def _cmd_compute_w(args, cfg: CliConfig) -> int:
-    _require_text_or_json(cfg, "compute-w")
-    inst = VdwInstance(args.r, args.k)
-    result = search.compute_W(inst, cfg.budget, threads=cfg.threads, force=args.force)
+def _cmd_compute_w(args, cfg: CliConfig) -> _Output:
+    result = search.compute_W(args.inst, cfg.budget, threads=cfg.threads, force=args.force)
     _stats_to_stderr(result.stats)
-    if cfg.output_format == "json":
-        _emit_json(result.to_dict())
-    else:
-        _emit(str(result.value))
     if args.cert_out is not None:
-        _write_certificate(args.cert_out, result.certificate, inst.k)
-    return 0
+        _write_certificate(args.cert_out, result.certificate, args.inst.k)
+    return result.to_dict(), [str(result.value)], 0
 
 
-def _cmd_plan(args, cfg: CliConfig) -> int:
-    _require_text_or_json(cfg, "plan")
-    inst = VdwInstance(args.r, args.k)
+def _cmd_plan(args, cfg: CliConfig) -> _Output:
     hint = tuple(args.hint) if args.hint is not None else None
-    intervals = search.plan_intervals(inst, args.lower, hint=hint)
-    if cfg.output_format == "json":
-        _emit_json([iv.to_dict() for iv in intervals])
-        return 0
-    for iv in intervals:
-        suffix = "  (hinted)" if iv.hinted else ""
-        _emit(f"n={iv.n}: [{iv.low}, {iv.high})  cumulative [1, {iv.cumulative_high}]{suffix}")
-    return 0
+    intervals = search.plan_intervals(args.inst, args.lower, hint=hint)
+    lines = [
+        f"n={iv.n}: [{iv.low}, {iv.high})  cumulative [1, {iv.cumulative_high}]"
+        + ("  (hinted)" if iv.hinted else "")
+        for iv in intervals
+    ]
+    return [iv.to_dict() for iv in intervals], lines, 0
 
 
-def _cmd_cnf(args, cfg: CliConfig) -> int:
-    _require_text_or_json(cfg, "cnf")
-    inst = VdwInstance(args.r, args.k)
+def _cmd_cnf(args, cfg: CliConfig) -> _Output:
+    inst = args.inst
     formula = cnf.encode(args.n_max, inst)
     cnf.write_dimacs(formula, args.out)
     payload = {
@@ -382,69 +317,52 @@ def _cmd_cnf(args, cfg: CliConfig) -> int:
         "clause_count": formula.clause_count,
         "solver": None,
     }
-    if cfg.output_format != "json":
-        _emit(f"wrote {args.out}: {formula.variable_count} variables, {formula.clause_count} clauses")
+    lines = [f"wrote {args.out}: {formula.variable_count} variables, {formula.clause_count} clauses"]
     if args.solver is None:
-        if cfg.output_format == "json":
-            _emit_json(payload)
-        return 0
+        return payload, lines, 0
     try:
         run = cnf.run_external_solver(args.solver, formula, timeout=cfg.budget.max_seconds)
     except FileNotFoundError as exc:
         raise DomainError(f"solver not found: {exc}") from exc
     except subprocess.TimeoutExpired:
         print(f"timeout: solver ran past {cfg.budget.max_seconds} s", file=sys.stderr)
-        return 2
+        return None, lines, 2  # no document: JSON output stays empty
     payload["solver"] = run.to_dict()
-    decoded = None
+    lines.append(f"solver status: {run.status}")
+    code = 0 if run.status in ("SATISFIABLE", "UNSATISFIABLE") else 2
     if run.status == "SATISFIABLE" and run.model is not None:
         decoded = cnf.decode_model(run.model, args.n_max, inst)
         valid = search.verify_certificate(decoded, inst.k)
         payload["certificate"] = decoded.to_dict(k=inst.k)
         payload["certificate_verifies"] = valid
-    if cfg.output_format == "json":
-        _emit_json(payload)
-    else:
-        _emit(f"solver status: {run.status}")
-        if decoded is not None:
-            _emit("decoded certificate: " + " ".join(str(c) for c in decoded.colors))
-            _emit(f"certificate verifies: {'yes' if payload['certificate_verifies'] else 'NO'}")
-    if decoded is not None and not payload["certificate_verifies"]:
-        raise IntegrityError("solver model decodes to an invalid certificate")
-    return 0 if run.status in ("SATISFIABLE", "UNSATISFIABLE") else 2
+        lines.append("decoded certificate: " + _colors(decoded))
+        lines.append(f"certificate verifies: {'yes' if valid else 'NO'}")
+        if not valid:
+            # the payload is still printed, so the error is reported here, not raised
+            print("integrity error: solver model decodes to an invalid certificate", file=sys.stderr)
+            code = 3
+    return payload, lines, code
 
 
-def _cmd_verify(args, cfg: CliConfig) -> int:
-    _require_text_or_json(cfg, "verify")
+def _cmd_verify(args, cfg: CliConfig) -> _Output:
     try:
-        text = args.certificate.read_text()
-    except OSError as exc:
+        text = args.certificate.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read certificate: {exc}") from exc
     coloring, file_k = search.certificate_from_json(text)
     k = args.k if args.k is not None else file_k
     if k is None:
         raise DomainError("certificate has no k field; pass --k")
     witness = search.find_mono_ap(coloring, k)
-    if cfg.output_format == "json":
-        _emit_json(
-            {
-                "valid": witness is None,
-                "k": k,
-                "witness": None if witness is None else witness.to_dict(),
-            }
-        )
-    elif witness is None:
-        _emit("VALID")
-    else:
-        _emit(f"INVALID: monochromatic AP a={witness.a} d={witness.d} color={witness.color}")
-    return 0 if witness is None else 1
+    if witness is None:
+        return {"valid": True, "k": k, "witness": None}, ["VALID"], 0
+    line = f"INVALID: monochromatic AP a={witness.a} d={witness.d} color={witness.color}"
+    return {"valid": False, "k": k, "witness": witness.to_dict()}, [line], 1
 
 
-def _cmd_report(args, cfg: CliConfig) -> int:
-    _require_text_or_json(cfg, "report")
-    inst = VdwInstance(args.r, args.k)
-    _emit_json(registry.report(inst))
-    return 0
+def _cmd_report(args, cfg: CliConfig) -> _Output:
+    doc = registry.report(args.inst)
+    return doc, [json.dumps(doc, indent=2)], 0
 
 
 def main(argv=None) -> int:
@@ -455,7 +373,16 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 64
     try:
         cfg = _resolve_config(args)
-        return args.handler(args, cfg)
+        fmt = cfg.output_format
+        if fmt in ("csv", "markdown") and args.command != "table-a":
+            raise ConfigError(f"format {fmt!r} is only supported by table-a, not {args.command}")
+        if "r" in args:
+            args.inst = VdwInstance(args.r, args.k)
+        document, lines, code = args.handler(args, cfg)
+        if fmt == "json":
+            lines = [] if document is None else [json.dumps(document, indent=2)]
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        return code
     except BudgetExhausted as exc:
         print(f"timeout: {exc} (nodes={exc.nodes})", file=sys.stderr)
         return 2

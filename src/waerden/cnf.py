@@ -26,7 +26,7 @@ from typing import IO, Sequence
 
 from ._record import Record
 from .bounds import VdwInstance
-from .errors import DecodeError, DomainError, TriviallySatisfiableError
+from .errors import DecodeError, DomainError, TriviallySatisfiableError, require_int
 from .search import Coloring
 
 ENCODING_VERSION = "direct-onehot-1"
@@ -45,8 +45,7 @@ class CnfFormula(Record):
     comments: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.variable_count, int) or self.variable_count < 0:
-            raise DomainError(f"variable_count must be >= 0, got {self.variable_count!r}")
+        require_int(self.variable_count, 0, "variable_count must be >= 0")
         clauses = tuple(tuple(cl) for cl in self.clauses)
         object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "comments", tuple(self.comments))
@@ -102,8 +101,7 @@ def encode(N: int, inst: VdwInstance) -> CnfFormula:
     N < k is rejected: every coloring is trivially AP-free, no formula is
     emitted.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise DomainError(f"N must be a positive integer, got {N!r}")
+    require_int(N, 1, "N must be a positive integer")
     r, k = inst.r, inst.k
     if N < k:
         raise TriviallySatisfiableError(

@@ -46,3 +46,10 @@ class BudgetExhausted(WaerdenError):
         self.lower_bound = lower_bound
         self.nodes = nodes
         self.seconds = seconds
+
+
+def require_int(value, low: float, rule: str, error: type[WaerdenError] = DomainError) -> None:
+    """Raise `error` with "<rule>, got <value>" unless value is an int, not a
+    bool, and at least `low`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise error(f"{rule}, got {value!r}")

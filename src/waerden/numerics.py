@@ -18,20 +18,10 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from ._record import Record
-from .errors import ConfigError, DomainError, IntegrityError
+from .errors import ConfigError, DomainError, IntegrityError, require_int
 
 DEFAULT_DELTA_PRECISION = 6
 MAX_DELTA_PRECISION = 100
-
-
-def _require_positive(value: int, what: str = "N") -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise DomainError(f"{what} must be a positive integer, got {value!r}")
-
-
-def _require_base(base: int, what: str = "base") -> None:
-    if not isinstance(base, int) or isinstance(base, bool) or base < 2:
-        raise DomainError(f"{what} must be an integer >= 2, got {base!r}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +36,7 @@ class RadixExpansion(Record):
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        _require_base(self.base)
+        require_int(self.base, 2, "base must be an integer >= 2")
         digits = tuple(self.digits)
         object.__setattr__(self, "digits", digits)
         if not digits:
@@ -142,8 +132,8 @@ class IntersectionBracket(Record):
 
 def expand(N: int, base: int) -> RadixExpansion:
     """Expand N >= 1 into base-`base` digits, most significant first."""
-    _require_positive(N)
-    _require_base(base)
+    require_int(N, 1, "N must be a positive integer")
+    require_int(base, 2, "base must be an integer >= 2")
     digits = []
     q = N
     while q:
@@ -165,8 +155,8 @@ def reconstruct(e: RadixExpansion) -> int:
 
 def bracket_exponent(N: int, base: int) -> Bracket:
     """Unique n with base**n <= N < base**(n+1); equals digit count minus one."""
-    _require_positive(N)
-    _require_base(base)
+    require_int(N, 1, "N must be a positive integer")
+    require_int(base, 2, "base must be an integer >= 2")
     n = len(expand(N, base).digits) - 1
     if not base**n <= N < base ** (n + 1):
         raise IntegrityError(
@@ -180,10 +170,9 @@ def delta(N: int, base: int, precision: int = DEFAULT_DELTA_PRECISION) -> DeltaR
 
     Exact powers are detected by integer comparison and reported exactly.
     """
-    _require_positive(N)
-    _require_base(base)
-    if not isinstance(precision, int) or isinstance(precision, bool) or precision < 0:
-        raise ConfigError(f"precision must be a non-negative integer, got {precision!r}")
+    require_int(N, 1, "N must be a positive integer")
+    require_int(base, 2, "base must be an integer >= 2")
+    require_int(precision, 0, "precision must be a non-negative integer", ConfigError)
     if precision > MAX_DELTA_PRECISION:
         raise ConfigError(
             f"precision {precision} exceeds the supported limit {MAX_DELTA_PRECISION}"
@@ -203,8 +192,8 @@ def delta(N: int, base: int, precision: int = DEFAULT_DELTA_PRECISION) -> DeltaR
 
 def approx_errors(N: int, base: int) -> ApproxErrors:
     """Relative errors of base**n ~ N, by two independent routes."""
-    _require_positive(N)
-    _require_base(base)
+    require_int(N, 1, "N must be a positive integer")
+    require_int(base, 2, "base must be an integer >= 2")
     if N < base:
         raise DomainError(
             f"need N >= base so that n >= 1; got N={N} < base={base}"
@@ -221,9 +210,9 @@ def tower_bound(c: int, X: int, W: int) -> float:
 
     bracket_exponent(W, c**X).n <= tower_bound(c, X, W), however large c**X is.
     """
-    _require_base(c, "c")
-    _require_positive(X, "X")
-    _require_positive(W, "W")
+    require_int(c, 2, "c must be an integer >= 2")
+    require_int(X, 1, "X must be a positive integer")
+    require_int(W, 1, "W must be a positive integer")
     if W == 1:
         return 0.0
     base = c**X
@@ -242,9 +231,9 @@ def intersection_bracket(W: int, r: int, k: int) -> IntersectionBracket:
     Rejects W smaller than both bases; if W is at least one base the
     degenerate zero exponent on the other side is still exact.
     """
-    _require_positive(W, "W")
-    _require_base(r, "r")
-    _require_base(k, "k")
+    require_int(W, 1, "W must be a positive integer")
+    require_int(r, 2, "r must be an integer >= 2")
+    require_int(k, 2, "k must be an integer >= 2")
     if W < r and W < k:
         raise DomainError(f"W={W} is below both bases r={r} and k={k}")
     n = bracket_exponent(W, r).n

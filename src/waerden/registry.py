@@ -127,9 +127,10 @@ def known_values() -> tuple[KnownValue, ...]:
 
 
 def lookup(inst: VdwInstance) -> KnownValue | None:
-    for entry in known_values():
-        if entry.inst == inst:
-            return entry
+    for kind, entries in (("exact", _EXACT), ("lower_bound", _LOWER)):
+        for r, k, value, source in entries:
+            if (r, k) == inst.key:
+                return KnownValue(inst, kind, value, source)
     return None
 
 
@@ -146,33 +147,33 @@ def _check_display(cell: str, recomputed: Decimal, label: str) -> None:
         )
 
 
+def _table_row(r: int, k: int, w: int) -> TableARow:
+    """The derived row of W(r, k) = w, recomputed and checked against its display."""
+    stored_sqrt, stored_n, stored_log = _TABLE_DISPLAY[(r, k)]
+    n = bracket_exponent(w, r).n
+    if n != stored_n:
+        raise IntegrityError(
+            f"table integrity failure: W({r},{k}) brackets at n={n}, stored {stored_n}"
+        )
+    _check_display(stored_sqrt, Decimal(repr(math.sqrt(n + 1))), f"sqrt(n+1) of W({r},{k})")
+    _check_display(stored_log, delta(w, r, precision=6).value, f"log_{r} W({r},{k})")
+    return TableARow(
+        r=r,
+        k=k,
+        sqrt_n_plus_1=stored_sqrt,
+        n=n,
+        log_r_w=stored_log,
+        n_plus_1=n + 1,
+        r_pow_n=_pow_str(r, n),
+        w=w,
+        r_pow_n_plus_1=_pow_str(r, n + 1),
+        r_pow_k_squared=_pow_str(r, k * k),
+    )
+
+
 def table_a() -> tuple[TableARow, ...]:
     """The seven-row derived table, recomputed and integrity-checked."""
-    rows = []
-    for r, k, w, _source in _EXACT:
-        stored_sqrt, stored_n, stored_log = _TABLE_DISPLAY[(r, k)]
-        n = bracket_exponent(w, r).n
-        if n != stored_n:
-            raise IntegrityError(
-                f"table integrity failure: W({r},{k}) brackets at n={n}, stored {stored_n}"
-            )
-        _check_display(stored_sqrt, Decimal(repr(math.sqrt(n + 1))), f"sqrt(n+1) of W({r},{k})")
-        _check_display(stored_log, delta(w, r, precision=6).value, f"log_{r} W({r},{k})")
-        rows.append(
-            TableARow(
-                r=r,
-                k=k,
-                sqrt_n_plus_1=stored_sqrt,
-                n=n,
-                log_r_w=stored_log,
-                n_plus_1=n + 1,
-                r_pow_n=_pow_str(r, n),
-                w=w,
-                r_pow_n_plus_1=_pow_str(r, n + 1),
-                r_pow_k_squared=_pow_str(r, k * k),
-            )
-        )
-    return tuple(rows)
+    return tuple(_table_row(r, k, w) for r, k, w, _source in _EXACT)
 
 
 def table_a_csv() -> str:
@@ -229,10 +230,7 @@ def report(inst: VdwInstance) -> dict:
     lower_bound = entry.value if entry is not None and entry.kind == "lower_bound" else None
 
     if exact_value is not None:
-        for row in table_a():
-            if (row.r, row.k) == inst.key:
-                doc["table_row"] = row.to_dict()
-                break
+        doc["table_row"] = _table_row(inst.r, inst.k, exact_value).to_dict()
         doc["conjecture"] = conjecture_certificate(exact_value, inst).to_dict()
         doc["exponent_relations"] = exponent_relations(inst, exact_value).to_dict()
 

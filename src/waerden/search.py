@@ -61,6 +61,7 @@ from .errors import (
     ConfigError,
     DomainError,
     IntegrityError,
+    require_int,
 )
 
 # Instances whose exact value is reproducible at desk scale.  Anything else
@@ -98,10 +99,10 @@ class Budget(Record):
     max_seconds: float = 600.0
 
     def __post_init__(self):
-        if not isinstance(self.max_nodes, int) or self.max_nodes < 1:
-            raise ConfigError(f"max_nodes must be a positive integer, got {self.max_nodes!r}")
-        if not self.max_seconds > 0:
-            raise ConfigError(f"max_seconds must be positive, got {self.max_seconds!r}")
+        require_int(self.max_nodes, 1, "max_nodes must be a positive integer", ConfigError)
+        seconds = self.max_seconds
+        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)) or not seconds > 0:
+            raise ConfigError(f"max_seconds must be positive, got {seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -119,10 +120,8 @@ class Coloring(Record):
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if self.N < 1:
-            raise DomainError(f"N must be >= 1, got {self.N}")
-        if self.r < 2:
-            raise DomainError(f"r must be >= 2, got {self.r}")
+        require_int(self.N, 1, "N must be >= 1")
+        require_int(self.r, 2, "r must be >= 2")
         colors = tuple(self.colors)
         object.__setattr__(self, "colors", colors)
         if len(colors) != self.N:
@@ -192,8 +191,7 @@ class PlannedInterval(Record):
 
 def find_mono_ap(coloring: Coloring, k: int) -> APWitness | None:
     """First monochromatic k-AP in (d, a)-lexicographic order, or None."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 3:
-        raise DomainError(f"k must be an integer >= 3, got {k!r}")
+    require_int(k, 3, "k must be an integer >= 3")
     N = coloring.N
     colors = coloring.colors
     for d in range(1, (N - 1) // (k - 1) + 1):
@@ -612,10 +610,8 @@ def decide_colorability(
     (N + 1) / 2 first, ties left first), colors ascending, forced positions
     propagated.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise DomainError(f"N must be a positive integer, got {N!r}")
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
+    require_int(N, 1, "N must be a positive integer")
+    require_int(threads, 1, "threads must be a positive integer", ConfigError)
     if budget is None:
         budget = Budget()
     r, k = inst.r, inst.k
@@ -741,6 +737,6 @@ def certificate_from_json(text: str) -> tuple[Coloring, int | None]:
         raise DomainError("certificate 'colors' must be a list")
     coloring = Coloring(N=data["N"], r=data["r"], colors=tuple(data["colors"]))
     k = data.get("k")
-    if k is not None and (not isinstance(k, int) or isinstance(k, bool) or k < 3):
-        raise DomainError(f"certificate 'k' must be an integer >= 3, got {k!r}")
+    if k is not None:
+        require_int(k, 3, "certificate 'k' must be an integer >= 3")
     return coloring, k

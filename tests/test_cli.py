@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from waerden import read_dimacs, encode, VdwInstance, known_values
+from waerden import read_dimacs, encode, report, VdwInstance, known_values
 from waerden.cli import main
 
 
@@ -32,9 +32,7 @@ class TestNumericCommands:
 
     def test_bracket(self, capsys):
         code, out, _ = run(capsys, "bracket", "1132", "--base", "2")
-        assert code == 0
-        assert out.splitlines()[0] == "n = 10"
-        assert out.splitlines()[1] == "2^10 <= 1132 < 2^11"
+        assert code == 0 and out == "n = 10\n2^10 <= 1132 < 2^11\n"
 
     def test_delta_with_precision(self, capsys):
         code, out, _ = run(capsys, "delta", "9", "--base", "2", "--precision", "3")
@@ -53,21 +51,27 @@ class TestBoundsCommands:
     def test_check(self, capsys):
         code, out, _ = run(capsys, "check", "9", "--r", "2", "--k", "3")
         assert code == 0
-        assert "n = 3" in out
-        assert "2^3 <= 9: pass" in out
-        assert "power-of-ten bound: (10^4)^log10(2) = 16" in out
+        assert out.splitlines() == [
+            "n = 3",
+            "2^3 <= 9: pass",
+            "9 < 2^4: pass",
+            "2^4 <= 2^9: pass",
+            "condition k^2 >= n+1: holds (9 vs 4)",
+            "power-of-ten bound: (10^4)^log10(2) = 16",
+        ]
 
     def test_nrange_w27(self, capsys):
         code, out, _ = run(capsys, "nrange", "--r", "2", "--k", "7", "--lower", "3703")
         assert code == 0
-        assert out.splitlines()[0] == "[11, 48]"
+        assert out == "[11, 48]\nupper power bound: 2^49 = 562949953421312\n"
 
     def test_nrange_w210_upper_endpoint(self, capsys):
         code, out, _ = run(capsys, "nrange", "--r", "2", "--k", "10", "--lower", "103474")
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "[16, 99]"
-        assert lines[1] == "upper power bound: 2^100 = 1267650600228229401496703205376"
+        assert out.splitlines() == [
+            "[16, 99]",
+            "upper power bound: 2^100 = 1267650600228229401496703205376",
+        ]
 
     def test_nrange_infeasible(self, capsys):
         code, _, err = run(capsys, "nrange", "--r", "2", "--k", "3", "--lower", "512")
@@ -76,7 +80,13 @@ class TestBoundsCommands:
     def test_erdos_rado(self, capsys):
         code, out, _ = run(capsys, "erdos-rado", "--r", "3", "--k", "3", "--n", "3")
         assert code == 0
-        assert "theorem chain holds: yes" in out
+        assert out.splitlines() == [
+            "lower bound: W(3,3) > 6.0",
+            "exponent threshold: 1.6309297535714573",
+            "n = 3 exceeds threshold: yes",
+            "r^n exceeds bound (exact): yes",
+            "theorem chain holds: yes",
+        ]
 
     def test_report_json(self, capsys):
         code, out, _ = run(capsys, "report", "--r", "2", "--k", "7")
@@ -90,6 +100,12 @@ class TestBoundsCommands:
             "upper_power_value": 2**49,
         }
         assert len(doc["plan"]) == 38
+
+    def test_report_text_is_its_json(self, capsys):
+        code, out, _ = run(capsys, "report", "--r", "2", "--k", "3")
+        assert code == 0
+        assert out == json.dumps(report(VdwInstance(2, 3)), indent=2) + "\n"
+        assert run(capsys, "report", "--r", "2", "--k", "3", "--format", "json")[1] == out
 
 
 class TestTableA:
@@ -211,11 +227,23 @@ class TestVerifyCommand:
         path.write_text('{"r": 2, "k": 3, "N": 3, "colors": [1, 1, 1]}')
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
-        assert out.startswith("INVALID: monochromatic AP a=1 d=1")
+        assert out == "INVALID: monochromatic AP a=1 d=1 color=1\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("content", [
+        b'{"r": 2, "k": 3, "N": "3", "colors": [1, 0, 1]}',
+        b'{"r": 2, "k": 3, "N": 3.0, "colors": [1, 0, 1]}',
+        b'{"r": 2.5, "k": 3, "N": 3, "colors": [1, 0, 1]}',
+        b'\xff\xfe{\x00}\x00',  # UTF-16 with a byte-order mark, not UTF-8
+    ], ids=["N-str", "N-float", "r-float", "not-utf8"])
+    def test_malformed_certificate_exit_one(self, capsys, tmp_path, content):
+        path = tmp_path / "cert.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1 and out == "" and err.startswith("error: ")
 
 
 class TestCnfCommand:
@@ -247,6 +275,40 @@ class TestCnfCommand:
         )
         assert code == 0
         assert "solver status: UNSATISFIABLE" in out
+
+    def test_solver_sat_model(self, capsys, tmp_path):
+        solver = tmp_path / "solver.py"
+        solver.write_text("print('s SATISFIABLE')\nprint('v 1 2 -3 -4 5 6 -7 -8 0')\n")
+        out_path = tmp_path / "w.cnf"
+        code, out, _ = run(
+            capsys, "cnf", "--r", "2", "--k", "3", "--n-max", "8",
+            "--out", str(out_path), "--solver", f"{sys.executable} {solver}",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            f"wrote {out_path}: 8 variables, 24 clauses",
+            "solver status: SATISFIABLE",
+            "decoded certificate: 1 1 0 0 1 1 0 0",
+            "certificate verifies: yes",
+        ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_solver_model_with_mono_ap_prints_then_exits_three(self, capsys, tmp_path, fmt):
+        solver = tmp_path / "solver.py"
+        solver.write_text("print('s SATISFIABLE')\nprint('v 1 2 3 -4 5 6 -7 -8 0')\n")
+        code, out, err = run(
+            capsys, "cnf", "--r", "2", "--k", "3", "--n-max", "8", "--out", str(tmp_path / "w.cnf"),
+            "--solver", f"{sys.executable} {solver}", "--format", fmt,
+        )
+        assert code == 3
+        assert err == "integrity error: solver model decodes to an invalid certificate\n"
+        if fmt == "json":
+            assert json.loads(out)["certificate_verifies"] is False
+        else:
+            assert out.splitlines()[2:] == [
+                "decoded certificate: 1 1 1 0 1 1 0 0",
+                "certificate verifies: NO",
+            ]
 
     def test_solver_unknown_exit_two(self, capsys, tmp_path):
         solver = tmp_path / "solver.py"
@@ -348,6 +410,19 @@ class TestConfigAndUsage:
         cfg.write_text('{"frobs": 1}')
         code, _, err = run(capsys, "delta", "9", "--base", "2", "--config", str(cfg))
         assert code == 1 and "unknown config keys" in err
+
+    @pytest.mark.parametrize("content", [
+        b'{"max_seconds": "5"}',
+        b'{"threads": true}',
+        b'\xff\xfe{\x00}\x00',  # UTF-16 with a byte-order mark, not UTF-8
+    ], ids=["max_seconds-str", "threads-bool", "not-utf8"])
+    def test_malformed_config_exit_one(self, capsys, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        code, out, err = run(
+            capsys, "search", "--r", "2", "--k", "3", "--n-max", "8", "--config", str(cfg)
+        )
+        assert code == 1 and out == "" and err.startswith("error: ")
 
     def test_env_threads(self, capsys, monkeypatch):
         monkeypatch.setenv("WAERDEN_THREADS", "2")

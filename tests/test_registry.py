@@ -40,6 +40,7 @@ class TestKnownValues:
         assert lookup(VdwInstance(2, 7)).value == 3703
         assert lookup(VdwInstance(2, 7)).kind == "lower_bound"
         assert lookup(VdwInstance(9, 9)) is None
+        assert [lookup(entry.inst) for entry in known_values()] == list(known_values())
 
     def test_lower_bounds_below_their_instances_exact_style(self):
         # lower bounds are strictly below the next power bracket they refine
@@ -97,6 +98,15 @@ class TestTableA:
         monkeypatch.setattr(registry, "_TABLE_DISPLAY", broken)
         with pytest.raises(IntegrityError):
             table_a()
+
+    def test_report_checks_its_own_row(self, monkeypatch):
+        # report builds only its own instance's row, not the whole table
+        broken = dict(registry._TABLE_DISPLAY)
+        broken[(3, 4)] = ("2.449", 5, "5.270")
+        monkeypatch.setattr(registry, "_TABLE_DISPLAY", broken)
+        assert report(VdwInstance(2, 3))["table_row"]["n"] == 3
+        with pytest.raises(IntegrityError):
+            report(VdwInstance(3, 4))
 
     def test_csv_shape(self):
         lines = registry.table_a_csv().strip().split("\n")

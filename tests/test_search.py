@@ -99,6 +99,9 @@ class TestColoringValidation:
             Coloring(N=2, r=2, colors=(0, 2))  # color out of range
         with pytest.raises(DomainError):
             Coloring(N=0, r=2, colors=())
+        for N, r in (("3", 2), (3.0, 2), (3, 2.5), (True, 2)):
+            with pytest.raises(DomainError):
+                Coloring(N=N, r=r, colors=(0, 1, 0))
 
 
 class TestDecideColorability:
@@ -255,6 +258,9 @@ class TestDecideColorability:
             Budget(max_nodes=0)
         with pytest.raises(ConfigError):
             Budget(max_seconds=0.0)
+        for bad in ({"max_nodes": True}, {"max_seconds": "5"}, {"max_seconds": True}):
+            with pytest.raises(ConfigError):
+                Budget(**bad)
 
 
 @pytest.mark.parametrize(
