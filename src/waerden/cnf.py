@@ -15,12 +15,14 @@ as a fallback when no status line is printed.
 
 from __future__ import annotations
 
+import math
 import os
 import shlex
 import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -46,9 +48,16 @@ class CnfFormula(Record):
 
     def __post_init__(self):
         require_int(self.variable_count, 0, "variable_count must be >= 0")
-        clauses = tuple(tuple(cl) for cl in self.clauses)
+        clauses = tuple(map(tuple, self.clauses))
         object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "comments", tuple(self.comments))
+        # every literal is tested at C speed; only a formula that fails (or
+        # holds an int subclass) walks the loop below for its first error
+        flat = list(chain.from_iterable(clauses))
+        if all(clauses) and set(map(type, flat)) <= {int}:
+            distinct = set(flat)
+            if 0 not in distinct and max(map(abs, distinct), default=0) <= self.variable_count:
+                return
         for cl in clauses:
             if not cl:
                 raise DomainError("empty clause is not allowed at encode time")
@@ -80,14 +89,16 @@ class SolverResult(Record):
     returncode: int | None = None
 
 
-def _aps(N: int, k: int) -> list[tuple[int, ...]]:
-    """All k-term APs inside [1, N], (d, a)-lexicographic."""
-    out = []
-    for d in range(1, (N - 1) // (k - 1) + 1):
-        span = (k - 1) * d
-        for a in range(1, N - span + 1):
-            out.append(tuple(a + j * d for j in range(k)))
-    return out
+class _Memo(dict):
+    """Maps each key to convert(key), calling convert once per distinct key."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
 
 
 def _one_hot(i: int, c: int, r: int) -> int:
@@ -107,28 +118,38 @@ def encode(N: int, inst: VdwInstance) -> CnfFormula:
         raise TriviallySatisfiableError(
             f"N={N} < k={k}: no k-AP fits, every coloring is a certificate"
         )
-    aps = _aps(N, k)
     comments = (
         f"waerden instance N={N} r={r} k={k}",
         f"encoding={ENCODING_VERSION}",
     )
+    # Clauses are slices of two shared tuples of literals, so each one is
+    # built in C and all of them share their int objects.  The members of an
+    # AP a, a+d, ... are pos[a:a + k*d:d]; for r > 2 its one-hot variables of
+    # one color step by d*r.  APs come (d, a)-lexicographic.
+    variable_count = N if r == 2 else N * r
+    pos = tuple(range(variable_count + 1))
+    neg = tuple(range(0, -variable_count - 1, -1))  # neg[v] == -v
+    aps = ((a, d) for d in range(1, (N - 1) // (k - 1) + 1) for a in range(1, N - (k - 1) * d + 1))
     clauses: list[tuple[int, ...]] = []
     if r == 2:
-        for positions in aps:
-            clauses.append(tuple(-p for p in positions))  # not all color 1
-            clauses.append(positions)  # not all color 0
-        return CnfFormula(N, tuple(clauses), comments)
+        for a, d in aps:
+            stop = a + k * d
+            clauses.append(neg[a:stop:d])  # not all color 1
+            clauses.append(pos[a:stop:d])  # not all color 0
+        return CnfFormula(variable_count, tuple(clauses), comments)
     # one-hot: at-least-one, pairwise at-most-one, then per-(AP, color) clauses
     for i in range(1, N + 1):
-        clauses.append(tuple(_one_hot(i, c, r) for c in range(1, r + 1)))
+        clauses.append(pos[_one_hot(i, 1, r):_one_hot(i, r, r) + 1])
     for i in range(1, N + 1):
         for c1 in range(1, r + 1):
             for c2 in range(c1 + 1, r + 1):
-                clauses.append((-_one_hot(i, c1, r), -_one_hot(i, c2, r)))
-    for positions in aps:
+                clauses.append((neg[_one_hot(i, c1, r)], neg[_one_hot(i, c2, r)]))
+    for a, d in aps:
+        step = d * r
         for c in range(1, r + 1):
-            clauses.append(tuple(-_one_hot(p, c, r) for p in positions))
-    return CnfFormula(N * r, tuple(clauses), comments)
+            first = _one_hot(a, c, r)
+            clauses.append(neg[first:first + k * step:step])
+    return CnfFormula(variable_count, tuple(clauses), comments)
 
 
 def expected_clause_count(N: int, inst: VdwInstance) -> int:
@@ -156,8 +177,10 @@ def write_dimacs(formula: CnfFormula, sink: IO[str] | str | Path) -> None:
     sink.write(f"p cnf {formula.variable_count} {formula.clause_count}\n")
     for line in formula.comments:
         sink.write(f"c {line}\n")
-    for clause in formula.clauses:
-        sink.write(" ".join(str(lit) for lit in clause) + " 0\n")
+    if formula.clauses:
+        text = _Memo(str).__getitem__
+        lines = [" ".join(map(text, clause)) for clause in formula.clauses]
+        sink.write(" 0\n".join(lines) + " 0\n")
 
 
 def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
@@ -174,14 +197,15 @@ def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
     comments: list[str] = []
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
+    parse = _Memo(int).__getitem__
     for raw in source:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("c"):
+        if line[0] == "c":
             comments.append(line[2:] if line.startswith("c ") else line[1:])
             continue
-        if line.startswith("p"):
+        if line[0] == "p":
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DomainError(f"malformed problem line: {line!r}")
@@ -192,16 +216,20 @@ def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
                 raise DomainError(f"non-integer count in problem line: {line!r}") from None
             continue
         try:
-            for token in line.split():
-                lit = int(token)
-                if lit == 0:
-                    if current:
-                        clauses.append(tuple(current))
-                        current = []
-                else:
-                    current.append(lit)
+            lits = tuple(map(parse, line.split()))
         except ValueError:
             raise DomainError(f"non-integer token in clause line: {line!r}") from None
+        clause = lits[:-1]
+        if lits[-1] == 0 and clause and not current and 0 not in clause:
+            clauses.append(clause)  # the usual layout: one clause per line
+            continue
+        for lit in lits:
+            if lit == 0:
+                if current:
+                    clauses.append(tuple(current))
+                    current = []
+            else:
+                current.append(lit)
     if current:
         raise DomainError("last clause is not 0-terminated")
     if variable_count is None:
@@ -289,8 +317,11 @@ def run_external_solver(
     Exit codes 10/20 stand in for a missing status line.  The solver binary
     not existing raises FileNotFoundError; timeouts raise
     subprocess.TimeoutExpired after killing the solver's whole process
-    group, so no helper process it started outlives the call.
+    group, so no helper process it started outlives the call.  A timeout
+    that is not finite (inf, nan) is no limit.
     """
+    if timeout is not None and not math.isfinite(timeout):
+        timeout = None
     argv = shlex.split(command) if isinstance(command, str) else list(command)
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", encoding="ascii", delete=False

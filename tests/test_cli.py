@@ -338,6 +338,22 @@ class TestCnfCommand:
         )
         assert code == 2 and "timeout" in err
 
+    def test_solver_without_time_limit(self, capsys, tmp_path):
+        # `--max-seconds inf` means no limit, for the solver as for `search`
+        solver = tmp_path / "solver.py"
+        solver.write_text("print('s UNSATISFIABLE')\n")
+        out_path = tmp_path / "w.cnf"
+        code, out, err = run(
+            capsys, "cnf", "--r", "2", "--k", "3", "--n-max", "9",
+            "--out", str(out_path), "--solver", f"{sys.executable} {solver}",
+            "--max-seconds", "inf",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"wrote {out_path}: 9 variables, 32 clauses",
+            "solver status: UNSATISFIABLE",
+        ]
+
     def test_solver_timeout_kills_process_group(self, capsys, tmp_path):
         # the fake solver starts a sleeping helper and reports its pid; a
         # timeout must take the helper down with the solver

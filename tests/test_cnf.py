@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import enum
+import hashlib
 import io
+import math
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from waerden import (
@@ -78,6 +83,14 @@ class TestEncode:
         model = (-1, 2, -3, -4, -5, 6)
         assert decode_model(model, 2, VdwInstance(3, 3)).colors == (1, 2)
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_matches_the_oracle(self, r, k):
+        for n in range(k, 21):
+            f = encode(n, VdwInstance(r, k))
+            assert f.variable_count == (n if r == 2 else n * r)
+            assert f.clauses == _oracle_clauses(n, r, k), f"N={n} ({r},{k})"
+
     def test_formula_validation(self):
         with pytest.raises(DomainError):
             CnfFormula(2, ((1, 0),))
@@ -85,6 +98,48 @@ class TestEncode:
             CnfFormula(2, ((3,),))
         with pytest.raises(DomainError):
             CnfFormula(2, ((),))
+
+    @pytest.mark.parametrize(
+        "clauses, message",
+        [
+            (((),), "empty clause is not allowed at encode time"),
+            (((1, 0),), "invalid literal 0"),
+            (((True,),), "invalid literal True"),
+            (((1, False),), "invalid literal False"),
+            (((1.0,),), "invalid literal 1.0"),
+            ((("1",),), "invalid literal '1'"),
+            (((None,),), "invalid literal None"),
+            (((3,),), "literal 3 references a variable beyond 2"),
+            (((-3,),), "literal -3 references a variable beyond 2"),
+            # an error in a later clause, behind a valid first clause
+            (((1, -2), (2, 0)), "invalid literal 0"),
+            (((1, -2), ()), "empty clause is not allowed at encode time"),
+            (((1, -2), (-2, 7)), "literal 7 references a variable beyond 2"),
+            # two errors: the first one in clause order wins
+            (((1, 3), (0,)), "literal 3 references a variable beyond 2"),
+            (((1, 0), (3,)), "invalid literal 0"),
+            (((-4, 0),), "literal -4 references a variable beyond 2"),
+            (((1, "x", 3),), "invalid literal 'x'"),
+            (((2,), (), ("x",)), "empty clause is not allowed at encode time"),
+            (((5,), (1.0,)), "literal 5 references a variable beyond 2"),
+        ],
+    )
+    def test_formula_error_messages(self, clauses, message):
+        with pytest.raises(DomainError) as info:
+            CnfFormula(2, clauses)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("count", [-1, True, 2.0])
+    def test_formula_variable_count(self, count):
+        with pytest.raises(DomainError) as info:
+            CnfFormula(count, ())
+        assert str(info.value) == f"variable_count must be >= 0, got {count!r}"
+
+    def test_formula_accepts_int_subclasses_and_lists(self):
+        f = CnfFormula(2, [[_Lit.ONE, -_Lit.TWO], (_Lit.TWO,)])
+        assert f.clauses == ((1, -2), (2,))
+        assert f.clauses[0][0] is _Lit.ONE
+        assert CnfFormula(0, ()).clauses == ()
 
 
 class TestDimacs:
@@ -106,6 +161,20 @@ class TestDimacs:
             assert g.clauses == f.clauses
             assert g.comments == f.comments
 
+    @pytest.mark.parametrize(
+        "r, k, n, digest",
+        [
+            (2, 6, 200, "4da6629ecfcdf8f2f9f06afd6d24a65b07ca6551cbbc8126bdb8c0abd3014b62"),
+            (3, 4, 60, "7b3c2429c1463b4e806440eeed9e48dad8a4a382183ec6eb5e2afae67704e129"),
+            (4, 3, 30, "cbde19ca58dd4d4bba3e867ad2b8222f2d7ce45351aa72d014de681e4f6c8513"),
+        ],
+    )
+    def test_written_bytes_are_pinned(self, r, k, n, digest):
+        # SHA-256 of the DIMACS text: the written bytes must not change between versions
+        buf = io.StringIO()
+        write_dimacs(encode(n, VdwInstance(r, k)), buf)
+        assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == digest
+
     def test_file_sink_and_source(self, tmp_path):
         path = tmp_path / "instance.cnf"
         f = encode(9, VdwInstance(2, 3))
@@ -124,6 +193,130 @@ class TestDimacs:
             read_dimacs(io.StringIO("p cnf 2 1\n1 x 0\n"))  # non-integer literal
         with pytest.raises(DomainError):
             read_dimacs(io.StringIO("p cnf two 1\n1 2 0\n"))  # non-integer count
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2 0\n", "missing `p cnf` header"),
+            ("p cnf 2 2\n1 2 0\n", "header declares 2 clauses, found 1"),
+            ("p cnf 2 1\n1 2\n", "last clause is not 0-terminated"),
+            ("p cnf 2 1\n1 0 2\n", "last clause is not 0-terminated"),
+            ("p cnf 2 1\n1 x 0\n", "non-integer token in clause line: '1 x 0'"),
+            # several clauses on the line, the bad token in the second one
+            ("p cnf 3 2\n1 2 0 -3 x 0\n", "non-integer token in clause line: '1 2 0 -3 x 0'"),
+            # the bad token on the continuation line of a split clause
+            ("p cnf 3 1\n1 -2\n3 2.0 0\n", "non-integer token in clause line: '3 2.0 0'"),
+            ("p cnf two 1\n1 2 0\n", "non-integer count in problem line: 'p cnf two 1'"),
+            ("p dnf 2 1\n1 2 0\n", "malformed problem line: 'p dnf 2 1'"),
+            ("p cnf 2 1\n1 5 0\n", "literal 5 references a variable beyond 2"),
+        ],
+    )
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(DomainError) as info:
+            read_dimacs(io.StringIO(text))
+        assert str(info.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_layout_reads_back(self, data):
+        f = data.draw(_formulas())
+        text = data.draw(_dimacs_layout(f))
+        g = read_dimacs(io.StringIO(text))
+        assert g == f
+        assert g.variable_count == f.variable_count
+        assert g.clauses == f.clauses
+        assert g.comments == f.comments
+
+    def test_written_text_reads_back(self):
+        f = CnfFormula(5, ((1, -5), (_Lit.TWO,), (-3, 4, 2)), ("one", " two", ""))
+        buf = io.StringIO()
+        write_dimacs(f, buf)
+        assert buf.getvalue() == "p cnf 5 3\nc one\nc  two\nc \n1 -5 0\n2 0\n-3 4 2 0\n"
+        g = read_dimacs(io.StringIO(buf.getvalue()))
+        assert (g.clauses, g.comments) == (f.clauses, f.comments)
+
+
+class _Lit(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+def _var(i: int, c: int, r: int) -> int:
+    return (i - 1) * r + c
+
+
+def _oracle_clauses(n: int, r: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The documented encoding, built from the oracle's APs in (d, a) order."""
+    aps = sorted(oracles.naive_all_aps(n, k), key=lambda ap: (ap[1] - ap[0], ap[0]))
+    if r == 2:
+        return tuple(cl for ap in aps for cl in (tuple(-p for p in ap), ap))
+    colors = range(1, r + 1)
+    at_least_one = [tuple(_var(i, c, r) for c in colors) for i in range(1, n + 1)]
+    at_most_one = [
+        (-_var(i, c1, r), -_var(i, c2, r))
+        for i in range(1, n + 1) for c1 in colors for c2 in colors if c1 < c2
+    ]
+    ap_color = [tuple(-_var(p, c, r) for p in ap) for ap in aps for c in colors]
+    return tuple(at_least_one + at_most_one + ap_color)
+
+
+_COMMENT = st.text(alphabet="ab =01\t", max_size=10).map(str.rstrip)
+
+
+@st.composite
+def _formulas(draw):
+    v = draw(st.integers(1, 20))
+    literal = st.integers(1, v).flatmap(lambda x: st.sampled_from((x, -x)))
+    clause = st.lists(literal, min_size=1, max_size=6).map(tuple)
+    clauses = draw(st.lists(clause, max_size=30))
+    comments = draw(st.lists(_COMMENT, max_size=4))
+    return CnfFormula(v, tuple(clauses), tuple(comments))
+
+
+def _token(draw, lit: int) -> str:
+    sign = "-" if lit < 0 else ""
+    return draw(st.sampled_from((str(lit), f"{lit:+d}", f"{sign}0{abs(lit)}")))
+
+
+@st.composite
+def _dimacs_layout(draw, f: CnfFormula):
+    """DIMACS text for f in a random legal layout: clauses shared or split over
+    lines, blank and whitespace-only lines, comments anywhere, lone 0 lines,
+    tokens such as +3 and -02, padding with spaces and tabs."""
+    space = st.sampled_from((" ", "  ", "\t", " \t "))
+    pad = st.sampled_from(("", " ", "\t"))
+    comments = list(f.comments)
+    lines: list[str] = []
+    line: list[str] = []
+
+    def end_line(between_clauses: bool) -> None:
+        if line:
+            text = line[0] + "".join(draw(space) + tok for tok in line[1:])
+            lines.append(draw(pad) + text + draw(pad))
+            line.clear()
+        extras = ["", " \t", "c"] + (["0"] if between_clauses else [])
+        for _ in range(draw(st.integers(0, 2))):
+            extra = draw(st.sampled_from(extras))
+            if extra == "c":
+                if comments:
+                    lines.append("c " + comments.pop(0))
+            else:
+                lines.append(extra)
+
+    end_line(True)
+    line.extend(("p", "cnf", str(f.variable_count), str(f.clause_count)))
+    end_line(True)
+    for clause in f.clauses:
+        for i, lit in enumerate(clause):
+            if i and draw(st.integers(0, 4)) == 0:
+                end_line(False)
+            line.append(_token(draw, lit))
+        line.append(draw(st.sampled_from(("0", "00", "+0", "-0"))))
+        if draw(st.booleans()):
+            end_line(True)
+    end_line(True)
+    lines.extend("c " + c for c in comments)
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
 
 
 class TestDecodeModel:
@@ -257,6 +450,12 @@ class TestExternalSolver:
             "print('s UNSATISFIABLE')\nsys.exit(20)\n",
         )
         run = run_external_solver(cmd, f)
+        assert run.status == "UNSATISFIABLE"
+
+    @pytest.mark.parametrize("timeout", [math.inf, math.nan])
+    def test_non_finite_timeout_is_no_limit(self, tmp_path, timeout):
+        cmd = _fake_solver(tmp_path, "print('s UNSATISFIABLE')\n")
+        run = run_external_solver(cmd, encode(9, VdwInstance(2, 3)), timeout=timeout)
         assert run.status == "UNSATISFIABLE"
 
     def test_missing_solver(self):
