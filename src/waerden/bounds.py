@@ -66,8 +66,15 @@ class PowerOfTenBound(Record):
         return f"(10^{self.ten_exponent})^log10({self.r}) = {self.value}"
 
 
+def _require_ints(**values) -> None:
+    """Reject any named value that is not an int, or is a bool, by name."""
+    for name, value in values.items():
+        require_int(value, -math.inf, f"{name} must be an integer")
+
+
 def power_of_ten_bound(r: int, n: int) -> PowerOfTenBound:
     """Upper bound r**(n+1) in power-of-ten clothing (exact integer value)."""
+    _require_ints(r=r, n=n)
     if r < 2 or n < 0:
         raise DomainError(f"need r >= 2 and n >= 0, got r={r}, n={n}")
     return PowerOfTenBound(ten_exponent=n + 1, r=r, value=r ** (n + 1))
@@ -295,6 +302,7 @@ def pair_compare_same_r(
     w_small: int, k_small: int, w_big: int, k_big: int, r: int
 ) -> SameRComparison:
     """Check W(r, k') < r**n <= W(r, k) < r**(n+1) with n from W(r, k)."""
+    _require_ints(w_small=w_small, k_small=k_small, w_big=w_big, k_big=k_big, r=r)
     if k_small >= k_big:
         raise DomainError(f"need k_small < k_big, got {k_small} >= {k_big}")
     if r < 2:
@@ -317,6 +325,7 @@ def pair_compare_same_k(
     w_small: int, r_small: int, w_big: int, r_big: int, k: int
 ) -> SameKComparison:
     """Check r'**n' <= W(r', k) < W(r, k) < r**(n+1) across two color counts."""
+    _require_ints(w_small=w_small, r_small=r_small, w_big=w_big, r_big=r_big, k=k)
     if r_small >= r_big:
         raise DomainError(f"need r_small < r_big, got {r_small} >= {r_big}")
     if r_small < 2:

@@ -52,7 +52,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from ._record import Record
 from .bounds import VdwInstance, n_range
@@ -215,12 +214,6 @@ def verify_certificate(coloring: Coloring, k: int) -> bool:
     return find_mono_ap(coloring, k) is None
 
 
-# compute_W decides each N once and a pool worker uses one table, so a few
-# entries suffice; one AP table for k = 7 at N = 4096 is hundreds of MiB
-_TABLE_CACHE = 2
-
-
-@lru_cache(maxsize=_TABLE_CACHE)
 def _order(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Middle-out labels of [1, N]: (position of each label, label of each position).
 
@@ -234,8 +227,7 @@ def _order(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (0, *positions), tuple(label)
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def _ap_index(k: int, N: int):
+def _ap_index(k: int, order):
     """Index every k-AP in [1, N]: (through, members, levels, full_levels).
 
     through[q] masks the indices of the APs through label q, members[i] is
@@ -243,7 +235,8 @@ def _ap_index(k: int, N: int):
     counter levels per color, and full_levels lists the levels whose bits
     spell k - 1.
     """
-    position, label = _order(N)
+    position, label = order
+    N = len(position) - 1
     bit = [1 << q for q in label]
     members = []
     incident: list[list[int]] = [[] for _ in range(N + 1)]  # by position
@@ -265,12 +258,12 @@ def _ap_index(k: int, N: int):
     return tuple(through), tuple(members), levels, full_levels
 
 
-def _tables(N: int, k: int):
+def _tables(k: int, order):
     """(ap_index, pair_table) for the kernel: the k = 3 pair-threat table
     replaces the AP index, so only one of the two is built."""
     if k == 3:
-        return None, _pair_threats(N)
-    return _ap_index(k, N), None
+        return None, _pair_threats(order)
+    return _ap_index(k, order), None
 
 
 def _counters(r: int, aps) -> list[int]:
@@ -278,14 +271,14 @@ def _counters(r: int, aps) -> list[int]:
     return [0] * (r * aps[2]) if aps is not None else []
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def _pair_threats(N: int) -> tuple[tuple[int, ...], ...]:
+def _pair_threats(order) -> tuple[tuple[int, ...], ...]:
     """k = 3 only: table[lu][lv] masks the labels completing a 3-AP with labels lu, lv.
 
     Two same-colored positions u != v threaten 2v-u, 2u-v, and (u+v)/2 when
     the gap is even; nothing else can complete a 3-term AP through both.
     """
-    position, label = _order(N)
+    position, label = order
+    N = len(position) - 1
     table = [(0,) * (N + 1)]
     for lu in range(1, N + 1):
         u = position[lu]
@@ -387,14 +380,14 @@ def _assign_prop(cm, fb, cnt, un, used, p, c, aps, pair_table=None):
     return True, un, used, count
 
 
-def _root_frame(N, r, aps, symmetry):
-    """The frame of the empty coloring, which branches on label 1."""
-    colors = list(range(1 if symmetry else r))
+def _root_frame(N, r, aps):
+    """The frame of the empty coloring, which branches on label 1 with color 0
+    only: in canonical order the first color used is 0."""
     unassigned = ((1 << N) - 1) << 1  # labels 1..N
-    return [colors, 0, 1, (0,) * r, (0,) * r, tuple(_counters(r, aps)), unassigned, 0]
+    return [[0], 0, 1, (0,) * r, (0,) * r, tuple(_counters(r, aps)), unassigned, 0]
 
 
-def _run_tree(r, aps, frames, max_nodes, deadline, symmetry, pair_table=None, poll=None, tally=None, leaves=None):
+def _run_tree(r, aps, frames, max_nodes, deadline, pair_table=None, poll=None, tally=None, leaves=None):
     """Backtrack depth first from a stack of frames until decided.
 
     A frame [colors, next, p, cm, fb, cnt, un, used] is a node of the tree:
@@ -443,7 +436,7 @@ def _run_tree(r, aps, frames, max_nodes, deadline, symmetry, pair_table=None, po
         if un == 0:
             return "SAT", list(cm), nodes
         low = un & -un
-        limit = used + 1 if symmetry and used < r else r
+        limit = used + 1 if used < r else r  # canonical: at most one new color
         child = [
             [c for c in range(limit) if not fb[c] & low], 0, low.bit_length() - 1,
             tuple(cm), tuple(fb), tuple(cnt), un, used,
@@ -457,8 +450,8 @@ def _run_tree(r, aps, frames, max_nodes, deadline, symmetry, pair_table=None, po
     return "UNSAT", None, nodes
 
 
-def _masks_to_coloring(masks, N, r) -> Coloring:
-    label = _order(N)[1]
+def _masks_to_coloring(masks, label, r) -> Coloring:
+    N = len(label) - 1
     colors = []
     for p in range(1, N + 1):
         bit = 1 << label[p]
@@ -471,7 +464,7 @@ def _masks_to_coloring(masks, N, r) -> Coloring:
     return Coloring(N=N, r=r, colors=tuple(colors))
 
 
-def _split(r, aps, frames, tally, target, nodes, max_nodes, deadline, symmetry, pair_table):
+def _split(r, aps, frames, tally, target, nodes, max_nodes, deadline, pair_table):
     """Cut the branches a stopped serial pass left in `frames` into pool jobs.
 
     The jobs are the live nodes at the first depth d that holds at least
@@ -493,7 +486,7 @@ def _split(r, aps, frames, tally, target, nodes, max_nodes, deadline, symmetry, 
         level = []
         for frame in sources:
             status, masks, made = _run_tree(
-                r, aps, [frame], max_nodes - nodes, deadline, symmetry, pair_table, leaves=level,
+                r, aps, [frame], max_nodes - nodes, deadline, pair_table, leaves=level,
             )
             nodes += made
             if status != "UNSAT":
@@ -510,21 +503,19 @@ def _split(r, aps, frames, tally, target, nodes, max_nodes, deadline, symmetry, 
 # desk-tier proof fits (the largest, (3,3) at N = 27, takes 3,583)
 _SERIAL_NODES = 4096
 
-_PAR_STOP = None
-_PAR_SPENT = None
+# what every job of a worker shares: (stop, spent, r, aps, pair_table)
+_POOL = None
 
 
-def _parallel_init(stop, spent):
-    global _PAR_STOP, _PAR_SPENT
-    _PAR_STOP = stop
-    _PAR_SPENT = spent
+def _parallel_init(*shared):
+    global _POOL
+    _POOL = shared
 
 
 def _parallel_worker(args):
     # deadline is absolute CLOCK_MONOTONIC time, which every process shares
-    N, r, k, frames, max_nodes, deadline, symmetry = args
-    stop = _PAR_STOP
-    spent = _PAR_SPENT
+    frames, max_nodes, deadline = args
+    stop, spent, r, aps, pair_table = _POOL
     if stop.is_set():
         return "ABORTED", None, 0
     charged = 0
@@ -541,29 +532,29 @@ def _parallel_worker(args):
                 return "TIMEOUT"
         return "ABORTED" if stop.is_set() else None
 
-    aps, pair_table = _tables(N, k)
-    status, masks, nodes = _run_tree(r, aps, frames, max_nodes, deadline, symmetry, pair_table, poll=poll)
+    status, masks, nodes = _run_tree(r, aps, frames, max_nodes, deadline, pair_table, poll=poll)
     poll(nodes)  # charge the nodes since the last poll
     return status, masks, nodes
 
 
-def _search(N, r, k, aps, threads, max_nodes, deadline, symmetry, pair_table):
+def _search(N, r, aps, pair_table, threads, max_nodes, deadline):
     """Search serially (for up to _SERIAL_NODES nodes when threads > 1), then
-    fan the branches the serial pass left out over a process pool; SAT
-    short-circuits, UNSAT needs every job exhausted."""
-    frames = [_root_frame(N, r, aps, symmetry)]
+    fan the branches the serial pass left out over a process pool, whose
+    workers receive the tables once, at start-up; SAT short-circuits, UNSAT
+    needs every job exhausted."""
+    frames = [_root_frame(N, r, aps)]
     if threads == 1:
-        return _run_tree(r, aps, frames, max_nodes, deadline, symmetry, pair_table)
+        return _run_tree(r, aps, frames, max_nodes, deadline, pair_table)
     tally = [0] * (N + 1)
     serial_budget = min(max_nodes, _SERIAL_NODES)
     status, masks, nodes = _run_tree(
-        r, aps, frames, serial_budget, deadline, symmetry, pair_table, tally=tally,
+        r, aps, frames, serial_budget, deadline, pair_table, tally=tally,
     )
     # decided, out of time, or out of the caller's nodes: no pool
     if status != "TIMEOUT" or nodes < serial_budget or nodes >= max_nodes:
         return status, masks, nodes
     status, jobs, nodes = _split(
-        r, aps, frames, tally, threads * 8, nodes, max_nodes, deadline, symmetry, pair_table,
+        r, aps, frames, tally, threads * 8, nodes, max_nodes, deadline, pair_table,
     )
     if status != "jobs":
         return status, jobs, nodes
@@ -572,12 +563,10 @@ def _search(N, r, k, aps, threads, max_nodes, deadline, symmetry, pair_table):
     stop = multiprocessing.Event()
     spent = multiprocessing.Value("q", nodes)
     with ProcessPoolExecutor(
-        max_workers=threads, initializer=_parallel_init, initargs=(stop, spent),
+        max_workers=threads, initializer=_parallel_init,
+        initargs=(stop, spent, r, aps, pair_table),
     ) as pool:
-        futures = [
-            pool.submit(_parallel_worker, (N, r, k, job, max_nodes, deadline, symmetry))
-            for job in jobs
-        ]
+        futures = [pool.submit(_parallel_worker, (job, max_nodes, deadline)) for job in jobs]
         for fut in as_completed(futures):
             if fut.result()[0] in ("SAT", "TIMEOUT"):
                 stop.set()
@@ -600,15 +589,15 @@ def decide_colorability(
     inst: VdwInstance,
     budget: Budget | None = None,
     threads: int = 1,
-    symmetry_breaking: bool = True,
 ) -> SearchOutcome:
     """Decide whether [1, N] admits an r-coloring with no monochromatic k-AP.
 
     SAT outcomes carry a verified certificate; UNSAT means the search space
     was exhausted; TIMEOUT carries partial node statistics.  Sequential mode
     is deterministic: branch positions from the middle out (nearest
-    (N + 1) / 2 first, ties left first), colors ascending, forced positions
-    propagated.
+    (N + 1) / 2 first, ties left first), colors ascending in canonical
+    order, forced positions propagated.  The tables are built for this call
+    alone and freed when it returns.
     """
     require_int(N, 1, "N must be a positive integer")
     require_int(threads, 1, "threads must be a positive integer", ConfigError)
@@ -617,14 +606,13 @@ def decide_colorability(
     r, k = inst.r, inst.k
     started = time.perf_counter()
     deadline = time.monotonic() + budget.max_seconds
-    aps, pair_table = _tables(N, k)
-    status, masks, nodes = _search(
-        N, r, k, aps, threads, budget.max_nodes, deadline, symmetry_breaking, pair_table,
-    )
+    order = _order(N)
+    aps, pair_table = _tables(k, order)
+    status, masks, nodes = _search(N, r, aps, pair_table, threads, budget.max_nodes, deadline)
     stats = SearchStats(nodes=nodes, seconds=time.perf_counter() - started)
     certificate = None
     if status == "SAT":
-        certificate = _masks_to_coloring(masks, N, r)
+        certificate = _masks_to_coloring(masks, order[1], r)
         if not verify_certificate(certificate, k):
             raise IntegrityError("search produced a certificate that fails verification")
     return SearchOutcome(SearchStatus(status), certificate, stats)

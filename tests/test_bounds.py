@@ -224,6 +224,22 @@ class TestPowerOfTenBound:
                 assert via_ten == pytest.approx(float(bound.value), rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (pair_compare_same_r, (True, 3, 9, 4, 2)),
+        (pair_compare_same_r, (9, 3, 35.0, 4, 2)),
+        (pair_compare_same_k, (9, 2, 27, 3, 3.5)),
+        (pair_compare_same_k, (9, 2.0, 27, 3, 3)),
+        (power_of_ten_bound, (2.5, 3)),
+        (power_of_ten_bound, (2, True)),
+    ],
+)
+def test_comparisons_reject_bools_and_floats(call, args):
+    with pytest.raises(DomainError, match="must be an integer, got"):
+        call(*args)
+
+
 class TestVdwInstance:
     def test_validation(self):
         with pytest.raises(DomainError):

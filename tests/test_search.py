@@ -7,12 +7,12 @@ import random
 import subprocess
 import sys
 import time
-from functools import lru_cache
-from itertools import product
+from functools import cache
+from itertools import permutations, product
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -129,12 +129,6 @@ class TestDecideColorability:
             got = decide_colorability(n, inst).status is SearchStatus.SAT
             assert got == oracles.brute_force_colorable(n, 3, 3)
 
-    def test_symmetry_off_agrees(self):
-        for n in (7, 8, 9, 10):
-            a = decide_colorability(n, VdwInstance(2, 3), symmetry_breaking=True)
-            b = decide_colorability(n, VdwInstance(2, 3), symmetry_breaking=False)
-            assert a.status == b.status
-
     def test_monotone_unsat_at_known_thresholds(self):
         assert decide_colorability(9, VdwInstance(2, 3)).status is SearchStatus.UNSAT
         assert decide_colorability(10, VdwInstance(2, 3)).status is SearchStatus.UNSAT
@@ -171,18 +165,23 @@ class TestDecideColorability:
 
     def test_parallel_status_matches(self):
         cases = (
-            (2, 3, 8, True), (2, 3, 9, True), (3, 3, 26, True), (3, 3, 27, True),
-            (2, 4, 35, True), (3, 4, 12, True), (4, 3, 12, True),
+            (2, 3, 8), (2, 3, 9), (3, 3, 26), (3, 3, 27),
+            (2, 4, 35), (3, 4, 12), (4, 3, 12),
             # trees that outgrow the serial first pass and run on the pool:
-            # 21,425 nodes (UNSAT), 33,749 and 41,338 nodes (SAT) at one
-            # worker; the last sends AP counters to the workers
-            (3, 3, 27, False), (4, 3, 61, True), (2, 6, 180, True),
+            # 33,749 and 41,338 nodes (SAT) at one worker; the last sends
+            # AP counters to the workers
+            (4, 3, 61), (2, 6, 180),
         )
-        for r, k, n, symmetry in cases:
+        for r, k, n in cases:
             inst = VdwInstance(r, k)
-            seq = decide_colorability(n, inst, threads=1, symmetry_breaking=symmetry).status
-            par = decide_colorability(n, inst, threads=2, symmetry_breaking=symmetry).status
-            assert seq == par, (r, k, n, symmetry)
+            seq = decide_colorability(n, inst, threads=1).status
+            par = decide_colorability(n, inst, threads=2).status
+            assert seq == par, (r, k, n)
+        # an UNSAT proof on the pool, past a shorter serial pass, makes its
+        # 3,583 assignments once, as at one worker
+        with mock.patch.object(search, "_SERIAL_NODES", 1000):
+            par = decide_colorability(27, VdwInstance(3, 3), threads=2)
+        assert (par.status, par.stats.nodes) == (SearchStatus.UNSAT, 3_583)
 
     def test_parallel_counts_prefix_split_nodes(self):
         # (2,3) at N=8 and N=9 is settled by the serial first pass
@@ -227,11 +226,12 @@ class TestDecideColorability:
         script = tmp_path / "spawn_search.py"
         script.write_text(
             "import multiprocessing\n"
-            "from waerden import VdwInstance, decide_colorability\n"
+            "from waerden import VdwInstance, decide_colorability, search\n"
             "\n"
             "if __name__ == '__main__':\n"
             "    multiprocessing.set_start_method('spawn')\n"
-            "    out = decide_colorability(27, VdwInstance(3, 3), threads=2, symmetry_breaking=False)\n"
+            "    search._SERIAL_NODES = 1000\n"
+            "    out = decide_colorability(27, VdwInstance(3, 3), threads=2)\n"
             "    print(out.status.value, out.stats.nodes)\n"
         )
         src = os.path.dirname(os.path.dirname(waerden.__file__))
@@ -241,13 +241,12 @@ class TestDecideColorability:
             env={**os.environ, "PYTHONPATH": path}, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        # the tree outgrows the serial first pass, and the pool resumes it
-        # without repeating an assignment, so the UNSAT proof counts the
-        # same 21,425 nodes as at one worker whatever the start method
-        assert 21_425 > search._SERIAL_NODES
-        one = decide_colorability(27, VdwInstance(3, 3), symmetry_breaking=False)
-        assert (one.status, one.stats.nodes) == (SearchStatus.UNSAT, 21_425)
-        assert proc.stdout.split() == ["UNSAT", "21425"]
+        # the tree outgrows the 1,000-node serial pass, and the pool resumes
+        # it without repeating an assignment, so the UNSAT proof counts the
+        # same 3,583 nodes as at one worker whatever the start method
+        one = decide_colorability(27, VdwInstance(3, 3))
+        assert (one.status, one.stats.nodes) == (SearchStatus.UNSAT, 3_583)
+        assert proc.stdout.split() == ["UNSAT", "3583"]
 
     def test_domain_and_config_errors(self):
         with pytest.raises(DomainError):
@@ -290,7 +289,7 @@ def test_one_worker_slice_node_counts(r, k, n, max_nodes, nodes):
     assert (out.status, out.stats.nodes) == (SearchStatus.TIMEOUT, nodes)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _colorable(n, r, k):
     return oracles.brute_force_colorable(n, r, k)
 
@@ -303,14 +302,31 @@ class TestMiddleOutOrder:
     @given(n=st.integers(1, 12), r=st.integers(2, 4), k=st.integers(3, 5))
     def test_matches_brute_force(self, n, r, k):
         want = _colorable(n, r, k)
-        for symmetry in (True, False):
-            out = decide_colorability(n, VdwInstance(r, k), symmetry_breaking=symmetry)
-            assert (out.status is SearchStatus.SAT) == want, symmetry
-            if want:
-                cert = out.certificate
-                assert (cert.N, cert.r, len(cert.colors)) == (n, r, n)
-                assert verify_certificate(cert, k)
-                assert not oracles.naive_has_mono_ap(cert.colors, k)
+        out = decide_colorability(n, VdwInstance(r, k))
+        assert (out.status is SearchStatus.SAT) == want
+        if want:
+            cert = out.certificate
+            assert (cert.N, cert.r, len(cert.colors)) == (n, r, n)
+            assert verify_certificate(cert, k)
+            assert not oracles.naive_has_mono_ap(cert.colors, k)
+
+
+class TestCertificateSymmetry:
+    """Canonical color order searches one coloring of each class that differs
+    only by a color permutation; that is sound only because AP-freeness is
+    invariant under permutation.  It is invariant under reversal too."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 30), r=st.integers(2, 4), k=st.integers(3, 5))
+    def test_certificates_survive_reversal_and_color_permutation(self, n, r, k):
+        out = decide_colorability(n, VdwInstance(r, k))
+        assume(out.status is SearchStatus.SAT)
+        colors = out.certificate.colors
+        for image in (colors, colors[::-1]):
+            for perm in permutations(range(r)):
+                moved = tuple(perm[c] for c in image)
+                assert verify_certificate(Coloring(N=n, r=r, colors=moved), k), (image, perm)
+                assert not oracles.naive_has_mono_ap(moved, k), (image, perm)
 
 
 class TestPoolPath:
@@ -321,60 +337,60 @@ class TestPoolPath:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 12), r=st.integers(2, 4), k=st.integers(3, 5),
-        serial=st.integers(1, 8), symmetry=st.booleans(),
+        serial=st.integers(1, 8),
     )
-    @example(n=9, r=2, k=3, serial=1, symmetry=True)
-    @example(n=10, r=2, k=3, serial=5, symmetry=False)
-    @example(n=12, r=2, k=3, serial=2, symmetry=False)
-    def test_two_workers_match_brute_force(self, n, r, k, serial, symmetry):
+    @example(n=9, r=2, k=3, serial=1)
+    @example(n=10, r=2, k=3, serial=5)
+    @example(n=12, r=2, k=3, serial=2)
+    def test_two_workers_match_brute_force(self, n, r, k, serial):
         want = _colorable(n, r, k)
         inst = VdwInstance(r, k)
         with mock.patch.object(search, "_SERIAL_NODES", serial):
-            out = decide_colorability(n, inst, threads=2, symmetry_breaking=symmetry)
+            out = decide_colorability(n, inst, threads=2)
         assert (out.status is SearchStatus.SAT) == want
         if want:
             assert verify_certificate(out.certificate, k)
             assert not oracles.naive_has_mono_ap(out.certificate.colors, k)
         else:
             # every branch is made once, by the serial pass, the split or a job
-            one = decide_colorability(n, inst, symmetry_breaking=symmetry)
+            one = decide_colorability(n, inst)
             assert out.stats.nodes == one.stats.nodes
 
-    @pytest.mark.parametrize("serial", [1_000, 4_096, 12_000, 16_000])
+    @pytest.mark.parametrize("serial", [250, 1_000, 2_000, 3_000])
     def test_jobs_are_the_leaves_the_serial_pass_left(self, serial):
-        # (3,3) at N=27 without symmetry: 24 live nodes at the split depth,
-        # and 21,425 nodes in all, so each budget exhausts more of them
+        # (3,3) at N=27: 28 live nodes at the split depth, and 3,583 nodes
+        # in all, so each budget exhausts more of them
         n, r, k = 27, 3, 3
-        aps, pair_table = search._tables(n, k)
+        aps, pair_table = search._tables(k, search._order(n))
         deadline = time.monotonic() + 60
 
         def split(budget):
-            frames = [search._root_frame(n, r, aps, False)]
+            frames = [search._root_frame(n, r, aps)]
             tally = [0] * (n + 1)
             nodes = 0
             if budget:
                 status, _, nodes = search._run_tree(
-                    r, aps, frames, budget, deadline, False, pair_table, tally=tally,
+                    r, aps, frames, budget, deadline, pair_table, tally=tally,
                 )
                 assert status == "TIMEOUT"
             status, jobs, nodes = search._split(
-                r, aps, frames, tally, 16, nodes, 10**9, deadline, False, pair_table,
+                r, aps, frames, tally, 16, nodes, 10**9, deadline, pair_table,
             )
             assert status == "jobs"
             return jobs, nodes
 
         leaves = [job[0][2:] for job in split(0)[0]]
         jobs, nodes = split(serial)
-        assert len(leaves) == 24 and len(jobs) < 24
+        assert len(leaves) == 28 and len(jobs) < 28
         # the node the pass stopped inside resumes from its frames, and the
         # leaves after it follow in DFS order; a frame's state is its [2:]
         assert [job[0][2:] for job in jobs] == leaves[-len(jobs):]
         # run to the end, the jobs make every branch not yet made, once
         for job in jobs:
-            status, _, made = search._run_tree(r, aps, job, 10**9, deadline, False, pair_table)
+            status, _, made = search._run_tree(r, aps, job, 10**9, deadline, pair_table)
             assert status == "UNSAT"
             nodes += made
-        assert nodes == 21_425
+        assert nodes == 3_583
 
 
 class TestComputeW:
@@ -407,13 +423,6 @@ class TestComputeW:
             compute_W(VdwInstance(2, 6))
         with pytest.raises(DomainError):
             compute_W(VdwInstance(3, 4))
-
-    def test_table_caches_stay_small(self):
-        # compute_W builds a table for every N it decides; only a few stay
-        compute_W(VdwInstance(2, 4))
-        compute_W(VdwInstance(3, 3))
-        for cache in (search._order, search._ap_index, search._pair_threats):
-            assert cache.cache_info().currsize <= 4, cache
 
     def test_force_with_tiny_budget_times_out_honestly(self):
         with pytest.raises(BudgetExhausted) as info:
