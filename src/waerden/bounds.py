@@ -24,7 +24,7 @@ from enum import Enum
 
 from ._record import Record
 from .errors import DomainError, InfeasibleRangeError, require_int
-from .numerics import bracket_exponent
+from .numerics import Bracket, bracket_exponent
 
 
 @dataclass(frozen=True, order=True)
@@ -77,7 +77,7 @@ def power_of_ten_bound(r: int, n: int) -> PowerOfTenBound:
     _require_ints(r=r, n=n)
     if r < 2 or n < 0:
         raise DomainError(f"need r >= 2 and n >= 0, got r={r}, n={n}")
-    return PowerOfTenBound(ten_exponent=n + 1, r=r, value=r ** (n + 1))
+    return PowerOfTenBound(ten_exponent=n + 1, r=r, value=Bracket(r, n).high)
 
 
 @dataclass(frozen=True)
@@ -220,19 +220,17 @@ def conjecture_certificate(W: int, inst: VdwInstance) -> ConjectureReport:
     """Evaluate r**n <= W < r**(n+1) <= r**(k*k) with exact integers."""
     require_int(W, inst.r, f"W must be an integer >= r = {inst.r}")
     r, k = inst.r, inst.k
-    n = bracket_exponent(W, r).n
-    r_n = r**n
-    r_n1 = r_n * r
-    cap = r ** (k * k)
+    br = bracket_exponent(W, r)
     return ConjectureReport(
         instance=inst,
         w=W,
-        n=n,
-        lower_holds=r_n <= W,
-        upper_holds=W < r_n1,
-        square_cap_holds=r_n1 <= cap,
-        condition_holds=graham_condition(k, n),
-        power_of_ten=power_of_ten_bound(r, n),
+        n=br.n,
+        lower_holds=br.low <= W,
+        upper_holds=W < br.high,
+        # r >= 2, so r**(n+1) <= r**(k*k) exactly when n + 1 <= k*k; the cap is never built
+        square_cap_holds=br.n + 1 <= k * k,
+        condition_holds=graham_condition(k, br.n),
+        power_of_ten=PowerOfTenBound(ten_exponent=br.n + 1, r=r, value=br.high),
     )
 
 
@@ -266,14 +264,18 @@ def n_range(inst: VdwInstance, lower_bound: int | None = None) -> NRange:
 def n_range_dict(inst: VdwInstance, window: NRange) -> dict:
     """The window's document plus its upper power r**(high+1), as base^exp and as a value."""
     top = window.high + 1
-    return {**window.to_dict(), "upper_power": f"{inst.r}^{top}", "upper_power_value": inst.r**top}
+    value = Bracket(inst.r, window.high).high
+    return {**window.to_dict(), "upper_power": f"{inst.r}^{top}", "upper_power_value": value}
 
 
 def _sqrt_as_float(x: int) -> float:
     try:
-        return math.sqrt(x)
+        value = math.sqrt(x)
     except OverflowError:
-        return float(Decimal(x).sqrt())
+        value = float(Decimal(x).sqrt())
+    if not math.isfinite(value):
+        raise DomainError("the Erdos-Rado bound lies past the float range")
+    return value
 
 
 def erdos_rado(inst: VdwInstance, n: int | None = None) -> ErdosRadoReport:
@@ -309,15 +311,14 @@ def pair_compare_same_r(
         raise DomainError(f"r must be >= 2, got {r}")
     if w_small < 1 or w_big < 1:
         raise DomainError("both values must be positive integers")
-    n = bracket_exponent(w_big, r).n
-    r_n = r**n
+    br = bracket_exponent(w_big, r)
     return SameRComparison(
         r=r,
-        n=n,
-        small_below_power=w_small < r_n,
-        power_at_most_big=r_n <= w_big,
-        big_below_next=w_big < r_n * r,
-        graham_holds=graham_condition(k_big, n),
+        n=br.n,
+        small_below_power=w_small < br.low,
+        power_at_most_big=br.low <= w_big,
+        big_below_next=w_big < br.high,
+        graham_holds=graham_condition(k_big, br.n),
     )
 
 
@@ -334,15 +335,15 @@ def pair_compare_same_k(
         raise DomainError(f"k must be >= 3, got {k}")
     if w_small < 1 or w_big < 1:
         raise DomainError("both values must be positive integers")
-    n_small = bracket_exponent(w_small, r_small).n
-    n_big = bracket_exponent(w_big, r_big).n
+    small = bracket_exponent(w_small, r_small)
+    big = bracket_exponent(w_big, r_big)
     return SameKComparison(
-        n_small=n_small,
-        n_big=n_big,
-        small_power_holds=r_small**n_small <= w_small,
+        n_small=small.n,
+        n_big=big.n,
+        small_power_holds=small.low <= w_small,
         strictly_increasing=w_small < w_big,
-        big_below_next=w_big < r_big ** (n_big + 1),
-        exponents_ordered=n_small <= n_big,
+        big_below_next=w_big < big.high,
+        exponents_ordered=small.n <= big.n,
     )
 
 
@@ -350,7 +351,8 @@ def exponent_relations(inst: VdwInstance, W: int) -> ExponentRelations:
     """Relate n to r and k: the two possibility branches plus the log window."""
     require_int(W, inst.r, f"W must be an integer >= r = {inst.r}")
     r, k = inst.r, inst.k
-    n = bracket_exponent(W, r).n
+    br = bracket_exponent(W, r)
+    n = br.n
     second_applies = k < r < k * k and k == n
     second_holds = (n < r < n * n) if second_applies else None
     return ExponentRelations(
@@ -360,7 +362,7 @@ def exponent_relations(inst: VdwInstance, W: int) -> ExponentRelations:
         first_branch_witnessed=k >= r and n >= r,
         second_branch_applies=second_applies,
         second_branch_holds=second_holds,
-        within_log_window=k < r ** (n + 1),
+        within_log_window=k < br.high,
         below_square_cap=n <= k * k - 1,
         log_window_low=math.log(k) / math.log(r) - 1.0,
     )

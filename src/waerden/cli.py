@@ -1,8 +1,9 @@
 """One binary, subcommand per operation; built for batch use and scripting.
 
 Exit codes: 0 success, 1 domain/config error (including invalid
-certificates and malformed certificate or config files), 2 search timeout
-or unknown solver outcome, 3 registry integrity error, 64 usage error.
+certificates, malformed certificate or config files, and results too
+large to print), 2 search timeout or unknown solver outcome, 3 registry
+integrity error, 64 usage error.
 Output on stdout is deterministic for identical inputs at one worker,
 except `stats.seconds` in the JSON of search and compute-w, the one field
 that varies; with more workers a certificate, and the node count of a SAT
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -239,8 +241,22 @@ def _cmd_check(args, cfg: CliConfig) -> _Output:
     ], 0
 
 
+def _require_printable(inst: VdwInstance) -> None:
+    """Reject r**(k*k), the top power that nrange, plan and report print, when it
+    has more digits than Python will convert to text; decided before it is built."""
+    r, top = inst.r, inst.k * inst.k
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() = 0: no limit before 3.10.7
+    digits = top * math.log10(r)  # the power has floor(digits) + 1 digits
+    if limit and (digits > limit + 1 or digits > limit - 1 and r**top >= 10**limit):
+        raise DomainError(
+            f"{r}^{top} has more than {limit} digits, Python's limit for printing an integer"
+        )
+
+
 def _cmd_nrange(args, cfg: CliConfig) -> _Output:
-    doc = bounds.n_range_dict(args.inst, bounds.n_range(args.inst, args.lower))
+    window = bounds.n_range(args.inst, args.lower)
+    _require_printable(args.inst)
+    doc = bounds.n_range_dict(args.inst, window)
     return doc, [
         f"[{doc['low']}, {doc['high']}]",
         f"upper power bound: {doc['upper_power']} = {doc['upper_power_value']}",
@@ -298,9 +314,11 @@ def _cmd_compute_w(args, cfg: CliConfig) -> _Output:
 
 def _cmd_plan(args, cfg: CliConfig) -> _Output:
     hint = tuple(args.hint) if args.hint is not None else None
+    bounds.n_range(args.inst, args.lower)  # a bad lower bound is reported first
+    _require_printable(args.inst)
     intervals = search.plan_intervals(args.inst, args.lower, hint=hint)
     lines = [
-        f"n={iv.n}: [{iv.low}, {iv.high})  cumulative [1, {iv.cumulative_high}]"
+        f"n={iv.n}: [{iv.low}, {iv.high})  cumulative [1, {iv.high}]"
         + ("  (hinted)" if iv.hinted else "")
         for iv in intervals
     ]
@@ -361,6 +379,7 @@ def _cmd_verify(args, cfg: CliConfig) -> _Output:
 
 
 def _cmd_report(args, cfg: CliConfig) -> _Output:
+    _require_printable(args.inst)
     doc = registry.report(args.inst)
     return doc, [json.dumps(doc, indent=2)], 0
 

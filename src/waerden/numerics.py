@@ -157,12 +157,12 @@ def bracket_exponent(N: int, base: int) -> Bracket:
     """Unique n with base**n <= N < base**(n+1); equals digit count minus one."""
     require_int(N, 1, "N must be a positive integer")
     require_int(base, 2, "base must be an integer >= 2")
-    n = len(expand(N, base).digits) - 1
-    if not base**n <= N < base ** (n + 1):
+    br = Bracket(base, len(expand(N, base).digits) - 1)
+    if not br.contains(N):
         raise IntegrityError(
-            f"bracket verification failed for N={N}, base={base}, n={n}"
+            f"bracket verification failed for N={N}, base={base}, n={br.n}"
         )
-    return Bracket(base, n)
+    return br
 
 
 def delta(N: int, base: int, precision: int = DEFAULT_DELTA_PRECISION) -> DeltaReport:
@@ -181,7 +181,7 @@ def delta(N: int, base: int, precision: int = DEFAULT_DELTA_PRECISION) -> DeltaR
     with localcontext() as ctx:
         ctx.prec = precision + len(str(br.n + 1)) + 25
         quantum = Decimal(1).scaleb(-precision)
-        if base**br.n == N:
+        if br.low == N:
             value = Decimal(br.n).quantize(quantum)
         else:
             value = (Decimal(N).ln() / Decimal(base).ln()).quantize(
@@ -215,10 +215,9 @@ def tower_bound(c: int, X: int, W: int) -> float:
     require_int(W, 1, "W must be a positive integer")
     if W == 1:
         return 0.0
-    base = c**X
-    n = bracket_exponent(W, base).n
-    if base**n == W:
-        return float(n)
+    br = bracket_exponent(W, c**X)
+    if br.low == W:
+        return float(br.n)
     with localcontext() as ctx:
         ctx.prec = 40
         value = Decimal(W).ln() / (X * Decimal(c).ln())
@@ -236,8 +235,6 @@ def intersection_bracket(W: int, r: int, k: int) -> IntersectionBracket:
     require_int(k, 2, "k must be an integer >= 2")
     if W < r and W < k:
         raise DomainError(f"W={W} is below both bases r={r} and k={k}")
-    n = bracket_exponent(W, r).n
-    m = bracket_exponent(W, k).n
-    low = max(r**n, k**m)
-    high = min(r ** (n + 1), k ** (m + 1))
-    return IntersectionBracket(n=n, m=m, common_low=low, common_high=high)
+    in_r, in_k = bracket_exponent(W, r), bracket_exponent(W, k)
+    low, high = max(in_r.low, in_k.low), min(in_r.high, in_k.high)
+    return IntersectionBracket(n=in_r.n, m=in_k.n, common_low=low, common_high=high)

@@ -31,24 +31,21 @@ from .errors import IntegrityError
 from .numerics import bracket_exponent, delta
 from .search import plan_intervals
 
-# Exact values, in table order.
-_EXACT: tuple[tuple[int, int, int, str], ...] = (
-    (2, 3, 9, "Chvatal (1970)"),
-    (2, 4, 35, "Chvatal (1970)"),
-    (2, 5, 178, "Stevens & Shantaram (1978)"),
-    (2, 6, 1132, "Kouril & Paul (2008)"),
-    (3, 3, 27, "Chvatal (1970)"),
-    (3, 4, 293, "Kouril (2012)"),
-    (4, 3, 76, "Beeler & O'Neil (1979)"),
-)
-
-# Published lower bounds: W(r, k) > value.
-_LOWER: tuple[tuple[int, int, int, str], ...] = (
-    (5, 3, 170, "Rabung & Lotts (2012)"),
-    (6, 3, 223, "Rabung & Lotts (2012)"),
-    (2, 7, 3703, "Rabung & Lotts (2012)"),
-    (2, 10, 103474, "Rabung & Lotts (2012), cyclic zipper construction"),
-)
+# Every entry by instance: the exact values in table order, then the
+# published lower bounds (W(r, k) > value).
+_KNOWN: dict[tuple[int, int], tuple[Literal["exact", "lower_bound"], int, str]] = {
+    (2, 3): ("exact", 9, "Chvatal (1970)"),
+    (2, 4): ("exact", 35, "Chvatal (1970)"),
+    (2, 5): ("exact", 178, "Stevens & Shantaram (1978)"),
+    (2, 6): ("exact", 1132, "Kouril & Paul (2008)"),
+    (3, 3): ("exact", 27, "Chvatal (1970)"),
+    (3, 4): ("exact", 293, "Kouril (2012)"),
+    (4, 3): ("exact", 76, "Beeler & O'Neil (1979)"),
+    (5, 3): ("lower_bound", 170, "Rabung & Lotts (2012)"),
+    (6, 3): ("lower_bound", 223, "Rabung & Lotts (2012)"),
+    (2, 7): ("lower_bound", 3703, "Rabung & Lotts (2012)"),
+    (2, 10): ("lower_bound", 103474, "Rabung & Lotts (2012), cyclic zipper construction"),
+}
 
 # Stored display strings for the derived table: sqrt(n+1) and log_r W at
 # three decimals, exactly as published alongside the values above.
@@ -115,27 +112,12 @@ TABLE_COLUMNS = tuple(f.name for f in fields(TableARow))
 
 def known_values() -> tuple[KnownValue, ...]:
     """Every registry entry: seven exact values, then four lower bounds."""
-    exact = tuple(
-        KnownValue(VdwInstance(r, k), "exact", value, source)
-        for r, k, value, source in _EXACT
-    )
-    lower = tuple(
-        KnownValue(VdwInstance(r, k), "lower_bound", value, source)
-        for r, k, value, source in _LOWER
-    )
-    return exact + lower
+    return tuple(KnownValue(VdwInstance(*key), *entry) for key, entry in _KNOWN.items())
 
 
 def lookup(inst: VdwInstance) -> KnownValue | None:
-    for kind, entries in (("exact", _EXACT), ("lower_bound", _LOWER)):
-        for r, k, value, source in entries:
-            if (r, k) == inst.key:
-                return KnownValue(inst, kind, value, source)
-    return None
-
-
-def _pow_str(base: int, exp: int) -> str:
-    return f"{base}^{exp}"
+    entry = _KNOWN.get(inst.key)
+    return None if entry is None else KnownValue(inst, *entry)
 
 
 def _check_display(cell: str, recomputed: Decimal, label: str) -> None:
@@ -164,16 +146,18 @@ def _table_row(r: int, k: int, w: int) -> TableARow:
         n=n,
         log_r_w=stored_log,
         n_plus_1=n + 1,
-        r_pow_n=_pow_str(r, n),
+        r_pow_n=f"{r}^{n}",
         w=w,
-        r_pow_n_plus_1=_pow_str(r, n + 1),
-        r_pow_k_squared=_pow_str(r, k * k),
+        r_pow_n_plus_1=f"{r}^{n + 1}",
+        r_pow_k_squared=f"{r}^{k * k}",
     )
 
 
 def table_a() -> tuple[TableARow, ...]:
     """The seven-row derived table, recomputed and integrity-checked."""
-    return tuple(_table_row(r, k, w) for r, k, w, _source in _EXACT)
+    return tuple(
+        _table_row(r, k, w) for (r, k), (kind, w, _source) in _KNOWN.items() if kind == "exact"
+    )
 
 
 def table_a_csv() -> str:
@@ -215,34 +199,19 @@ def report(inst: VdwInstance) -> dict:
     values), and the interval plan (lower bounds only).
     """
     entry = lookup(inst)
-    doc: dict = {
+    kind, value = (None, None) if entry is None else (entry.kind, entry.value)
+    cert = conjecture_certificate(value, inst) if kind == "exact" else None
+    annotation = CONJECTURED_EXPONENT_BRACKETS.get(inst.key)
+    return {
         "instance": inst.to_dict(),
         "known": None if entry is None else entry.to_dict(),
-        "table_row": None,
-        "conjecture": None,
-        "n_range": None,
-        "erdos_rado": None,
-        "exponent_relations": None,
-        "plan": None,
-        "conjectural_bracket": None,
+        "table_row": None if cert is None else _table_row(inst.r, inst.k, value).to_dict(),
+        "conjecture": None if cert is None else cert.to_dict(),
+        "n_range": n_range_dict(inst, n_range(inst, value)),
+        "erdos_rado": erdos_rado(inst, None if cert is None else cert.n).to_dict(),
+        "exponent_relations": None if cert is None else exponent_relations(inst, value).to_dict(),
+        "plan": (
+            [iv.to_dict() for iv in plan_intervals(inst, value)] if kind == "lower_bound" else None
+        ),
+        "conjectural_bracket": None if annotation is None else {**annotation, "conjectural": True},
     }
-    exact_value = entry.value if entry is not None and entry.kind == "exact" else None
-    lower_bound = entry.value if entry is not None and entry.kind == "lower_bound" else None
-
-    if exact_value is not None:
-        doc["table_row"] = _table_row(inst.r, inst.k, exact_value).to_dict()
-        doc["conjecture"] = conjecture_certificate(exact_value, inst).to_dict()
-        doc["exponent_relations"] = exponent_relations(inst, exact_value).to_dict()
-
-    window_bound = exact_value if exact_value is not None else lower_bound
-    doc["n_range"] = n_range_dict(inst, n_range(inst, window_bound))
-
-    exact_n = bracket_exponent(exact_value, inst.r).n if exact_value is not None else None
-    doc["erdos_rado"] = erdos_rado(inst, exact_n).to_dict()
-
-    if lower_bound is not None:
-        doc["plan"] = [iv.to_dict() for iv in plan_intervals(inst, lower_bound)]
-    annotation = CONJECTURED_EXPONENT_BRACKETS.get(inst.key)
-    if annotation is not None:
-        doc["conjectural_bracket"] = {**annotation, "conjectural": True}
-    return doc

@@ -62,6 +62,7 @@ from .errors import (
     IntegrityError,
     require_int,
 )
+from .numerics import Bracket
 
 # Instances whose exact value is reproducible at desk scale.  Anything else
 # (W(2,6) = 1132, W(3,4) = 293, and beyond) needs force=True and may time out.
@@ -169,23 +170,14 @@ class ComputeWResult(Record):
 
 
 @dataclass(frozen=True)
-class PlannedInterval(Record):
+class PlannedInterval(Bracket):
     """One candidate bracket [r**n, r**(n+1)), with its cumulative form [1, r**(n+1)]."""
 
-    n: int
-    low: int
-    high: int
-    cumulative_high: int
     hinted: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "low": self.low,
-            "high": self.high,
-            "cumulative": [1, self.cumulative_high],
-            "hinted": self.hinted,
-        }
+        doc = {"n": self.n, "low": self.low, "high": self.high}
+        return {**doc, "cumulative": [1, doc["high"]], "hinted": self.hinted}
 
 
 def find_mono_ap(coloring: Coloring, k: int) -> APWitness | None:
@@ -693,16 +685,10 @@ def plan_intervals(
     optional hint window marks brackets as favored; it is caller-supplied
     guesswork, never a default.
     """
-    window = n_range(inst, lower_bound)
-    out = []
-    for n in window:
-        hinted = hint is not None and hint[0] <= n <= hint[1]
-        low = inst.r**n
-        high = low * inst.r
-        out.append(
-            PlannedInterval(n=n, low=low, high=high, cumulative_high=high, hinted=hinted)
-        )
-    return tuple(out)
+    return tuple(
+        PlannedInterval(inst.r, n, hinted=hint is not None and hint[0] <= n <= hint[1])
+        for n in n_range(inst, lower_bound)
+    )
 
 
 def certificate_to_json(cert: Coloring, k: int) -> str:

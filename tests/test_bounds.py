@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waerden import (
     DomainError,
@@ -65,6 +68,24 @@ class TestConjectureCertificate:
     def test_rejects_small_w(self):
         with pytest.raises(DomainError):
             conjecture_certificate(1, VdwInstance(2, 3))
+
+    def test_square_cap_never_builds_the_cap(self):
+        # r**(k*k) for (2, 20000) alone would take 50 MB
+        tracemalloc.start()
+        try:
+            rep = conjecture_certificate(9, VdwInstance(2, 20000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.square_cap_holds and rep.n == 3
+        assert peak < 2**20
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 6), st.integers(3, 6), st.data())
+    def test_square_cap_matches_the_power_comparison(self, r, k, data):
+        W = data.draw(st.integers(r, r**40))
+        rep = conjecture_certificate(W, VdwInstance(r, k))
+        assert rep.square_cap_holds == (r ** (rep.n + 1) <= r ** (k * k))
 
 
 class TestNRange:
@@ -135,6 +156,11 @@ class TestErdosRado:
             assert rep.lower_bound_value == pytest.approx(
                 math.sqrt(2 * (k - 1) * r ** (k - 1))
             )
+
+    def test_bound_past_the_float_range_is_a_domain_error(self):
+        assert math.isfinite(erdos_rado(VdwInstance(2, 2000)).lower_bound_value)
+        with pytest.raises(DomainError, match="float range"):
+            erdos_rado(VdwInstance(2, 2100))
 
 
 class TestPairCompareSameR:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import sys
@@ -20,6 +21,32 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def loads(text: str):
+    """Parse a JSON document strictly: NaN and Infinity, which json.dumps
+    writes for non-finite floats, are not JSON and fail the test."""
+    return json.loads(text, parse_constant=_not_json)
+
+
+def test_loads_rejects_non_finite_numbers():
+    for text in ("NaN", "Infinity", "[1, -Infinity]"):
+        with pytest.raises(ValueError, match="is not JSON"):
+            loads(text)
+
+
+@pytest.fixture
+def print_limit():
+    """Set Python's int-to-str digit limit for one test and restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
 class TestNumericCommands:
     def test_expand(self, capsys):
         code, out, _ = run(capsys, "expand", "9", "--base", "2")
@@ -28,7 +55,7 @@ class TestNumericCommands:
     def test_expand_json(self, capsys):
         code, out, _ = run(capsys, "expand", "9", "--base", "2", "--format", "json")
         assert code == 0
-        assert json.loads(out) == {"base": 2, "digits": [1, 0, 0, 1]}
+        assert loads(out) == {"base": 2, "digits": [1, 0, 0, 1]}
 
     def test_bracket(self, capsys):
         code, out, _ = run(capsys, "bracket", "1132", "--base", "2")
@@ -88,10 +115,53 @@ class TestBoundsCommands:
             "theorem chain holds: yes",
         ]
 
+    def test_erdos_rado_past_the_float_range_exits_one(self, capsys):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "erdos-rado", "--r", "2", "--k", "2100", "--format", fmt)
+            assert code == 1 and out == ""
+            assert err == "error: the Erdos-Rado bound lies past the float range\n"
+        code, out, _ = run(capsys, "erdos-rado", "--r", "2", "--k", "2000", "--format", "json")
+        assert code == 0 and math.isfinite(loads(out)["lower_bound_value"])
+
+    def test_longest_printable_power_still_prints(self, capsys, print_limit):
+        print_limit(4300)
+        power = 2 ** (119 * 119)
+        assert len(str(power)) == 4263
+        code, out, _ = run(capsys, "nrange", "--r", "2", "--k", "119")
+        assert code == 0
+        assert out.splitlines()[1] == f"upper power bound: 2^14161 = {power}"
+        code, out, _ = run(capsys, "report", "--r", "2", "--k", "119")
+        assert code == 0 and loads(out)["n_range"]["upper_power_value"] == power
+
+    @pytest.mark.parametrize("k", [120, 20000])
+    @pytest.mark.parametrize("argv", [("nrange",), ("plan", "--lower", "100"), ("report",)])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_power_too_long_to_print_exits_one(self, capsys, print_limit, k, argv, fmt):
+        print_limit(4300)
+        code, out, err = run(capsys, *argv, "--r", "2", "--k", str(k), "--format", fmt)
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: 2^{k * k} has more than 4300 digits, Python's limit for printing an integer\n"
+        )
+
+    def test_printable_limit_is_exact(self, capsys, print_limit):
+        # 10^900 has 901 digits: the estimate sits on the limit, so the power decides
+        print_limit(901)
+        assert run(capsys, "nrange", "--r", "10", "--k", "30")[0] == 0
+        print_limit(900)
+        code, _, err = run(capsys, "nrange", "--r", "10", "--k", "30")
+        assert code == 1 and "more than 900 digits" in err
+
+    def test_bad_lower_bound_is_reported_before_the_power_size(self, capsys, print_limit):
+        print_limit(4300)
+        for command in ("nrange", "plan"):
+            code, _, err = run(capsys, command, "--r", "2", "--k", "120", "--lower", "1")
+            assert code == 1 and err == "error: lower bound 1 is below r = 2; no usable bracket\n"
+
     def test_report_json(self, capsys):
         code, out, _ = run(capsys, "report", "--r", "2", "--k", "7")
         assert code == 0
-        doc = json.loads(out)
+        doc = loads(out)
         assert doc["n_range"] == {
             "low": 11,
             "high": 48,
@@ -123,7 +193,7 @@ class TestTableA:
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "table-a", "--format", "json")
-        rows = json.loads(out)
+        rows = loads(out)
         assert [row["n"] for row in rows] == [3, 5, 7, 10, 3, 5, 3]
 
     def test_text_deterministic(self, capsys):
@@ -157,7 +227,7 @@ class TestSearchCommands:
                 capsys, "search", "--r", "2", "--k", "4", "--n-max", "34", "--format", "json"
             )
             assert code == 0
-            doc = json.loads(out)
+            doc = loads(out)
             del doc["stats"]["seconds"]
             docs.append(doc)
         assert docs[0] == docs[1]
@@ -189,7 +259,7 @@ class TestSearchCommands:
             capsys, "compute-w", "--r", "2", "--k", "3", "--cert-out", str(cert_path)
         )
         assert code == 0
-        data = json.loads(cert_path.read_text())
+        data = loads(cert_path.read_text())
         assert data["N"] == 8 and data["k"] == 3 and data["r"] == 2
 
     def test_plan(self, capsys):
@@ -303,7 +373,7 @@ class TestCnfCommand:
         assert code == 3
         assert err == "integrity error: solver model decodes to an invalid certificate\n"
         if fmt == "json":
-            assert json.loads(out)["certificate_verifies"] is False
+            assert loads(out)["certificate_verifies"] is False
         else:
             assert out.splitlines()[2:] == [
                 "decoded certificate: 1 1 1 0 1 1 0 0",
@@ -545,7 +615,7 @@ class TestJsonSchemas:
     def test_key_order(self, capsys, argv, template):
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
-        assert _shape(json.loads(out)) == _shape(template)
+        assert _shape(loads(out)) == _shape(template)
 
     def test_cnf(self, capsys, tmp_path):
         code, out, _ = run(
@@ -553,7 +623,7 @@ class TestJsonSchemas:
             "--out", str(tmp_path / "w.cnf"), "--format", "json",
         )
         assert code == 0
-        assert _shape(json.loads(out)) == _shape(_keys("out variable_count clause_count solver"))
+        assert _shape(loads(out)) == _shape(_keys("out variable_count clause_count solver"))
 
     def test_cnf_with_solver_model(self, capsys, tmp_path):
         solver = tmp_path / "solver.py"
@@ -563,7 +633,7 @@ class TestJsonSchemas:
             "--solver", f"{sys.executable} {solver}", "--format", "json",
         )
         assert code == 0
-        assert _shape(json.loads(out)) == _shape({
+        assert _shape(loads(out)) == _shape({
             **_keys("out variable_count clause_count"),
             "solver": _keys("status model returncode"),
             "certificate": _keys("r k N colors"),
@@ -577,7 +647,7 @@ class TestJsonSchemas:
         path.write_text(json.dumps({"r": 2, "k": 3, "N": len(colors), "colors": colors}))
         _, out, _ = run(capsys, "verify", str(path), "--format", "json")
         expected = {"valid": None, "k": None, "witness": _keys("a d color") if witness else None}
-        assert _shape(json.loads(out)) == _shape(expected)
+        assert _shape(loads(out)) == _shape(expected)
 
     def test_report_keys_for_every_registry_instance(self, capsys):
         for entry in known_values():
@@ -585,4 +655,4 @@ class TestJsonSchemas:
                 capsys, "report", "--r", str(entry.inst.r), "--k", str(entry.inst.k)
             )
             assert code == 0
-            assert list(json.loads(out)) == _REPORT_KEYS.split()
+            assert list(loads(out)) == _REPORT_KEYS.split()

@@ -48,6 +48,10 @@ class TestKnownValues:
             inst = VdwInstance(*key)
             assert value >= inst.r
 
+    def test_display_rows_are_the_exact_entries(self):
+        exact = [key for key, (kind, _value, _source) in registry._KNOWN.items() if kind == "exact"]
+        assert list(registry._TABLE_DISPLAY) == exact
+
     def test_monotone_same_k_chain(self):
         assert EXACT[(2, 3)] < EXACT[(3, 3)] < EXACT[(4, 3)]
 

@@ -439,7 +439,8 @@ class TestPlanIntervals:
         assert len(plan) == 38
         assert plan[0].n == 11 and plan[-1].n == 48
         assert plan[0].low == 2**11 and plan[0].high == 2**12
-        assert plan[-1].cumulative_high == 2**49
+        assert plan[-1].high == 2**49
+        assert plan[-1].to_dict()["cumulative"] == [1, 2**49]
         assert all(not iv.hinted for iv in plan)
 
     def test_w210_plan(self):
