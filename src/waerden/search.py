@@ -2,18 +2,18 @@
 
 Method: backtracking over positions 1..N, branching from the middle out
 with colors tried in ascending order, plus forced-position propagation.
-Each color class is a bitmask; for every color c a "forbidden" bitmask
-records the positions where assigning c would complete a monochromatic
-k-AP (an AP all of whose other members already carry c).  Bit i of every
-mask stands for the i-th position in middle-out order (nearest the centre
-(N + 1) / 2 first, ties left first), so the kernel, which always branches
-on the lowest unassigned bit, branches middle-out; certificates are mapped
-back to the original positions.  A middle position lies on more APs than
-an end one, so its color constrains more of the rest early.
-After every assignment the forbidden masks are refreshed from the APs
-through that position; a position with every color forbidden fails the
-branch at once, and a position with exactly one color left is assigned
-without branching, cascading until a fixpoint.
+Each color class is a bitmask in position space: bit p is position p, with
+no relabelling.  For every color c a "forbidden" bitmask records the
+positions where assigning c would complete a monochromatic k-AP (an AP all
+of whose other members already carry c).  A node branches on the
+unassigned position nearest the centre (N + 1) / 2, ties left first: the
+nearer of the highest unassigned bit of the left half and the lowest of the
+right half.  A middle position lies on more APs than an end one, so its
+color constrains more of the rest early.  After every assignment the
+forbidden masks are refreshed from the APs through that position; a
+position with every color forbidden fails the branch at once, and a
+position with exactly one color left is assigned without branching,
+cascading until a fixpoint.
 
 Branch decisions are taken in canonical color order (a branch may introduce
 at most one color index beyond those already used), which is sound and
@@ -27,8 +27,10 @@ of every AP's members carry that color: bit i of level j is bit j of the
 count of AP i.  Assigning a color to a position adds the mask of the APs
 through it to that color's counter with a ripple carry over the levels;
 each AP whose count reaches k - 1 forbids the color at its last member.
-For k = 3 the new threats come instead from a table of the third member of
-every 3-AP through two labels.
+For k = 3 a class member v and a new member q threaten 2v - q, 2q - v and
+(q + v) / 2, so each class mask also carries a dilated, a reflected and a
+halved copy of the class above bit N, and the threats of q are three
+right shifts of that one int (see _shift_table): no table grows with N^2.
 
 Parallel mode first searches serially for up to _SERIAL_NODES nodes, so a
 small tree is decided exactly as at one worker, without starting a pool.
@@ -181,23 +183,34 @@ class PlannedInterval(Bracket):
 
 
 def find_mono_ap(coloring: Coloring, k: int) -> APWitness | None:
-    """First monochromatic k-AP in (d, a)-lexicographic order, or None."""
+    """First monochromatic k-AP in (d, a)-lexicographic order, or None.
+
+    Bit p of masks[c] is position p of color c; for each d, the AND of a
+    class with its k - 1 copies shifted right by d, 2d, ... marks the first
+    members a of its APs of difference d.
+    """
     require_int(k, 3, "k must be an integer >= 3")
     N = coloring.N
     colors = coloring.colors
+    masks = [0] * coloring.r
+    for p, c in enumerate(colors, start=1):
+        masks[c] |= 1 << p
     for d in range(1, (N - 1) // (k - 1) + 1):
-        span = (k - 1) * d
-        for a in range(1, N - span + 1):
-            c0 = colors[a - 1]
-            for j in range(1, k):
-                if colors[a + j * d - 1] != c0:
-                    break
-            else:
-                witness = APWitness(a=a, d=d, color=c0)
-                for p in witness.positions(k):
-                    if not 1 <= p <= N or colors[p - 1] != c0:
-                        raise IntegrityError(f"witness re-check failed at position {p}")
-                return witness
+        first = None
+        for c, mask in enumerate(masks):
+            starts = mask
+            for j in range(d, k * d, d):
+                starts &= mask >> j
+            if starts:
+                a = (starts & -starts).bit_length() - 1
+                if first is None or a < first[0]:
+                    first = a, c
+        if first is not None:
+            witness = APWitness(a=first[0], d=d, color=first[1])
+            for p in witness.positions(k):
+                if not 1 <= p <= N or colors[p - 1] != witness.color:
+                    raise IntegrityError(f"witness re-check failed at position {p}")
+            return witness
     return None
 
 
@@ -206,32 +219,17 @@ def verify_certificate(coloring: Coloring, k: int) -> bool:
     return find_mono_ap(coloring, k) is None
 
 
-def _order(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Middle-out labels of [1, N]: (position of each label, label of each position).
-
-    Labels 1..N sort positions by distance from (N + 1) / 2, ties left
-    first; index 0 of both tuples is unused.
-    """
-    positions = sorted(range(1, N + 1), key=lambda p: (abs(2 * p - N - 1), p))
-    label = [0] * (N + 1)
-    for i, p in enumerate(positions, start=1):
-        label[p] = i
-    return (0, *positions), tuple(label)
-
-
-def _ap_index(k: int, order):
+def _ap_index(N: int, k: int):
     """Index every k-AP in [1, N]: (through, members, levels, full_levels).
 
-    through[q] masks the indices of the APs through label q, members[i] is
-    the label mask of AP i, levels = bit length of k - 1 is the number of
-    counter levels per color, and full_levels lists the levels whose bits
+    through[p] masks the indices of the APs through position p, members[i]
+    is the position mask of AP i, levels = bit length of k - 1 is the number
+    of counter levels per color, and full_levels lists the levels whose bits
     spell k - 1.
     """
-    position, label = order
-    N = len(position) - 1
-    bit = [1 << q for q in label]
+    bit = [1 << p for p in range(N + 1)]
     members = []
-    incident: list[list[int]] = [[] for _ in range(N + 1)]  # by position
+    incident: list[list[int]] = [[] for _ in range(N + 1)]
     for d in range(1, (N - 1) // (k - 1) + 1):
         for a in range(1, N - (k - 1) * d + 1):
             i = len(members)
@@ -239,10 +237,10 @@ def _ap_index(k: int, order):
             for p in range(a, a + k * d, d):
                 incident[p].append(i)
     size = (len(members) + 7) // 8
-    through = [0]
-    for p in position[1:]:
+    through = []
+    for aps in incident:
         buf = bytearray(size)
-        for i in incident[p]:
+        for i in aps:
             buf[i >> 3] |= 1 << (i & 7)
         through.append(int.from_bytes(buf, "little"))
     levels = (k - 1).bit_length()
@@ -250,58 +248,67 @@ def _ap_index(k: int, order):
     return tuple(through), tuple(members), levels, full_levels
 
 
-def _tables(k: int, order):
-    """(ap_index, pair_table) for the kernel: the k = 3 pair-threat table
-    replaces the AP index, so only one of the two is built."""
-    if k == 3:
-        return None, _pair_threats(order)
-    return _ap_index(k, order), None
+def _shift_table(N: int) -> tuple:
+    """k = 3 only: (sig, dilate, reflect, halve) for each position q.
 
-
-def _counters(r: int, aps) -> list[int]:
-    """Empty per-AP color counters: levels ints per color, none for k = 3."""
-    return [0] * (r * aps[2]) if aps is not None else []
-
-
-def _pair_threats(order) -> tuple[tuple[int, ...], ...]:
-    """k = 3 only: table[lu][lv] masks the labels completing a 3-AP with labels lu, lv.
-
-    Two same-colored positions u != v threaten 2v-u, 2u-v, and (u+v)/2 when
-    the gap is even; nothing else can complete a 3-term AP through both.
+    A class mask holds, besides bit v of each member v, three copies of the
+    class in segments above bit N: bit D + 2v (dilated), bit T - v
+    (reflected) and bit H + (v >> 1) (halved, H = O for odd v, E for even).
+    sig sets the four bits of q.  For q outside the class, the members v
+    threaten 2v - q, 2q - v and, when v and q have the same parity,
+    (q + v) / 2: bits 1..N of the mask shifted right by dilate = D + q, by
+    reflect = T - 2q and by halve = H - (q >> 1) - (q & 1), H for q's
+    parity.  The gaps between segments are wide enough that no shift moves
+    a bit of another segment into 1..N.
     """
-    position, label = order
-    N = len(position) - 1
-    table = [(0,) * (N + 1)]
-    for lu in range(1, N + 1):
-        u = position[lu]
-        row = [0]
-        for lv in range(1, N + 1):
-            v = position[lv]
-            m = 0
-            if v != u:
-                for t in (2 * v - u, 2 * u - v):
-                    if 1 <= t <= N:
-                        m |= 1 << label[t]
-                if (u + v) % 2 == 0:
-                    m |= 1 << label[(u + v) // 2]
-            row.append(m)
-        table.append(tuple(row))
+    D = N - 1  # dilated: bits N + 1 .. 3N - 1
+    O = 3 * N + (N + 1) // 2  # odd halves: O .. O + (N - 1) // 2
+    E = O + N  # even halves: E + 1 .. E + N // 2
+    T = E + 2 * N + N // 2  # reflected: T - N .. T - 1
+    table = [None]
+    for q in range(1, N + 1):
+        H = O if q & 1 else E
+        sig = 1 << q | 1 << (D + 2 * q) | 1 << (T - q) | 1 << (H + (q >> 1))
+        table.append((sig, D + q, T - 2 * q, H - (q >> 1) - (q & 1)))
     return tuple(table)
 
 
-def _assign_prop(cm, fb, cnt, un, used, p, c, aps, pair_table=None):
-    """Assign color c to the position labelled p, then propagate forced positions.
+def _tables(N: int, k: int):
+    """What the kernel reads: (N, ap_index, shift_table).  k = 3 reads its
+    threats from the shift table, k > 3 from the AP index; only one is built."""
+    if k == 3:
+        return N, None, _shift_table(N)
+    return N, _ap_index(N, k), None
+
+
+def _branch_position(un: int, N: int) -> int:
+    """The unassigned position nearest (N + 1) / 2, ties left: the highest
+    unassigned bit of the left half or the lowest of the right half."""
+    mid = (N + 1) >> 1
+    left = (un & ((2 << mid) - 1)).bit_length() - 1  # -1 if none is left
+    right = un >> (mid + 1)
+    if not right:
+        return left
+    right = (right & -right).bit_length() + mid
+    # distances N + 1 - 2 * left and 2 * right - N - 1; ties go left
+    return left if left + right > N else right
+
+
+def _assign_prop(cm, fb, cnt, un, used, p, c, aps, shifts):
+    """Assign color c to position p, then propagate forced positions.
 
     Mutates cm (class masks), fb (forbidden masks) and cnt (AP counters).
     Returns (ok, un, used, count) where count is the number of assignments
     made; ok is False on conflict (a dead position or a forced position
-    already taken).  When pair_table is given (k = 3) threats come from the
-    pair table; otherwise cnt holds, for each color, the bit-sliced count
-    of that color's members in every indexed AP, and an AP whose count
-    reaches k - 1 threatens its last member.  No count reaches k: a
-    position is never given a color its forbidden mask holds.
+    already taken).  For k = 3 (shifts given) the threats are three shifts
+    of the class mask, laid out by _shift_table; for k > 3 cnt holds, for
+    each color, the bit-sliced count of that color's members in every
+    indexed AP, and an AP whose count reaches k - 1 threatens its last
+    member.  No count reaches k: a position is never given a color its
+    forbidden mask holds.  Only unassigned positions are read from a
+    forbidden mask, so only they are recorded there.
     """
-    if pair_table is None:
+    if shifts is None:
         through, members, levels, full_levels = aps
     pending = [(p, c)]
     count = 0
@@ -314,21 +321,17 @@ def _assign_prop(cm, fb, cnt, un, used, p, c, aps, pair_table=None):
             return False, un, used, count
         if fb[qc] & bit:
             return False, un, used, count
-        cm[qc] |= bit
         un &= ~bit
         if qc >= used:
             used = qc + 1
         count += 1
         cmq = cm[qc]
-        new_threats = 0
-        if pair_table is not None:
-            row = pair_table[q]
-            mm = cmq & ~bit
-            while mm:
-                lowb = mm & -mm
-                mm ^= lowb
-                new_threats |= row[lowb.bit_length() - 1]
+        if shifts is not None:
+            sig, dilate, reflect, halve = shifts[q]
+            hit = (cmq >> dilate | cmq >> reflect | cmq >> halve) & un
+            cm[qc] = cmq | sig
         else:
+            cm[qc] = cmq | bit
             # ripple-carry add one to the count of every AP through q
             base = qc * levels
             carry = full = through[q]
@@ -340,18 +343,16 @@ def _assign_prop(cm, fb, cnt, un, used, p, c, aps, pair_table=None):
                     break
             for j in full_levels:
                 full &= cnt[base + j]
+            hit = 0
             while full:
                 i = full.bit_length() - 1
                 full ^= 1 << i
-                new_threats |= members[i]
-            new_threats &= ~cmq
-        new_threats &= ~fb[qc]
-        if not new_threats:
-            continue
-        fb[qc] |= new_threats
-        hit = new_threats & un  # only these positions can change status
+                hit |= members[i]
+            hit &= un
+        hit &= ~fb[qc]  # only these positions can change status
         if not hit:
             continue
+        fb[qc] |= hit
         # count the colors still free at each hit position, saturating at two
         one = two = 0
         for f in fb:
@@ -372,18 +373,20 @@ def _assign_prop(cm, fb, cnt, un, used, p, c, aps, pair_table=None):
     return True, un, used, count
 
 
-def _root_frame(N, r, aps):
-    """The frame of the empty coloring, which branches on label 1 with color 0
-    only: in canonical order the first color used is 0."""
-    unassigned = ((1 << N) - 1) << 1  # labels 1..N
-    return [[0], 0, 1, (0,) * r, (0,) * r, tuple(_counters(r, aps)), unassigned, 0]
+def _root_frame(r, tables):
+    """The frame of the empty coloring, which branches on the middle position
+    with color 0 only: in canonical order the first color used is 0."""
+    N, aps, _ = tables
+    unassigned = ((1 << N) - 1) << 1  # positions 1..N
+    counters = (0,) * (r * aps[2]) if aps is not None else ()
+    return [[0], 0, _branch_position(unassigned, N), (0,) * r, (0,) * r, counters, unassigned, 0]
 
 
-def _run_tree(r, aps, frames, max_nodes, deadline, pair_table=None, poll=None, tally=None, leaves=None):
+def _run_tree(r, tables, frames, max_nodes, deadline, poll=None, tally=None, leaves=None):
     """Backtrack depth first from a stack of frames until decided.
 
     A frame [colors, next, p, cm, fb, cnt, un, used] is a node of the tree:
-    its state, the label p it branches on and the colors to try there, of
+    its state, the position p it branches on and the colors to try there, of
     which colors[next:] are still untried.  The stack, mutated in place,
     holds the nodes on the current path, so its untried colors are exactly
     the branches not yet made.  The budget is checked just before each
@@ -400,6 +403,7 @@ def _run_tree(r, aps, frames, max_nodes, deadline, pair_table=None, poll=None, t
     Returns (status, class_masks_or_None, nodes) with status in
     {"SAT", "UNSAT", "TIMEOUT", "ABORTED"}; UNSAT means the stack ran out.
     """
+    N, aps, shifts = tables
     nodes = 0
     mark = min(_POLL_NODES, max_nodes)
     cm, fb, cnt = [], [], []
@@ -421,16 +425,17 @@ def _run_tree(r, aps, frames, max_nodes, deadline, pair_table=None, poll=None, t
         cm[:] = cm0
         fb[:] = fb0
         cnt[:] = cnt0
-        ok, un, used, made = _assign_prop(cm, fb, cnt, un0, used0, p, cands[idx], aps, pair_table)
+        ok, un, used, made = _assign_prop(cm, fb, cnt, un0, used0, p, cands[idx], aps, shifts)
         nodes += made
         if not ok:
             continue
         if un == 0:
             return "SAT", list(cm), nodes
-        low = un & -un
+        q = _branch_position(un, N)
+        bit = 1 << q
         limit = used + 1 if used < r else r  # canonical: at most one new color
         child = [
-            [c for c in range(limit) if not fb[c] & low], 0, low.bit_length() - 1,
+            [c for c in range(limit) if not fb[c] & bit], 0, q,
             tuple(cm), tuple(fb), tuple(cnt), un, used,
         ]
         if leaves is not None:
@@ -442,11 +447,10 @@ def _run_tree(r, aps, frames, max_nodes, deadline, pair_table=None, poll=None, t
     return "UNSAT", None, nodes
 
 
-def _masks_to_coloring(masks, label, r) -> Coloring:
-    N = len(label) - 1
+def _masks_to_coloring(masks, N, r) -> Coloring:
     colors = []
     for p in range(1, N + 1):
-        bit = 1 << label[p]
+        bit = 1 << p
         for c in range(r):
             if masks[c] & bit:
                 colors.append(c)
@@ -456,7 +460,7 @@ def _masks_to_coloring(masks, label, r) -> Coloring:
     return Coloring(N=N, r=r, colors=tuple(colors))
 
 
-def _split(r, aps, frames, tally, target, nodes, max_nodes, deadline, pair_table):
+def _split(r, tables, frames, tally, target, nodes, max_nodes, deadline):
     """Cut the branches a stopped serial pass left in `frames` into pool jobs.
 
     The jobs are the live nodes at the first depth d that holds at least
@@ -477,9 +481,7 @@ def _split(r, aps, frames, tally, target, nodes, max_nodes, deadline, pair_table
         sources = [frames[depth - 1], *level] if depth <= len(frames) else level
         level = []
         for frame in sources:
-            status, masks, made = _run_tree(
-                r, aps, [frame], max_nodes - nodes, deadline, pair_table, leaves=level,
-            )
+            status, masks, made = _run_tree(r, tables, [frame], max_nodes - nodes, deadline, leaves=level)
             nodes += made
             if status != "UNSAT":
                 return status, masks, nodes
@@ -492,10 +494,10 @@ def _split(r, aps, frames, tally, target, nodes, max_nodes, deadline, pair_table
 
 
 # nodes a multi-worker search runs serially before it starts a pool; every
-# desk-tier proof fits (the largest, (3,3) at N = 27, takes 3,583)
+# desk-tier proof fits (the largest, (3,3) at N = 27, takes 3,518)
 _SERIAL_NODES = 4096
 
-# what every job of a worker shares: (stop, spent, r, aps, pair_table)
+# what every job of a worker shares: (stop, spent, r, tables)
 _POOL = None
 
 
@@ -507,7 +509,7 @@ def _parallel_init(*shared):
 def _parallel_worker(args):
     # deadline is absolute CLOCK_MONOTONIC time, which every process shares
     frames, max_nodes, deadline = args
-    stop, spent, r, aps, pair_table = _POOL
+    stop, spent, r, tables = _POOL
     if stop.is_set():
         return "ABORTED", None, 0
     charged = 0
@@ -524,30 +526,26 @@ def _parallel_worker(args):
                 return "TIMEOUT"
         return "ABORTED" if stop.is_set() else None
 
-    status, masks, nodes = _run_tree(r, aps, frames, max_nodes, deadline, pair_table, poll=poll)
+    status, masks, nodes = _run_tree(r, tables, frames, max_nodes, deadline, poll=poll)
     poll(nodes)  # charge the nodes since the last poll
     return status, masks, nodes
 
 
-def _search(N, r, aps, pair_table, threads, max_nodes, deadline):
+def _search(r, tables, threads, max_nodes, deadline):
     """Search serially (for up to _SERIAL_NODES nodes when threads > 1), then
     fan the branches the serial pass left out over a process pool, whose
     workers receive the tables once, at start-up; SAT short-circuits, UNSAT
     needs every job exhausted."""
-    frames = [_root_frame(N, r, aps)]
+    frames = [_root_frame(r, tables)]
     if threads == 1:
-        return _run_tree(r, aps, frames, max_nodes, deadline, pair_table)
-    tally = [0] * (N + 1)
+        return _run_tree(r, tables, frames, max_nodes, deadline)
+    tally = [0] * (tables[0] + 1)
     serial_budget = min(max_nodes, _SERIAL_NODES)
-    status, masks, nodes = _run_tree(
-        r, aps, frames, serial_budget, deadline, pair_table, tally=tally,
-    )
+    status, masks, nodes = _run_tree(r, tables, frames, serial_budget, deadline, tally=tally)
     # decided, out of time, or out of the caller's nodes: no pool
     if status != "TIMEOUT" or nodes < serial_budget or nodes >= max_nodes:
         return status, masks, nodes
-    status, jobs, nodes = _split(
-        r, aps, frames, tally, threads * 8, nodes, max_nodes, deadline, pair_table,
-    )
+    status, jobs, nodes = _split(r, tables, frames, tally, threads * 8, nodes, max_nodes, deadline)
     if status != "jobs":
         return status, jobs, nodes
     if nodes >= max_nodes:
@@ -556,7 +554,7 @@ def _search(N, r, aps, pair_table, threads, max_nodes, deadline):
     spent = multiprocessing.Value("q", nodes)
     with ProcessPoolExecutor(
         max_workers=threads, initializer=_parallel_init,
-        initargs=(stop, spent, r, aps, pair_table),
+        initargs=(stop, spent, r, tables),
     ) as pool:
         futures = [pool.submit(_parallel_worker, (job, max_nodes, deadline)) for job in jobs]
         for fut in as_completed(futures):
@@ -598,13 +596,11 @@ def decide_colorability(
     r, k = inst.r, inst.k
     started = time.perf_counter()
     deadline = time.monotonic() + budget.max_seconds
-    order = _order(N)
-    aps, pair_table = _tables(k, order)
-    status, masks, nodes = _search(N, r, aps, pair_table, threads, budget.max_nodes, deadline)
+    status, masks, nodes = _search(r, _tables(N, k), threads, budget.max_nodes, deadline)
     stats = SearchStats(nodes=nodes, seconds=time.perf_counter() - started)
     certificate = None
     if status == "SAT":
-        certificate = _masks_to_coloring(masks, order[1], r)
+        certificate = _masks_to_coloring(masks, N, r)
         if not verify_certificate(certificate, k):
             raise IntegrityError("search produced a certificate that fails verification")
     return SearchOutcome(SearchStatus(status), certificate, stats)

@@ -22,6 +22,16 @@ def naive_has_mono_ap(colors: tuple[int, ...], k: int) -> bool:
     return False
 
 
+def naive_first_mono_ap(colors: tuple[int, ...], k: int) -> tuple[int, int, int] | None:
+    """(a, d, color) of the first monochromatic k-AP in (d, a) order, or None."""
+    n = len(colors)
+    for d in range(1, n):
+        for a in range(1, n - (k - 1) * d + 1):
+            if len({colors[a + j * d - 1] for j in range(k)}) == 1:
+                return a, d, colors[a - 1]
+    return None
+
+
 def naive_all_aps(n: int, k: int) -> list[tuple[int, ...]]:
     """Every k-term AP inside [1, n]."""
     out = []

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
+import pickle
 import random
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import permutations, product
 from unittest import mock
@@ -70,15 +73,15 @@ class TestFindMonoAp:
     def test_agrees_with_naive_enumerator(self):
         rng = random.Random(1234)
         for _ in range(10_000):
-            n = rng.randint(1, 64)
-            r = rng.choice((2, 2, 2, 3))
+            n = rng.randint(1, 80)
+            r = rng.choice((2, 2, 2, 3, 4))
             k = rng.choice((3, 4, 5))
             cs = tuple(rng.randrange(r) for _ in range(n))
             witness = find_mono_ap(coloring(cs, r), k)
-            has = oracles.naive_has_mono_ap(cs, k)
-            assert (witness is not None) == has
-            if witness is not None:
-                assert len({cs[p - 1] for p in witness.positions(k)}) == 1
+            assert (witness is not None) == oracles.naive_has_mono_ap(cs, k)
+            # the same first witness in (d, a) order as a plain scan
+            got = None if witness is None else (witness.a, witness.d, witness.color)
+            assert got == oracles.naive_first_mono_ap(cs, k), (cs, k)
 
 
 class TestVerifyCertificate:
@@ -168,7 +171,7 @@ class TestDecideColorability:
             (2, 3, 8), (2, 3, 9), (3, 3, 26), (3, 3, 27),
             (2, 4, 35), (3, 4, 12), (4, 3, 12),
             # trees that outgrow the serial first pass and run on the pool:
-            # 33,749 and 41,338 nodes (SAT) at one worker; the last sends
+            # 33,286 and 41,175 nodes (SAT) at one worker; the last sends
             # AP counters to the workers
             (4, 3, 61), (2, 6, 180),
         )
@@ -178,10 +181,10 @@ class TestDecideColorability:
             par = decide_colorability(n, inst, threads=2).status
             assert seq == par, (r, k, n)
         # an UNSAT proof on the pool, past a shorter serial pass, makes its
-        # 3,583 assignments once, as at one worker
+        # 3,518 assignments once, as at one worker
         with mock.patch.object(search, "_SERIAL_NODES", 1000):
             par = decide_colorability(27, VdwInstance(3, 3), threads=2)
-        assert (par.status, par.stats.nodes) == (SearchStatus.UNSAT, 3_583)
+        assert (par.status, par.stats.nodes) == (SearchStatus.UNSAT, 3_518)
 
     def test_parallel_counts_prefix_split_nodes(self):
         # (2,3) at N=8 and N=9 is settled by the serial first pass
@@ -243,10 +246,10 @@ class TestDecideColorability:
         assert proc.returncode == 0, proc.stderr
         # the tree outgrows the 1,000-node serial pass, and the pool resumes
         # it without repeating an assignment, so the UNSAT proof counts the
-        # same 3,583 nodes as at one worker whatever the start method
+        # same 3,518 nodes as at one worker whatever the start method
         one = decide_colorability(27, VdwInstance(3, 3))
-        assert (one.status, one.stats.nodes) == (SearchStatus.UNSAT, 3_583)
-        assert proc.stdout.split() == ["UNSAT", "3583"]
+        assert (one.status, one.stats.nodes) == (SearchStatus.UNSAT, 3_518)
+        assert proc.stdout.split() == ["UNSAT", "3518"]
 
     def test_domain_and_config_errors(self):
         with pytest.raises(DomainError):
@@ -265,11 +268,11 @@ class TestDecideColorability:
 @pytest.mark.parametrize(
     "r, k, n, status, nodes",
     [
-        (2, 4, 35, SearchStatus.UNSAT, 1_310),  # r = 2
-        (2, 4, 34, SearchStatus.SAT, 883),
-        (3, 3, 27, SearchStatus.UNSAT, 3_583),  # k = 3 pair table
-        (3, 4, 100, SearchStatus.SAT, 151),  # AP counters
-        (2, 6, 180, SearchStatus.SAT, 41_338),
+        (2, 4, 35, SearchStatus.UNSAT, 1_313),  # r = 2
+        (2, 4, 34, SearchStatus.SAT, 859),
+        (3, 3, 27, SearchStatus.UNSAT, 3_518),  # k = 3 shifts
+        (3, 4, 100, SearchStatus.SAT, 149),  # AP counters
+        (2, 6, 180, SearchStatus.SAT, 41_175),
     ],
 )
 def test_one_worker_node_counts(r, k, n, status, nodes):
@@ -280,8 +283,30 @@ def test_one_worker_node_counts(r, k, n, status, nodes):
 
 
 @pytest.mark.parametrize(
+    "r, k, n, status, decisions, certificate",
+    [
+        (2, 4, 35, SearchStatus.UNSAT, 295, None),
+        (2, 4, 34, SearchStatus.SAT, 205, "09c806086091a8d4adde897d42d57eb199b59df800af4879a1ffef7cbee573e1"),
+        (3, 3, 27, SearchStatus.UNSAT, 876, None),
+        (3, 4, 100, SearchStatus.SAT, 47, "8afb1653758f9eb4d1ada6bc71def4368e540f1578d7754c576189f7c282dc88"),
+        (2, 6, 180, SearchStatus.SAT, 3_867, "352a41746029a1a155619cd6a7c1ff1aa3c911ac953f7f1d7245a00b15ddd75e"),
+        (4, 3, 61, SearchStatus.SAT, 6_146, "f31847b8bd3bc8134a023001024808cb3c5d5b600584c8414259c2579c042d78"),
+    ],
+)
+def test_one_worker_trees(r, k, n, status, decisions, certificate):
+    """The tree itself is pinned, not only its size: the branches made (calls
+    of _assign_prop) and the SHA-256 of the certificate's colors.  Node
+    counts may move when a failing branch's forced assignments are made in
+    another order; these may not."""
+    with mock.patch.object(search, "_assign_prop", wraps=search._assign_prop) as prop:
+        out = decide_colorability(n, VdwInstance(r, k))
+    digest = out.certificate and hashlib.sha256(bytes(out.certificate.colors)).hexdigest()
+    assert (out.status, prop.call_count, digest) == (status, decisions, certificate)
+
+
+@pytest.mark.parametrize(
     "r, k, n, max_nodes, nodes",
-    [(2, 5, 178, 40_000, 40_001), (3, 4, 293, 2_000, 2_001)],
+    [(2, 5, 178, 40_000, 40_003), (3, 4, 293, 2_000, 2_004)],
 )
 def test_one_worker_slice_node_counts(r, k, n, max_nodes, nodes):
     """The first max_nodes of a proof too large to finish are pinned too."""
@@ -295,8 +320,8 @@ def _colorable(n, r, k):
 
 
 class TestMiddleOutOrder:
-    """The engine branches middle-out on relabelled bits; answers and
-    certificates must still be those of the original positions."""
+    """The engine branches middle-out, on the free position nearest the
+    centre; answers and certificates must be those of brute force."""
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 12), r=st.integers(2, 4), k=st.integers(3, 5))
@@ -309,6 +334,71 @@ class TestMiddleOutOrder:
             assert (cert.N, cert.r, len(cert.colors)) == (n, r, n)
             assert verify_certificate(cert, k)
             assert not oracles.naive_has_mono_ap(cert.colors, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 64), bits=st.integers(0, 2**64 - 1))
+    @example(n=1, bits=1)
+    @example(n=64, bits=2**64 - 1)
+    def test_branch_position_is_nearest_the_centre(self, n, bits):
+        un = (bits << 1) & (((1 << n) - 1) << 1)
+        assume(un)
+        order = sorted(range(1, n + 1), key=lambda p: (abs(2 * p - n - 1), p))
+        want = next(p for p in order if un >> p & 1)
+        assert search._branch_position(un, n) == want
+
+
+def _third_members(n, members, q):
+    """Brute force: every t in [1, n] that makes a 3-AP with q and a member."""
+    out = set()
+    for v in members:
+        for t in range(1, n + 1):
+            if len({t, v, q}) == 3 and sorted((t, v, q))[1] * 2 == min(t, v, q) + max(t, v, q):
+                out.add(t)
+    return out
+
+
+def _class_and_outsider(n, data):
+    """A random position q of [1, n] and a random class of other positions."""
+    q = data.draw(st.integers(1, n))
+    others = [v for v in range(1, n + 1) if v != q]
+    return q, data.draw(st.sets(st.sampled_from(others))) if others else set()
+
+
+class TestShiftRule:
+    """For k = 3 a class mask carries shifted copies of the class above bit
+    N, and the threats of assigning q are three right shifts of it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 64), data=st.data())
+    def test_shifts_give_the_third_members(self, n, data):
+        q, members = _class_and_outsider(n, data)
+        table = search._shift_table(n)
+        cm = 0
+        for v in members:
+            cm |= table[v][0]
+        _, dilate, reflect, halve = table[q]
+        threats = (cm >> dilate | cm >> reflect | cm >> halve) & (((1 << n) - 1) << 1)
+        assert threats == sum(1 << t for t in _third_members(n, members, q))
+        # a signature sets bit q of the class and nothing else in 1..N
+        assert table[q][0] & (((1 << n) - 1) << 1) == 1 << q
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 40), data=st.data())
+    def test_kernel_forbids_the_free_third_members(self, n, data):
+        # three colors and only color 0 used: no position is forced, so the
+        # kernel makes one assignment and forbids color 0 at exactly the
+        # free third members
+        q, members = _class_and_outsider(n, data)
+        table = search._shift_table(n)
+        cm = [0, 0, 0]
+        for v in members:
+            cm[0] |= table[v][0]
+        un = (((1 << n) - 1) << 1) & ~sum(1 << v for v in members)
+        fb = [0, 0, 0]
+        ok, left, _, made = search._assign_prop(cm, fb, [], un, 1, q, 0, None, table)
+        free = _third_members(n, members, q) - members
+        assert (ok, made, left) == (True, 1, un & ~(1 << q))
+        assert fb == [sum(1 << t for t in free), 0, 0]
 
 
 class TestCertificateSymmetry:
@@ -358,24 +448,20 @@ class TestPoolPath:
 
     @pytest.mark.parametrize("serial", [250, 1_000, 2_000, 3_000])
     def test_jobs_are_the_leaves_the_serial_pass_left(self, serial):
-        # (3,3) at N=27: 28 live nodes at the split depth, and 3,583 nodes
+        # (3,3) at N=27: 28 live nodes at the split depth, and 3,518 nodes
         # in all, so each budget exhausts more of them
         n, r, k = 27, 3, 3
-        aps, pair_table = search._tables(k, search._order(n))
+        tables = search._tables(n, k)
         deadline = time.monotonic() + 60
 
         def split(budget):
-            frames = [search._root_frame(n, r, aps)]
+            frames = [search._root_frame(r, tables)]
             tally = [0] * (n + 1)
             nodes = 0
             if budget:
-                status, _, nodes = search._run_tree(
-                    r, aps, frames, budget, deadline, pair_table, tally=tally,
-                )
+                status, _, nodes = search._run_tree(r, tables, frames, budget, deadline, tally=tally)
                 assert status == "TIMEOUT"
-            status, jobs, nodes = search._split(
-                r, aps, frames, tally, 16, nodes, 10**9, deadline, pair_table,
-            )
+            status, jobs, nodes = search._split(r, tables, frames, tally, 16, nodes, 10**9, deadline)
             assert status == "jobs"
             return jobs, nodes
 
@@ -387,10 +473,25 @@ class TestPoolPath:
         assert [job[0][2:] for job in jobs] == leaves[-len(jobs):]
         # run to the end, the jobs make every branch not yet made, once
         for job in jobs:
-            status, _, made = search._run_tree(r, aps, job, 10**9, deadline, pair_table)
+            status, _, made = search._run_tree(r, tables, job, 10**9, deadline)
             assert status == "UNSAT"
             nodes += made
-        assert nodes == 3_583
+        assert nodes == 3_518
+
+    def test_pool_tables_are_linear_in_n(self):
+        # the k = 3 shift table holds a few ints per position, where the
+        # pair table it replaced held N * N of them
+        captured = []
+
+        def pool(*args, **kwargs):
+            captured.append(kwargs["initargs"])
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        with mock.patch.object(search, "ProcessPoolExecutor", pool):
+            out = decide_colorability(76, VdwInstance(4, 3), Budget(max_nodes=20_000), threads=2)
+        assert out.status is SearchStatus.TIMEOUT and len(captured) == 1
+        _, _, *shared = captured[0]  # the stop event and node count, then (r, tables)
+        assert len(pickle.dumps(shared)) < 16 * 1024
 
 
 class TestComputeW:
