@@ -89,9 +89,13 @@ class ConjectureReport(Record):
     n: int
     lower_holds: bool  # r**n <= W
     upper_holds: bool  # W < r**(n+1)
-    square_cap_holds: bool  # r**(n+1) <= r**(k*k)
-    condition_holds: bool  # k*k >= n + 1
+    square_cap_holds: bool  # r**(n+1) <= r**(k*k), which for r >= 2 is k*k >= n + 1
     power_of_ten: PowerOfTenBound
+
+    @property
+    def condition_holds(self) -> bool:
+        """k*k >= n + 1: the square cap, stated on the exponents."""
+        return self.square_cap_holds
 
     @property
     def all_hold(self) -> bool:
@@ -228,8 +232,7 @@ def conjecture_certificate(W: int, inst: VdwInstance) -> ConjectureReport:
         lower_holds=br.low <= W,
         upper_holds=W < br.high,
         # r >= 2, so r**(n+1) <= r**(k*k) exactly when n + 1 <= k*k; the cap is never built
-        square_cap_holds=br.n + 1 <= k * k,
-        condition_holds=graham_condition(k, br.n),
+        square_cap_holds=graham_condition(k, br.n),
         power_of_ten=PowerOfTenBound(ten_exponent=br.n + 1, r=r, value=br.high),
     )
 
@@ -363,6 +366,6 @@ def exponent_relations(inst: VdwInstance, W: int) -> ExponentRelations:
         second_branch_applies=second_applies,
         second_branch_holds=second_holds,
         within_log_window=k < br.high,
-        below_square_cap=n <= k * k - 1,
+        below_square_cap=graham_condition(k, n),
         log_window_low=math.log(k) / math.log(r) - 1.0,
     )

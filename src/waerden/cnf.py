@@ -314,7 +314,8 @@ def run_external_solver(
 ) -> SolverResult:
     """Write the formula to a temp DIMACS file and run `command <file>`.
 
-    Exit codes 10/20 stand in for a missing status line.  The solver binary
+    Exit codes 10/20 stand in for a missing status line.  A command that
+    does not parse or names no program raises DomainError; the solver binary
     not existing raises FileNotFoundError; timeouts raise
     subprocess.TimeoutExpired after killing the solver's whole process
     group, so no helper process it started outlives the call.  A timeout
@@ -322,7 +323,12 @@ def run_external_solver(
     """
     if timeout is not None and not math.isfinite(timeout):
         timeout = None
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
+    try:
+        argv = shlex.split(command) if isinstance(command, str) else list(command)
+    except ValueError as exc:  # an unclosed quotation or a trailing escape
+        raise DomainError(f"solver command {command!r} does not parse: {exc}") from exc
+    if not argv:
+        raise DomainError(f"solver command {command!r} names no program")
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", encoding="ascii", delete=False
     ) as handle:

@@ -32,16 +32,16 @@ For k = 3 a class member v and a new member q threaten 2v - q, 2q - v and
 halved copy of the class above bit N, and the threats of q are three
 right shifts of that one int (see _shift_table): no table grows with N^2.
 
-Parallel mode first searches serially for up to _SERIAL_NODES nodes, so a
-small tree is decided exactly as at one worker, without starting a pool.
-A larger tree is handed to a process pool of multiprocessing's default
-context where the serial pass stopped: the branches it left are cut near
-the root into several jobs per worker, and the subtree it stopped inside
-resumes from its frames, so no assignment is made twice and an UNSAT
-proof counts the same nodes at any worker count.  SAT short-circuits the
-rest and cancels the jobs not yet started; UNSAT requires every job to be
-exhausted.  The SAT/UNSAT answer is identical across worker counts;
-certificates may differ in parallel mode but always verify.
+The search state is one stack of unmade branches.  Parallel mode first
+searches serially for up to _SERIAL_NODES nodes, so a small tree is
+decided as at one worker, without a pool.  A larger tree goes to a process
+pool of multiprocessing's default context: the shallowest branches the
+serial pass left are made level by level, each node's branches become one
+job, and the pass's path goes out with the top node's, so no assignment is
+made twice and an UNSAT proof counts the same nodes at any worker count.
+SAT short-circuits the rest and cancels the jobs not yet started; UNSAT
+requires every job to be exhausted.  The SAT/UNSAT answer is identical
+across worker counts; certificates may differ but always verify.
 
 W(r, 2) = r + 1 by pigeonhole; the engine only accepts k >= 3.
 """
@@ -54,6 +54,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 from ._record import Record
 from .bounds import VdwInstance, n_range
@@ -373,32 +374,28 @@ def _assign_prop(cm, fb, cnt, un, used, p, c, aps, shifts):
     return True, un, used, count
 
 
-def _root_frame(r, tables):
-    """The frame of the empty coloring, which branches on the middle position
-    with color 0 only: in canonical order the first color used is 0."""
+def _root(r, tables):
+    """The root branch: color 0, the first in canonical order, at the middle."""
     N, aps, _ = tables
     unassigned = ((1 << N) - 1) << 1  # positions 1..N
     counters = (0,) * (r * aps[2]) if aps is not None else ()
-    return [[0], 0, _branch_position(unassigned, N), (0,) * r, (0,) * r, counters, unassigned, 0]
+    return _branch_position(unassigned, N), 0, ((0,) * r, (0,) * r, counters, unassigned, 0, 0)
 
 
-def _run_tree(r, tables, frames, max_nodes, deadline, poll=None, tally=None, leaves=None):
-    """Backtrack depth first from a stack of frames until decided.
+def _run_tree(r, tables, stack, max_nodes, deadline, poll=None):
+    """Backtrack depth first from a stack of unmade branches until decided.
 
-    A frame [colors, next, p, cm, fb, cnt, un, used] is a node of the tree:
-    its state, the position p it branches on and the colors to try there, of
-    which colors[next:] are still untried.  The stack, mutated in place,
-    holds the nodes on the current path, so its untried colors are exactly
-    the branches not yet made.  The budget is checked just before each
-    assignment: a run stopped on max_nodes leaves every branch it has not
-    made in the stack, and a later run resumes them.
+    A branch (p, c, state) gives color c to position p in the state
+    (cm, fb, cnt, un, used, depth) of the node it leaves, one tuple shared
+    by its siblings.  When a branch's node survives, the branches of its
+    next position are pushed in descending color order, so the least color
+    is made first.  The stack, mutated in place, holds exactly the branches
+    not yet made.  The budget is checked just before each branch: a run
+    stopped on max_nodes leaves them all in the stack for a later run.
 
     Every _POLL_NODES nodes the run reads the clock and stops at the
     deadline; with poll it also calls poll(nodes) there and stops with the
-    status that returns, if any.  With tally, tally[d] counts the nodes at
-    depth d the run branched on.  With leaves, the run makes only the
-    branches of the given frames: each child that is neither dead nor a
-    coloring is appended to leaves as a frame instead of being searched.
+    status that returns, if any.
 
     Returns (status, class_masks_or_None, nodes) with status in
     {"SAT", "UNSAT", "TIMEOUT", "ABORTED"}; UNSAT means the stack ran out.
@@ -407,12 +404,7 @@ def _run_tree(r, tables, frames, max_nodes, deadline, poll=None, tally=None, lea
     nodes = 0
     mark = min(_POLL_NODES, max_nodes)
     cm, fb, cnt = [], [], []
-    while frames:
-        frame = frames[-1]
-        cands, idx, p, cm0, fb0, cnt0, un0, used0 = frame
-        if idx == len(cands):
-            frames.pop()
-            continue
+    while stack:
         if nodes >= mark:
             if nodes >= max_nodes or time.monotonic() >= deadline:
                 return "TIMEOUT", None, nodes
@@ -421,11 +413,11 @@ def _run_tree(r, tables, frames, max_nodes, deadline, poll=None, tally=None, lea
                 if halt is not None:
                     return halt, None, nodes
             mark = min(nodes + _POLL_NODES, max_nodes)
-        frame[1] = idx + 1
+        p, c, (cm0, fb0, cnt0, un, used, depth) = stack.pop()
         cm[:] = cm0
         fb[:] = fb0
         cnt[:] = cnt0
-        ok, un, used, made = _assign_prop(cm, fb, cnt, un0, used0, p, cands[idx], aps, shifts)
+        ok, un, used, made = _assign_prop(cm, fb, cnt, un, used, p, c, aps, shifts)
         nodes += made
         if not ok:
             continue
@@ -433,17 +425,10 @@ def _run_tree(r, tables, frames, max_nodes, deadline, poll=None, tally=None, lea
             return "SAT", list(cm), nodes
         q = _branch_position(un, N)
         bit = 1 << q
-        limit = used + 1 if used < r else r  # canonical: at most one new color
-        child = [
-            [c for c in range(limit) if not fb[c] & bit], 0, q,
-            tuple(cm), tuple(fb), tuple(cnt), un, used,
-        ]
-        if leaves is not None:
-            leaves.append(child)
-            continue
-        if tally is not None:
-            tally[len(frames)] += 1
-        frames.append(child)
+        state = (tuple(cm), tuple(fb), tuple(cnt), un, used, depth + 1)
+        for c in range(min(used, r - 1), -1, -1):  # canonical: at most one new color
+            if not fb[c] & bit:
+                stack.append((q, c, state))
     return "UNSAT", None, nodes
 
 
@@ -460,37 +445,39 @@ def _masks_to_coloring(masks, N, r) -> Coloring:
     return Coloring(N=N, r=r, colors=tuple(colors))
 
 
-def _split(r, tables, frames, tally, target, nodes, max_nodes, deadline):
-    """Cut the branches a stopped serial pass left in `frames` into pool jobs.
+def _split(r, tables, stack, target, nodes, max_nodes, deadline):
+    """Cut the branches a stopped serial pass left in `stack` into pool jobs.
 
-    The jobs are the live nodes at the first depth d that holds at least
-    `target` of them (at most 24), in depth-first order, less those the
-    pass exhausted: first the rest of the node the pass stopped inside,
-    frames[d:], then a one-frame stack for each node the pass never
-    reached.  tally[d] counts the nodes the pass reached at depth d; the
-    others are made a level at a time from the frames' untried colors, so
-    no assignment is made twice.  `nodes` is the count so far.
+    The stack is sorted by depth from the bottom.  Its shallowest level is
+    made in place, each branch replaced by its children, until that depth
+    is 24 or holds `target` nodes that still have branches (nodes the pass
+    exhausted do not count).  A job is one node's branches; the top node's
+    go out with the rest of the pass's path.  `nodes` is the count so far.
 
-    Returns ("jobs", stacks, nodes), or (status, masks_or_None, nodes) when
-    the levels find a coloring, run out of branches or spend the budget.
+    Returns ("jobs", stacks, nodes) with the stacks in depth-first order, or
+    (status, masks_or_None, nodes) when the levels find a coloring, run out
+    of branches or spend the budget.
     """
-    level = []
-    for depth in range(1, 25):
-        # in DFS order the untried children of frames[depth - 1] come first,
-        # then the children of the last level, which hang off lower frames
-        sources = [frames[depth - 1], *level] if depth <= len(frames) else level
+    while True:
+        depth = stack[0][2][5]
+        top = sum(branch[2][5] == depth for branch in stack)
+        # a node's branches share its state and lie together in the stack
+        groups = [list(g) for _, g in groupby(stack[:top], key=lambda branch: id(branch[2]))]
+        if len(groups) >= target or depth >= 24:
+            return "jobs", [groups.pop() + stack[top:], *reversed(groups)], nodes
         level = []
-        for frame in sources:
-            status, masks, made = _run_tree(r, tables, [frame], max_nodes - nodes, deadline, leaves=level)
+        for branch in stack[:top]:
+            if nodes >= max_nodes:
+                return "TIMEOUT", None, nodes
+            children = [branch]
+            status, masks, made = _run_tree(r, tables, children, 1, deadline)
             nodes += made
-            if status != "UNSAT":
+            if status == "SAT":
                 return status, masks, nodes
-        if not level and depth >= len(frames):
+            level += children
+        stack[:top] = level
+        if not stack:
             return "UNSAT", None, nodes
-        if tally[depth] + len(level) >= target:
-            break
-    jobs = [frames[depth:]] if depth < len(frames) else []
-    return "jobs", jobs + [[frame] for frame in level], nodes
 
 
 # nodes a multi-worker search runs serially before it starts a pool; every
@@ -508,7 +495,7 @@ def _parallel_init(*shared):
 
 def _parallel_worker(args):
     # deadline is absolute CLOCK_MONOTONIC time, which every process shares
-    frames, max_nodes, deadline = args
+    stack, max_nodes, deadline = args
     stop, spent, r, tables = _POOL
     if stop.is_set():
         return "ABORTED", None, 0
@@ -526,7 +513,7 @@ def _parallel_worker(args):
                 return "TIMEOUT"
         return "ABORTED" if stop.is_set() else None
 
-    status, masks, nodes = _run_tree(r, tables, frames, max_nodes, deadline, poll=poll)
+    status, masks, nodes = _run_tree(r, tables, stack, max_nodes, deadline, poll=poll)
     poll(nodes)  # charge the nodes since the last poll
     return status, masks, nodes
 
@@ -536,16 +523,15 @@ def _search(r, tables, threads, max_nodes, deadline):
     fan the branches the serial pass left out over a process pool, whose
     workers receive the tables once, at start-up; SAT short-circuits, UNSAT
     needs every job exhausted."""
-    frames = [_root_frame(r, tables)]
+    stack = [_root(r, tables)]
     if threads == 1:
-        return _run_tree(r, tables, frames, max_nodes, deadline)
-    tally = [0] * (tables[0] + 1)
+        return _run_tree(r, tables, stack, max_nodes, deadline)
     serial_budget = min(max_nodes, _SERIAL_NODES)
-    status, masks, nodes = _run_tree(r, tables, frames, serial_budget, deadline, tally=tally)
+    status, masks, nodes = _run_tree(r, tables, stack, serial_budget, deadline)
     # decided, out of time, or out of the caller's nodes: no pool
     if status != "TIMEOUT" or nodes < serial_budget or nodes >= max_nodes:
         return status, masks, nodes
-    status, jobs, nodes = _split(r, tables, frames, tally, threads * 8, nodes, max_nodes, deadline)
+    status, jobs, nodes = _split(r, tables, stack, threads * 8, nodes, max_nodes, deadline)
     if status != "jobs":
         return status, jobs, nodes
     if nodes >= max_nodes:

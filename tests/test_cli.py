@@ -6,11 +6,13 @@ import json
 import math
 import os
 import signal
+import subprocess
 import sys
 import time
 
 import pytest
 
+import waerden
 from waerden import read_dimacs, encode, report, VdwInstance, known_values
 from waerden.cli import main
 
@@ -35,6 +37,27 @@ def test_loads_rejects_non_finite_numbers():
     for text in ("NaN", "Infinity", "[1, -Infinity]"):
         with pytest.raises(ValueError, match="is not JSON"):
             loads(text)
+
+
+def test_imports_only_the_stdlib():
+    # everything runs on the standard library: importing the package and its
+    # CLI loads no other top-level module but waerden itself and the alias
+    # multiprocessing gives the main module
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import waerden, waerden.cli\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(*sorted(new - set(sys.stdlib_module_names) - {'waerden', '__mp_main__'}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(waerden.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 @pytest.fixture
@@ -388,6 +411,18 @@ class TestCnfCommand:
             "--out", str(tmp_path / "w.cnf"), "--solver", f"python3 {solver}",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [("'kissat", "does not parse: No closing quotation"), ("", "names no program"), (" ", "names no program")],
+    )
+    def test_malformed_solver_command_exit_one(self, capsys, tmp_path, command, message):
+        code, _, err = run(
+            capsys, "cnf", "--r", "2", "--k", "3", "--n-max", "9",
+            "--out", str(tmp_path / "w.cnf"), "--solver", command,
+        )
+        assert code == 1
+        assert err == f"error: solver command {command!r} {message}\n"
 
     def test_solver_malformed_value_line_exit_one(self, capsys, tmp_path):
         solver = tmp_path / "solver.py"

@@ -421,13 +421,14 @@ class TestCertificateSymmetry:
 
 class TestPoolPath:
     """With a serial first pass of a few nodes, small trees reach the split
-    and the pool, in many shapes: the pass can stop at any depth, inside a
-    leaf or between leaves, and the split can settle the tree itself."""
+    and the pool, in many shapes: the pass can stop at any depth, having
+    exhausted part of the cut level or not, and the split can settle the
+    tree itself."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 12), r=st.integers(2, 4), k=st.integers(3, 5),
-        serial=st.integers(1, 8),
+        serial=st.integers(1, 64),
     )
     @example(n=9, r=2, k=3, serial=1)
     @example(n=10, r=2, k=3, serial=5)
@@ -448,35 +449,65 @@ class TestPoolPath:
 
     @pytest.mark.parametrize("serial", [250, 1_000, 2_000, 3_000])
     def test_jobs_are_the_leaves_the_serial_pass_left(self, serial):
-        # (3,3) at N=27: 28 live nodes at the split depth, and 3,518 nodes
-        # in all, so each budget exhausts more of them
+        # (3,3) at N=27: 28 nodes at the cut depth when split from the root,
+        # and 3,518 nodes in all, so each budget leaves fewer branches
         n, r, k = 27, 3, 3
         tables = search._tables(n, k)
         deadline = time.monotonic() + 60
 
         def split(budget):
-            frames = [search._root_frame(r, tables)]
-            tally = [0] * (n + 1)
+            stack = [search._root(r, tables)]
             nodes = 0
             if budget:
-                status, _, nodes = search._run_tree(r, tables, frames, budget, deadline, tally=tally)
+                status, _, nodes = search._run_tree(r, tables, stack, budget, deadline)
                 assert status == "TIMEOUT"
-            status, jobs, nodes = search._split(r, tables, frames, tally, 16, nodes, 10**9, deadline)
-            assert status == "jobs"
-            return jobs, nodes
+            status, jobs, nodes = search._split(r, tables, stack, 16, nodes, 10**9, deadline)
+            return status, stack, jobs, nodes
 
-        leaves = [job[0][2:] for job in split(0)[0]]
-        jobs, nodes = split(serial)
-        assert len(leaves) == 28 and len(jobs) < 28
-        # the node the pass stopped inside resumes from its frames, and the
-        # leaves after it follow in DFS order; a frame's state is its [2:]
-        assert [job[0][2:] for job in jobs] == leaves[-len(jobs):]
-        # run to the end, the jobs make every branch not yet made, once
-        for job in jobs:
-            status, _, made = search._run_tree(r, tables, job, 10**9, deadline)
-            assert status == "UNSAT"
-            nodes += made
+        status, _, jobs, _ = split(0)
+        assert status == "jobs" and len(jobs) == 28
+        status, stack, jobs, nodes = split(serial)
+        if status == "jobs":
+            assert len(jobs) >= 16
+            # the jobs partition the stack in depth-first order: the first
+            # job's branches are the first made, and each job after it is
+            # the branches of one node, which share its state
+            assert [branch for job in reversed(jobs) for branch in job] == stack
+            assert all(len({id(branch[2]) for branch in job}) == 1 for job in jobs[1:])
+            # run to the end, the jobs make every branch not yet made, once
+            for job in jobs:
+                status, _, made = search._run_tree(r, tables, job, 10**9, deadline)
+                assert status == "UNSAT"
+                nodes += made
+        else:
+            # the split made the last branches itself
+            assert status == "UNSAT" and not stack
         assert nodes == 3_518
+
+    @pytest.mark.parametrize(
+        "r, k, n, jobs, branches, first",
+        [(4, 3, 61, 38, 141, 14), (2, 6, 180, 16, 62, 32)],
+    )
+    def test_pool_jobs(self, r, k, n, jobs, branches, first):
+        # the split of the default serial pass at 2 workers, counted in
+        # unmade branches per job; the first job holds the pass's path
+        captured = []
+
+        def pool(*args, **kwargs):
+            executor = ProcessPoolExecutor(*args, **kwargs)
+            submit = executor.submit
+
+            def capture(fn, job_args):
+                captured.append(len(job_args[0]))
+                return submit(fn, job_args)
+
+            executor.submit = capture
+            return executor
+
+        with mock.patch.object(search, "ProcessPoolExecutor", pool):
+            out = decide_colorability(n, VdwInstance(r, k), threads=2)
+        assert out.status is SearchStatus.SAT
+        assert (len(captured), sum(captured), captured[0]) == (jobs, branches, first)
 
     def test_pool_tables_are_linear_in_n(self):
         # the k = 3 shift table holds a few ints per position, where the
