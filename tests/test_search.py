@@ -450,7 +450,8 @@ class TestPoolPath:
     @pytest.mark.parametrize("serial", [250, 1_000, 2_000, 3_000])
     def test_jobs_are_the_leaves_the_serial_pass_left(self, serial):
         # (3,3) at N=27: 28 nodes at the cut depth when split from the root,
-        # and 3,518 nodes in all, so each budget leaves fewer branches
+        # and 3,518 nodes in all, so each budget leaves fewer of them; at
+        # 3,000 the split makes the last branches itself
         n, r, k = 27, 3, 3
         tables = search._tables(n, k)
         deadline = time.monotonic() + 60
@@ -465,13 +466,18 @@ class TestPoolPath:
             return status, stack, jobs, nodes
 
         status, _, jobs, _ = split(0)
-        assert status == "jobs" and len(jobs) == 28
+        assert status == "jobs"
+        leaves = [job[0][2] for job in jobs]
         status, stack, jobs, nodes = split(serial)
+        assert (status == "jobs") == (serial < 3_000)
         if status == "jobs":
-            assert len(jobs) >= 16
-            # the jobs partition the stack in depth-first order: the first
-            # job's branches are the first made, and each job after it is
-            # the branches of one node, which share its state
+            assert len(leaves) == 28 and 16 <= len(jobs) < 28
+            # the node the pass stopped inside and the leaves after it, in
+            # depth-first order; a branch's state is its [2]
+            assert [job[0][2] for job in jobs] == leaves[-len(jobs):]
+            # the jobs partition the stack: the first job's branches are the
+            # first made, and each job after it is the branches of one node,
+            # which share its state
             assert [branch for job in reversed(jobs) for branch in job] == stack
             assert all(len({id(branch[2]) for branch in job}) == 1 for job in jobs[1:])
             # run to the end, the jobs make every branch not yet made, once
@@ -480,7 +486,6 @@ class TestPoolPath:
                 assert status == "UNSAT"
                 nodes += made
         else:
-            # the split made the last branches itself
             assert status == "UNSAT" and not stack
         assert nodes == 3_518
 
