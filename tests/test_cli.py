@@ -266,8 +266,10 @@ class TestSearchCommands:
         assert out1 == out2 == "35\n"
 
     def test_compute_w_allowlist(self, capsys):
-        code, _, err = run(capsys, "compute-w", "--r", "2", "--k", "6")
-        assert code == 1 and "allowlist" in err
+        for r, k in (("2", "6"), ("5", "3")):
+            code, _, err = run(capsys, "compute-w", "--r", r, "--k", k)
+            # the message names the CLI flag, not only the library's force=True
+            assert code == 1 and "allowlist" in err and "--force" in err
 
     def test_compute_w_force_budget_exit_two(self, capsys):
         code, _, err = run(

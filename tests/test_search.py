@@ -347,6 +347,22 @@ class TestMiddleOutOrder:
         assert search._branch_position(un, n) == want
 
 
+class TestApIndex:
+    """The k > 3 kernel reads every AP from _ap_index, built by shifts."""
+
+    @pytest.mark.parametrize("k", range(3, 8))
+    def test_matches_the_naive_aps(self, k):
+        for n in range(1, 61):  # n < k included: no AP at all
+            through, members, levels, full_levels = search._ap_index(n, k)
+            aps = sorted(oracles.naive_all_aps(n, k), key=lambda ap: (ap[1] - ap[0], ap[0]))
+            assert members == tuple(sum(1 << p for p in ap) for ap in aps), n
+            assert len(through) == n + 1 and through[0] == 0, n
+            for p in range(1, n + 1):
+                assert through[p] == sum(1 << i for i, ap in enumerate(aps) if p in ap), (n, p)
+            assert levels == (k - 1).bit_length() and max(full_levels) < levels
+            assert sum(1 << j for j in full_levels) == k - 1
+
+
 def _third_members(n, members, q):
     """Brute force: every t in [1, n] that makes a 3-AP with q and a member."""
     out = set()
