@@ -291,7 +291,11 @@ def erdos_rado(inst: VdwInstance, n: int | None = None) -> ErdosRadoReport:
         return ErdosRadoReport(inst, lower_value, threshold)
     require_int(n, 0, "n must be an integer >= 0")
     exceeds = n > threshold
-    power_ok = r ** (2 * n) > bound_squared
+    # r**(2n) >= 2**(2n * (r.bit_length() - 1)), which exceeds bound_squared once
+    # that exponent reaches its bit length; below that point the power is small
+    power_ok = 2 * n * (r.bit_length() - 1) >= bound_squared.bit_length() or (
+        r ** (2 * n) > bound_squared
+    )
     return ErdosRadoReport(
         instance=inst,
         lower_bound_value=lower_value,

@@ -28,7 +28,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import bounds, cnf, numerics, registry, search
@@ -43,6 +42,9 @@ from .errors import (
 )
 
 _ENV_THREADS = "WAERDEN_THREADS"
+# the formats beside text and JSON; only table-a renders them
+_TABLE_A_RENDERERS = {"csv": registry.table_a_csv, "markdown": registry.table_a_markdown}
+_FORMATS = ("text", "json", *_TABLE_A_RENDERERS)
 
 DEFAULTS = {
     "precision": numerics.DEFAULT_DELTA_PRECISION,
@@ -50,14 +52,6 @@ DEFAULTS = {
     **search.Budget().to_dict(),
     "format": "text",
 }
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    precision: int
-    threads: int
-    budget: search.Budget
-    output_format: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +64,7 @@ def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
-        choices=("text", "json", "csv", "markdown"),
+        choices=_FORMATS,
         default=None,
         help="output format (csv/markdown apply to table-a only)",
     )
@@ -170,33 +164,23 @@ def _load_config_file(path: Path | None) -> dict:
     return data
 
 
-def _resolve_config(args: argparse.Namespace) -> CliConfig:
-    file_cfg = _load_config_file(getattr(args, "config", None))
-
-    def pick(flag_value, key):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return DEFAULTS[key]
-
-    threads = args.threads
-    if threads is None and os.environ.get(_ENV_THREADS):
+def _resolve_config(args: argparse.Namespace) -> None:
+    """Set each DEFAULTS key on args from its flag, else (threads only) a
+    non-empty WAERDEN_THREADS, else the config file, else DEFAULTS; then
+    args.budget from max_nodes and max_seconds."""
+    settings = {**DEFAULTS, **_load_config_file(args.config)}
+    if args.threads is None and os.environ.get(_ENV_THREADS):
         try:
-            threads = int(os.environ[_ENV_THREADS])
+            args.threads = int(os.environ[_ENV_THREADS])
         except ValueError as exc:
             raise ConfigError(f"{_ENV_THREADS} must be an integer") from exc
-    threads = pick(threads, "threads")
-    require_int(threads, 1, "threads must be an integer >= 1", ConfigError)
-    precision = pick(args.precision, "precision")
-    fmt = pick(args.format, "format")
-    if fmt not in ("text", "json", "csv", "markdown"):
-        raise ConfigError(f"unknown output format {fmt!r}")
-    budget = search.Budget(
-        max_nodes=pick(args.max_nodes, "max_nodes"),
-        max_seconds=pick(args.max_seconds, "max_seconds"),
-    )
-    return CliConfig(precision=precision, threads=threads, budget=budget, output_format=fmt)
+    for key, value in settings.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    require_int(args.threads, 1, "threads must be an integer >= 1", ConfigError)
+    if args.format not in _FORMATS:
+        raise ConfigError(f"unknown output format {args.format!r}")
+    args.budget = search.Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
 
 
 # What every _cmd_* handler returns: the JSON document (None prints nothing
@@ -212,23 +196,23 @@ def _colors(coloring: search.Coloring) -> str:
     return " ".join(map(str, coloring.colors))
 
 
-def _cmd_expand(args, cfg: CliConfig) -> _Output:
+def _cmd_expand(args) -> _Output:
     expansion = numerics.expand(args.N, args.base)
     return expansion.to_dict(), [" ".join(map(str, expansion.digits))], 0
 
 
-def _cmd_bracket(args, cfg: CliConfig) -> _Output:
+def _cmd_bracket(args) -> _Output:
     br = numerics.bracket_exponent(args.N, args.base)
     b, n = args.base, br.n
     return br.to_dict(), [f"n = {n}", f"{b}^{n} <= {args.N} < {b}^{n + 1}"], 0
 
 
-def _cmd_delta(args, cfg: CliConfig) -> _Output:
-    report = numerics.delta(args.N, args.base, precision=cfg.precision)
+def _cmd_delta(args) -> _Output:
+    report = numerics.delta(args.N, args.base, precision=args.precision)
     return report.to_dict(), [str(report.value), f"n = {report.lower}"], 0
 
 
-def _cmd_check(args, cfg: CliConfig) -> _Output:
+def _cmd_check(args) -> _Output:
     rep = bounds.conjecture_certificate(args.W, args.inst)
     r, k, n = args.inst.r, args.inst.k, rep.n
     return rep.to_dict(), [
@@ -253,7 +237,7 @@ def _require_printable(inst: VdwInstance) -> None:
         )
 
 
-def _cmd_nrange(args, cfg: CliConfig) -> _Output:
+def _cmd_nrange(args) -> _Output:
     window = bounds.n_range(args.inst, args.lower)
     _require_printable(args.inst)
     doc = bounds.n_range_dict(args.inst, window)
@@ -263,7 +247,7 @@ def _cmd_nrange(args, cfg: CliConfig) -> _Output:
     ], 0
 
 
-def _cmd_erdos_rado(args, cfg: CliConfig) -> _Output:
+def _cmd_erdos_rado(args) -> _Output:
     rep = bounds.erdos_rado(args.inst, args.n)
     lines = [
         f"lower bound: W({args.inst.r},{args.inst.k}) > {rep.lower_bound_value!r}",
@@ -278,14 +262,8 @@ def _cmd_erdos_rado(args, cfg: CliConfig) -> _Output:
     return rep.to_dict(), lines, 0
 
 
-_TABLE_A_RENDERERS = {
-    "csv": registry.table_a_csv,
-    "markdown": registry.table_a_markdown,
-}
-
-
-def _cmd_table_a(args, cfg: CliConfig) -> _Output:
-    render = _TABLE_A_RENDERERS.get(cfg.output_format, registry.table_a_text)
+def _cmd_table_a(args) -> _Output:
+    render = _TABLE_A_RENDERERS.get(args.format, registry.table_a_text)
     return [row.to_dict() for row in registry.table_a()], render().splitlines(), 0
 
 
@@ -293,8 +271,8 @@ def _write_certificate(path: Path, cert: search.Coloring, k: int) -> None:
     path.write_text(search.certificate_to_json(cert, k) + "\n")
 
 
-def _cmd_search(args, cfg: CliConfig) -> _Output:
-    outcome = search.decide_colorability(args.n_max, args.inst, cfg.budget, threads=cfg.threads)
+def _cmd_search(args) -> _Output:
+    outcome = search.decide_colorability(args.n_max, args.inst, args.budget, threads=args.threads)
     _stats_to_stderr(outcome.stats)
     lines = [outcome.status.value]
     if outcome.certificate is not None:
@@ -304,15 +282,15 @@ def _cmd_search(args, cfg: CliConfig) -> _Output:
     return outcome.to_dict(), lines, 2 if outcome.status is search.SearchStatus.TIMEOUT else 0
 
 
-def _cmd_compute_w(args, cfg: CliConfig) -> _Output:
-    result = search.compute_W(args.inst, cfg.budget, threads=cfg.threads, force=args.force)
+def _cmd_compute_w(args) -> _Output:
+    result = search.compute_W(args.inst, args.budget, threads=args.threads, force=args.force)
     _stats_to_stderr(result.stats)
     if args.cert_out is not None:
         _write_certificate(args.cert_out, result.certificate, args.inst.k)
     return result.to_dict(), [str(result.value)], 0
 
 
-def _cmd_plan(args, cfg: CliConfig) -> _Output:
+def _cmd_plan(args) -> _Output:
     hint = tuple(args.hint) if args.hint is not None else None
     bounds.n_range(args.inst, args.lower)  # a bad lower bound is reported first
     _require_printable(args.inst)
@@ -325,7 +303,7 @@ def _cmd_plan(args, cfg: CliConfig) -> _Output:
     return [iv.to_dict() for iv in intervals], lines, 0
 
 
-def _cmd_cnf(args, cfg: CliConfig) -> _Output:
+def _cmd_cnf(args) -> _Output:
     inst = args.inst
     formula = cnf.encode(args.n_max, inst)
     cnf.write_dimacs(formula, args.out)
@@ -339,11 +317,11 @@ def _cmd_cnf(args, cfg: CliConfig) -> _Output:
     if args.solver is None:
         return payload, lines, 0
     try:
-        run = cnf.run_external_solver(args.solver, formula, timeout=cfg.budget.max_seconds)
+        run = cnf.run_external_solver(args.solver, formula, timeout=args.max_seconds)
     except FileNotFoundError as exc:
         raise DomainError(f"solver not found: {exc}") from exc
     except subprocess.TimeoutExpired:
-        print(f"timeout: solver ran past {cfg.budget.max_seconds} s", file=sys.stderr)
+        print(f"timeout: solver ran past {args.max_seconds} s", file=sys.stderr)
         return None, lines, 2  # no document: JSON output stays empty
     payload["solver"] = run.to_dict()
     lines.append(f"solver status: {run.status}")
@@ -362,7 +340,7 @@ def _cmd_cnf(args, cfg: CliConfig) -> _Output:
     return payload, lines, code
 
 
-def _cmd_verify(args, cfg: CliConfig) -> _Output:
+def _cmd_verify(args) -> _Output:
     try:
         text = args.certificate.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -378,7 +356,7 @@ def _cmd_verify(args, cfg: CliConfig) -> _Output:
     return {"valid": False, "k": k, "witness": witness.to_dict()}, [line], 1
 
 
-def _cmd_report(args, cfg: CliConfig) -> _Output:
+def _cmd_report(args) -> _Output:
     _require_printable(args.inst)
     doc = registry.report(args.inst)
     return doc, [json.dumps(doc, indent=2)], 0
@@ -391,13 +369,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 64
     try:
-        cfg = _resolve_config(args)
-        fmt = cfg.output_format
-        if fmt in ("csv", "markdown") and args.command != "table-a":
+        _resolve_config(args)
+        fmt = args.format
+        if fmt in _TABLE_A_RENDERERS and args.command != "table-a":
             raise ConfigError(f"format {fmt!r} is only supported by table-a, not {args.command}")
         if "r" in args:
             args.inst = VdwInstance(args.r, args.k)
-        document, lines, code = args.handler(args, cfg)
+        document, lines, code = args.handler(args)
         if fmt == "json":
             lines = [] if document is None else [json.dumps(document, indent=2)]
         sys.stdout.write("".join(line + "\n" for line in lines))
@@ -408,10 +386,7 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, ConfigError, DecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, ConfigError, DecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -523,13 +524,11 @@ def _parallel_worker(args):
 
 def _search(r, tables, threads, max_nodes, deadline):
     """Search serially (for up to _SERIAL_NODES nodes when threads > 1), then
-    fan the branches the serial pass left out over a process pool, whose
-    workers receive the tables once, at start-up; SAT short-circuits, UNSAT
-    needs every job exhausted."""
+    fan the branches the serial pass left out over a process pool of at most
+    one worker per CPU, whose workers receive the tables once, at start-up;
+    SAT short-circuits, UNSAT needs every job exhausted."""
     stack = [_root(r, tables)]
-    if threads == 1:
-        return _run_tree(r, tables, stack, max_nodes, deadline)
-    serial_budget = min(max_nodes, _SERIAL_NODES)
+    serial_budget = min(max_nodes, _SERIAL_NODES) if threads > 1 else max_nodes
     status, masks, nodes = _run_tree(r, tables, stack, serial_budget, deadline)
     # decided, out of time, or out of the caller's nodes: no pool
     if status != "TIMEOUT" or nodes < serial_budget or nodes >= max_nodes:
@@ -541,9 +540,9 @@ def _search(r, tables, threads, max_nodes, deadline):
         return "TIMEOUT", None, nodes
     stop = multiprocessing.Event()
     spent = multiprocessing.Value("q", nodes)
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
     with ProcessPoolExecutor(
-        max_workers=threads, initializer=_parallel_init,
-        initargs=(stop, spent, r, tables),
+        max_workers=workers, initializer=_parallel_init, initargs=(stop, spent, r, tables)
     ) as pool:
         futures = [pool.submit(_parallel_worker, (job, max_nodes, deadline)) for job in jobs]
         for fut in as_completed(futures):
@@ -563,6 +562,18 @@ def _search(r, tables, threads, max_nodes, deadline):
     return "TIMEOUT", None, nodes
 
 
+def _decide(N, inst, threads, max_nodes, deadline):
+    """Build the tables for [1, N] and search them: (status, the verified
+    certificate or None, nodes)."""
+    status, masks, nodes = _search(inst.r, _tables(N, inst.k), threads, max_nodes, deadline)
+    if status != "SAT":
+        return SearchStatus(status), None, nodes
+    certificate = _masks_to_coloring(masks, N, inst.r)
+    if not verify_certificate(certificate, inst.k):
+        raise IntegrityError("search produced a certificate that fails verification")
+    return SearchStatus.SAT, certificate, nodes
+
+
 def decide_colorability(
     N: int,
     inst: VdwInstance,
@@ -580,19 +591,11 @@ def decide_colorability(
     """
     require_int(N, 1, "N must be a positive integer")
     require_int(threads, 1, "threads must be a positive integer", ConfigError)
-    if budget is None:
-        budget = Budget()
-    r, k = inst.r, inst.k
+    budget = budget or Budget()
     started = time.perf_counter()
     deadline = time.monotonic() + budget.max_seconds
-    status, masks, nodes = _search(r, _tables(N, k), threads, budget.max_nodes, deadline)
-    stats = SearchStats(nodes=nodes, seconds=time.perf_counter() - started)
-    certificate = None
-    if status == "SAT":
-        certificate = _masks_to_coloring(masks, N, r)
-        if not verify_certificate(certificate, k):
-            raise IntegrityError("search produced a certificate that fails verification")
-    return SearchOutcome(SearchStatus(status), certificate, stats)
+    status, certificate, nodes = _decide(N, inst, threads, budget.max_nodes, deadline)
+    return SearchOutcome(status, certificate, SearchStats(nodes, time.perf_counter() - started))
 
 
 def compute_W(
@@ -604,59 +607,44 @@ def compute_W(
     """Least N such that every r-coloring of [1, N] has a monochromatic k-AP.
 
     Decides N = k, k + 1, ... in turn with a full search each, until one is
-    UNSAT; the last SAT certificate is the coloring of [1, value - 1].
-    Budget exhaustion raises BudgetExhausted with the best proven bracket
-    [last_SAT + 1, infinity).
+    UNSAT; the last SAT certificate is the coloring of [1, value - 1].  The
+    searches share one deadline and one node budget, and no N starts once
+    either is spent.  Budget exhaustion raises BudgetExhausted with the best
+    proven bracket [last_SAT + 1, infinity).
     """
-    if budget is None:
-        budget = Budget()
     if inst.key not in FEASIBLE_INSTANCES and not force:
         raise DomainError(
             f"(r={inst.r}, k={inst.k}) is outside the desk-scale allowlist "
             f"{sorted(FEASIBLE_INSTANCES)}; pass force=True (--force on the "
             "command line) to run it anyway with honest timeout semantics"
         )
+    require_int(threads, 1, "threads must be a positive integer", ConfigError)
+    budget = budget or Budget()
     started = time.perf_counter()
     deadline = time.monotonic() + budget.max_seconds
-    nodes_left = budget.max_nodes
-    total_nodes = 0
-    prev_cert: Coloring | None = None
+    nodes = 0
+    certificate = None
     N = inst.k
-    while True:
-        now = time.monotonic()
-        if now >= deadline or nodes_left < 1:
-            raise BudgetExhausted(
-                f"budget exhausted before deciding N={N}; W({inst.r},{inst.k}) >= {N}",
-                lower_bound=N,
-                nodes=total_nodes,
-                seconds=time.perf_counter() - started,
-            )
-        sub_budget = Budget(max_nodes=nodes_left, max_seconds=max(deadline - now, 1e-3))
-        outcome = decide_colorability(N, inst, sub_budget, threads=threads)
-        total_nodes += outcome.stats.nodes
-        nodes_left -= outcome.stats.nodes
-        if outcome.status is SearchStatus.SAT:
-            prev_cert = outcome.certificate
-            N += 1
-            continue
-        if outcome.status is SearchStatus.UNSAT:
-            if prev_cert is None:
+    while nodes < budget.max_nodes and time.monotonic() < deadline:
+        status, sat, made = _decide(N, inst, threads, budget.max_nodes - nodes, deadline)
+        nodes += made
+        if status is SearchStatus.TIMEOUT:
+            break
+        if status is SearchStatus.UNSAT:
+            if certificate is None:
                 raise IntegrityError(
-                    f"N={N} reported UNSAT with no smaller SAT point; "
-                    "impossible for r >= 2"
+                    f"N={N} reported UNSAT with no smaller SAT point; impossible for r >= 2"
                 )
-            return ComputeWResult(
-                instance=inst,
-                value=N,
-                certificate=prev_cert,
-                stats=SearchStats(total_nodes, time.perf_counter() - started),
-            )
-        raise BudgetExhausted(
-            f"search timed out at N={N}; W({inst.r},{inst.k}) >= {N}",
-            lower_bound=N,
-            nodes=total_nodes,
-            seconds=time.perf_counter() - started,
-        )
+            stats = SearchStats(nodes, time.perf_counter() - started)
+            return ComputeWResult(instance=inst, value=N, certificate=certificate, stats=stats)
+        certificate = sat
+        N += 1
+    raise BudgetExhausted(
+        f"search timed out at N={N}; W({inst.r},{inst.k}) >= {N}",
+        lower_bound=N,
+        nodes=nodes,
+        seconds=time.perf_counter() - started,
+    )
 
 
 def plan_intervals(

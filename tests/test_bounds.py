@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -144,6 +145,20 @@ class TestErdosRado:
         assert rep.exceeds_threshold is True  # 3 > 1.631
         assert rep.power_exceeds_bound is True  # 27 > 6, checked as 3^6 > 36
         assert rep.theorem_chain_holds is True
+
+    def test_power_test_matches_the_built_power(self):
+        for r in range(2, 7):
+            for k in range(3, 7):
+                for n in range(61):
+                    rep = erdos_rado(VdwInstance(r, k), n=n)
+                    assert rep.power_exceeds_bound == (r ** (2 * n) > 2 * (k - 1) * r ** (k - 1))
+
+    def test_power_test_does_not_build_a_huge_power(self):
+        # 3**(2 * 10**9) has about 10**9 digits; its size alone decides
+        started = time.perf_counter()
+        rep = erdos_rado(VdwInstance(3, 3), n=10**9)
+        assert rep.power_exceeds_bound is True and rep.theorem_chain_holds is True
+        assert time.perf_counter() - started < 1
 
     def test_threshold_formula_random(self):
         rng = random.Random(2)

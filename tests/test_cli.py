@@ -278,6 +278,10 @@ class TestSearchCommands:
         )
         assert code == 2 and "timeout" in err
 
+    def test_compute_w_node_budget_exit_two(self, capsys):
+        code, out, err = run(capsys, "compute-w", "--r", "2", "--k", "3", "--max-nodes", "10")
+        assert code == 2 and out == "" and err.startswith("timeout:")
+
     def test_cert_out_roundtrips(self, capsys, tmp_path):
         cert_path = tmp_path / "cert.json"
         code, out, _ = run(
@@ -556,6 +560,25 @@ class TestConfigAndUsage:
         monkeypatch.setenv("WAERDEN_THREADS", "lots")
         code, _, err = run(capsys, "compute-w", "--r", "2", "--k", "3")
         assert code == 1
+
+    def test_threads_flag_ignores_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("WAERDEN_THREADS", "lots")
+        code, out, _ = run(capsys, "compute-w", "--r", "2", "--k", "3", "--threads", "1")
+        assert code == 0 and out == "9\n"
+
+    def test_env_threads_beat_config(self, capsys, monkeypatch, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"threads": 0}')
+        monkeypatch.setenv("WAERDEN_THREADS", "1")
+        assert run(capsys, "expand", "9", "--base", "2", "--config", str(cfg))[0] == 0
+        # an empty variable is ignored, so the config file's 0 is rejected
+        monkeypatch.setenv("WAERDEN_THREADS", "")
+        assert run(capsys, "expand", "9", "--base", "2", "--config", str(cfg))[0] == 1
+
+    def test_zero_env_threads(self, capsys, monkeypatch):
+        monkeypatch.setenv("WAERDEN_THREADS", "0")
+        code, out, err = run(capsys, "expand", "9", "--base", "2")
+        assert code == 1 and out == "" and err.startswith("error: ")
 
     def test_csv_only_for_table(self, capsys):
         code, _, err = run(capsys, "expand", "9", "--base", "2", "--format", "csv")

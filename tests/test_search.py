@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import cache
 from itertools import permutations, product
 from unittest import mock
@@ -530,6 +530,36 @@ class TestPoolPath:
         assert out.status is SearchStatus.SAT
         assert (len(captured), sum(captured), captured[0]) == (jobs, branches, first)
 
+    @pytest.mark.parametrize(
+        "threads, cpus, cut, workers",
+        # (4,3) at N = 61 splits into 1,414 jobs at 64 threads and 38 at 2;
+        # a cut of 2 leaves 4 jobs
+        [(64, 3, None, 3), (2, None, None, 1), (2, 8, None, 2), (64, 10**6, 2, 4)],
+    )
+    def test_pool_workers_are_capped(self, threads, cpus, cut, workers):
+        # at most one worker per CPU and per job, whatever the thread count;
+        # the fake pool records its size and runs the jobs on one thread
+        sizes, jobs = [], []
+        split = search._split
+
+        def pool(max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            executor = ThreadPoolExecutor(1, initializer=initializer, initargs=initargs)
+            submit = executor.submit
+            executor.submit = lambda fn, job_args: jobs.append(job_args) or submit(fn, job_args)
+            return executor
+
+        def split_at(r, tables, stack, target, *rest):
+            return split(r, tables, stack, cut or target, *rest)
+
+        with mock.patch.object(search, "ProcessPoolExecutor", pool), \
+                mock.patch.object(search, "_split", split_at), \
+                mock.patch.object(search, "_POOL", None), \
+                mock.patch.object(search.os, "cpu_count", return_value=cpus):
+            out = decide_colorability(61, VdwInstance(4, 3), threads=threads)
+        assert out.status is SearchStatus.SAT and verify_certificate(out.certificate, 3)
+        assert sizes == [workers] and len(jobs) >= workers
+
     def test_pool_tables_are_linear_in_n(self):
         # the k = 3 shift table holds a few ints per position, where the
         # pair table it replaced held N * N of them
@@ -581,6 +611,25 @@ class TestComputeW:
         with pytest.raises(BudgetExhausted) as info:
             compute_W(VdwInstance(2, 6), Budget(max_nodes=2000, max_seconds=60), force=True)
         assert info.value.lower_bound >= 6
+
+    @pytest.mark.parametrize("max_nodes", [100, 1000])
+    def test_spent_node_budget(self, max_nodes):
+        # 100 nodes run out between two N, 1,000 inside the proof at N = 27;
+        # either way the N below the first undecided one was decided SAT
+        inst = VdwInstance(3, 3)
+        with pytest.raises(BudgetExhausted) as info:
+            compute_W(inst, Budget(max_nodes=max_nodes))
+        exc = info.value
+        assert exc.nodes >= max_nodes and inst.k < exc.lower_bound <= 27
+        assert decide_colorability(exc.lower_bound - 1, inst).status is SearchStatus.SAT
+
+    def test_spent_time_builds_no_tables(self):
+        inst = VdwInstance(2, 4)
+        with mock.patch.object(search, "_tables", wraps=search._tables) as tables:
+            with pytest.raises(BudgetExhausted) as info:
+                compute_W(inst, Budget(max_seconds=1e-9))
+        assert (info.value.lower_bound, info.value.nodes) == (inst.k, 0)
+        tables.assert_not_called()
 
     # the extended-tier exact computations W(4,3) and W(2,5) live in
     # tests/test_acceptance.py so the long runs happen exactly once
