@@ -18,8 +18,6 @@ from .bounds import (
     exponent_relations,
     graham_condition,
     n_range,
-    pair_compare_same_k,
-    pair_compare_same_r,
     power_of_ten_bound,
 )
 from .cnf import (
@@ -50,9 +48,7 @@ from .numerics import (
     bracket_exponent,
     delta,
     expand,
-    intersection_bracket,
     reconstruct,
-    tower_bound,
 )
 from .registry import KnownValue, TableARow, known_values, lookup, report, table_a
 from .search import (
@@ -116,12 +112,9 @@ __all__ = [
     "exponent_relations",
     "find_mono_ap",
     "graham_condition",
-    "intersection_bracket",
     "known_values",
     "lookup",
     "n_range",
-    "pair_compare_same_k",
-    "pair_compare_same_r",
     "parse_solver_output",
     "plan_intervals",
     "power_of_ten_bound",
@@ -130,7 +123,6 @@ __all__ = [
     "report",
     "run_external_solver",
     "table_a",
-    "tower_bound",
     "verify_certificate",
     "write_dimacs",
 ]

@@ -8,7 +8,6 @@ Central facts implemented here, all decided with exact integer arithmetic:
   lower bound on W;
 * the Erdos-Rado lower bound W > sqrt(2*(k-1)*r**(k-1)) and the exponent
   threshold above which r**n already clears it;
-* pairwise chain comparisons between two numbers sharing r or sharing k;
 * the k-versus-r exponent relations and the (log_r k - 1, k*k - 1] window.
 
 Whether k >= sqrt(n+1) is also *necessary* is an open empirical observation;
@@ -66,15 +65,10 @@ class PowerOfTenBound(Record):
         return f"(10^{self.ten_exponent})^log10({self.r}) = {self.value}"
 
 
-def _require_ints(**values) -> None:
-    """Reject any named value that is not an int, or is a bool, by name."""
-    for name, value in values.items():
-        require_int(value, -math.inf, f"{name} must be an integer")
-
-
 def power_of_ten_bound(r: int, n: int) -> PowerOfTenBound:
     """Upper bound r**(n+1) in power-of-ten clothing (exact integer value)."""
-    _require_ints(r=r, n=n)
+    require_int(r, -math.inf, "r must be an integer")
+    require_int(n, -math.inf, "n must be an integer")
     if r < 2 or n < 0:
         raise DomainError(f"need r >= 2 and n >= 0, got r={r}, n={n}")
     return PowerOfTenBound(ten_exponent=n + 1, r=r, value=Bracket(r, n).high)
@@ -151,54 +145,6 @@ class ErdosRadoReport(Record):
 
 
 @dataclass(frozen=True)
-class SameRComparison(Record):
-    """W' < r**n <= W < r**(n+1) for two values with the same r, k' < k."""
-
-    r: int
-    n: int
-    small_below_power: bool  # W_small < r**n
-    power_at_most_big: bool  # r**n <= W_big
-    big_below_next: bool  # W_big < r**(n+1)
-    graham_holds: bool  # k_big**2 >= n + 1
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.small_below_power
-            and self.power_at_most_big
-            and self.big_below_next
-            and self.graham_holds
-        )
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "all_hold": self.all_hold}
-
-
-@dataclass(frozen=True)
-class SameKComparison(Record):
-    """r'**n' <= W' < W < r**(n+1) for two values with the same k, r' < r."""
-
-    n_small: int
-    n_big: int
-    small_power_holds: bool  # r_small**n' <= W_small
-    strictly_increasing: bool  # W_small < W_big
-    big_below_next: bool  # W_big < r_big**(n+1)
-    exponents_ordered: bool  # n' <= n
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.small_power_holds
-            and self.strictly_increasing
-            and self.big_below_next
-            and self.exponents_ordered
-        )
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "all_hold": self.all_hold}
-
-
-@dataclass(frozen=True)
 class ExponentRelations(Record):
     """How the bracket exponent n sits relative to r, k and the log window."""
 
@@ -233,7 +179,7 @@ def conjecture_certificate(W: int, inst: VdwInstance) -> ConjectureReport:
         upper_holds=W < br.high,
         # r >= 2, so r**(n+1) <= r**(k*k) exactly when n + 1 <= k*k; the cap is never built
         square_cap_holds=graham_condition(k, br.n),
-        power_of_ten=PowerOfTenBound(ten_exponent=br.n + 1, r=r, value=br.high),
+        power_of_ten=power_of_ten_bound(r, br.n),
     )
 
 
@@ -271,21 +217,25 @@ def n_range_dict(inst: VdwInstance, window: NRange) -> dict:
     return {**window.to_dict(), "upper_power": f"{inst.r}^{top}", "upper_power_value": value}
 
 
-def _sqrt_as_float(x: int) -> float:
-    try:
-        value = math.sqrt(x)
-    except OverflowError:
-        value = float(Decimal(x).sqrt())
-    if not math.isfinite(value):
-        raise DomainError("the Erdos-Rado bound lies past the float range")
-    return value
+def _erdos_rado_bound(r: int, k: int) -> tuple[int, float]:
+    """2*(k-1)*r**(k-1) and its square root, which must fit a float."""
+    # r**(k-1) >= 2**((k-1) * (r.bit_length()-1)); past 2**2050 the root is
+    # past the float range, so the power is not built
+    if (k - 1) * (r.bit_length() - 1) <= 2050:
+        squared = 2 * (k - 1) * r ** (k - 1)
+        try:
+            value = math.sqrt(squared)
+        except OverflowError:
+            value = float(Decimal(squared).sqrt())
+        if math.isfinite(value):
+            return squared, value
+    raise DomainError("the Erdos-Rado bound lies past the float range")
 
 
 def erdos_rado(inst: VdwInstance, n: int | None = None) -> ErdosRadoReport:
     """Lower bound sqrt(2*(k-1)*r**(k-1)) and its exponent threshold."""
     r, k = inst.r, inst.k
-    bound_squared = 2 * (k - 1) * r ** (k - 1)
-    lower_value = _sqrt_as_float(bound_squared)
+    bound_squared, lower_value = _erdos_rado_bound(r, k)
     threshold = (math.log(2) + math.log(k - 1)) / (2 * math.log(r)) + (k - 1) / 2
     if n is None:
         return ErdosRadoReport(inst, lower_value, threshold)
@@ -304,53 +254,6 @@ def erdos_rado(inst: VdwInstance, n: int | None = None) -> ErdosRadoReport:
         exceeds_threshold=exceeds,
         power_exceeds_bound=power_ok,
         theorem_chain_holds=exceeds and power_ok,
-    )
-
-
-def pair_compare_same_r(
-    w_small: int, k_small: int, w_big: int, k_big: int, r: int
-) -> SameRComparison:
-    """Check W(r, k') < r**n <= W(r, k) < r**(n+1) with n from W(r, k)."""
-    _require_ints(w_small=w_small, k_small=k_small, w_big=w_big, k_big=k_big, r=r)
-    if k_small >= k_big:
-        raise DomainError(f"need k_small < k_big, got {k_small} >= {k_big}")
-    if r < 2:
-        raise DomainError(f"r must be >= 2, got {r}")
-    if w_small < 1 or w_big < 1:
-        raise DomainError("both values must be positive integers")
-    br = bracket_exponent(w_big, r)
-    return SameRComparison(
-        r=r,
-        n=br.n,
-        small_below_power=w_small < br.low,
-        power_at_most_big=br.low <= w_big,
-        big_below_next=w_big < br.high,
-        graham_holds=graham_condition(k_big, br.n),
-    )
-
-
-def pair_compare_same_k(
-    w_small: int, r_small: int, w_big: int, r_big: int, k: int
-) -> SameKComparison:
-    """Check r'**n' <= W(r', k) < W(r, k) < r**(n+1) across two color counts."""
-    _require_ints(w_small=w_small, r_small=r_small, w_big=w_big, r_big=r_big, k=k)
-    if r_small >= r_big:
-        raise DomainError(f"need r_small < r_big, got {r_small} >= {r_big}")
-    if r_small < 2:
-        raise DomainError(f"r_small must be >= 2, got {r_small}")
-    if k < 3:
-        raise DomainError(f"k must be >= 3, got {k}")
-    if w_small < 1 or w_big < 1:
-        raise DomainError("both values must be positive integers")
-    small = bracket_exponent(w_small, r_small)
-    big = bracket_exponent(w_big, r_big)
-    return SameKComparison(
-        n_small=small.n,
-        n_big=big.n,
-        small_power_holds=small.low <= w_small,
-        strictly_increasing=w_small < w_big,
-        big_below_next=w_big < big.high,
-        exponents_ordered=small.n <= big.n,
     )
 
 

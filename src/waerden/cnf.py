@@ -73,12 +73,6 @@ class CnfFormula(Record):
     def clause_count(self) -> int:
         return len(self.clauses)
 
-    def to_dict(self) -> dict:
-        return {
-            "variable_count": self.variable_count,
-            "clauses": [list(cl) for cl in self.clauses],
-        }
-
 
 @dataclass(frozen=True)
 class SolverResult(Record):

@@ -115,21 +115,6 @@ class ApproxErrors(Record):
         }
 
 
-@dataclass(frozen=True)
-class IntersectionBracket(Record):
-    """Simultaneous base-r and base-k brackets of the same integer.
-
-    ``common_low``/``common_high`` bound the non-empty intersection
-    [max(r**n, k**m), min(r**(n+1), k**(m+1))); the associated integer lies
-    inside it.  The only power of r in [r**n, r**(n+1)) is r**n itself.
-    """
-
-    n: int
-    m: int
-    common_low: int
-    common_high: int
-
-
 def expand(N: int, base: int) -> RadixExpansion:
     """Expand N >= 1 into base-`base` digits, most significant first."""
     require_int(N, 1, "N must be a positive integer")
@@ -203,38 +188,3 @@ def approx_errors(N: int, base: int) -> ApproxErrors:
     d = math.log(N) / math.log(base)
     gap = abs(1.0 - base ** (br.n - d))
     return ApproxErrors(leading_error=leading, delta_gap_error=gap)
-
-
-def tower_bound(c: int, X: int, W: int) -> float:
-    """log(W) / (X * log(c)): caps the bracket exponent of W in base c**X.
-
-    bracket_exponent(W, c**X).n <= tower_bound(c, X, W), however large c**X is.
-    """
-    require_int(c, 2, "c must be an integer >= 2")
-    require_int(X, 1, "X must be a positive integer")
-    require_int(W, 1, "W must be a positive integer")
-    if W == 1:
-        return 0.0
-    br = bracket_exponent(W, c**X)
-    if br.low == W:
-        return float(br.n)
-    with localcontext() as ctx:
-        ctx.prec = 40
-        value = Decimal(W).ln() / (X * Decimal(c).ln())
-    return float(value)
-
-
-def intersection_bracket(W: int, r: int, k: int) -> IntersectionBracket:
-    """Bracket W simultaneously in base r and base k and intersect.
-
-    Rejects W smaller than both bases; if W is at least one base the
-    degenerate zero exponent on the other side is still exact.
-    """
-    require_int(W, 1, "W must be a positive integer")
-    require_int(r, 2, "r must be an integer >= 2")
-    require_int(k, 2, "k must be an integer >= 2")
-    if W < r and W < k:
-        raise DomainError(f"W={W} is below both bases r={r} and k={k}")
-    in_r, in_k = bracket_exponent(W, r), bracket_exponent(W, k)
-    low, high = max(in_r.low, in_k.low), min(in_r.high, in_k.high)
-    return IntersectionBracket(n=in_r.n, m=in_k.n, common_low=low, common_high=high)

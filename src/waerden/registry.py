@@ -74,18 +74,10 @@ _DISPLAY_ULP = Decimal("0.001")
 
 @dataclass(frozen=True)
 class KnownValue(Record):
-    inst: VdwInstance
+    instance: VdwInstance
     kind: Literal["exact", "lower_bound"]
     value: int
     source: str
-
-    def to_dict(self) -> dict:
-        return {
-            "instance": self.inst.to_dict(),
-            "kind": self.kind,
-            "value": self.value,
-            "source": self.source,
-        }
 
 
 @dataclass(frozen=True)

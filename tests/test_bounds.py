@@ -1,4 +1,4 @@
-"""Bracket-condition, range, and comparison machinery."""
+"""Bracket-condition, exponent-window and Erdos-Rado machinery."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import math
 import random
 import time
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,6 @@ from waerden import (
     exponent_relations,
     graham_condition,
     n_range,
-    pair_compare_same_k,
-    pair_compare_same_r,
     power_of_ten_bound,
 )
 
@@ -160,6 +159,25 @@ class TestErdosRado:
         assert rep.power_exceeds_bound is True and rep.theorem_chain_holds is True
         assert time.perf_counter() - started < 1
 
+    def test_huge_k_fails_before_building_the_power(self):
+        # 10**(10**6 - 1) has a million digits; its size alone puts the
+        # root past the float range
+        started = time.perf_counter()
+        with pytest.raises(DomainError, match="float range"):
+            erdos_rado(VdwInstance(10, 10**6))
+        assert time.perf_counter() - started < 1
+
+    def test_float_range_edge_matches_the_built_bound(self):
+        # the bit-length shortcut raises only where the built bound overflows
+        for r in (2, 3, 10, 16):
+            for k in range(3, 2100):
+                expected = float(Decimal(2 * (k - 1) * r ** (k - 1)).sqrt())
+                if math.isfinite(expected):
+                    assert erdos_rado(VdwInstance(r, k)).lower_bound_value == pytest.approx(expected)
+                else:
+                    with pytest.raises(DomainError, match="float range"):
+                        erdos_rado(VdwInstance(r, k))
+
     def test_threshold_formula_random(self):
         rng = random.Random(2)
         for _ in range(200):
@@ -176,47 +194,6 @@ class TestErdosRado:
         assert math.isfinite(erdos_rado(VdwInstance(2, 2000)).lower_bound_value)
         with pytest.raises(DomainError, match="float range"):
             erdos_rado(VdwInstance(2, 2100))
-
-
-class TestPairCompareSameR:
-    def test_rows_one_and_four(self):
-        rep = pair_compare_same_r(9, 3, 1132, 6, 2)
-        assert rep.n == 10
-        assert rep.all_hold
-
-    def test_rows_one_and_two(self):
-        rep = pair_compare_same_r(9, 3, 35, 4, 2)
-        assert rep.n == 5
-        assert rep.all_hold
-
-    def test_boundary_violation(self):
-        rep = pair_compare_same_r(8, 3, 9, 4, 2)
-        assert rep.small_below_power is False  # 8 < 2^3 fails
-        assert not rep.all_hold
-
-    def test_requires_k_order(self):
-        with pytest.raises(DomainError):
-            pair_compare_same_r(9, 4, 35, 3, 2)
-
-
-class TestPairCompareSameK:
-    def test_chain_27_76(self):
-        rep = pair_compare_same_k(27, 3, 76, 4, 3)
-        assert (rep.n_small, rep.n_big) == (3, 3)
-        assert rep.all_hold
-
-    def test_chain_9_27(self):
-        rep = pair_compare_same_k(9, 2, 27, 3, 3)
-        assert rep.all_hold
-
-    def test_equal_values_fail_strictness(self):
-        rep = pair_compare_same_k(27, 3, 27, 4, 3)
-        assert rep.strictly_increasing is False
-        assert not rep.all_hold
-
-    def test_requires_r_order(self):
-        with pytest.raises(DomainError):
-            pair_compare_same_k(27, 4, 76, 3, 3)
 
 
 class TestExponentRelations:
@@ -268,10 +245,6 @@ class TestPowerOfTenBound:
 @pytest.mark.parametrize(
     "call, args",
     [
-        (pair_compare_same_r, (True, 3, 9, 4, 2)),
-        (pair_compare_same_r, (9, 3, 35.0, 4, 2)),
-        (pair_compare_same_k, (9, 2, 27, 3, 3.5)),
-        (pair_compare_same_k, (9, 2.0, 27, 3, 3)),
         (power_of_ten_bound, (2.5, 3)),
         (power_of_ten_bound, (2, True)),
     ],

@@ -305,6 +305,13 @@ class TestSearchCommands:
         hinted = [line for line in out.splitlines() if line.endswith("(hinted)")]
         assert len(hinted) == 5
 
+    def test_plan_inverted_hint_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "plan", "--r", "2", "--k", "3", "--lower", "9", "--hint", "5", "1"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: hint window [5, 1] is inverted\n"
+
 
 class TestVerifyCommand:
     CERT = '{"r": 2, "k": 3, "N": 8, "colors": [1, 1, 0, 0, 1, 1, 0, 0]}'
@@ -712,7 +719,7 @@ class TestJsonSchemas:
     def test_report_keys_for_every_registry_instance(self, capsys):
         for entry in known_values():
             code, out, _ = run(
-                capsys, "report", "--r", str(entry.inst.r), "--k", str(entry.inst.k)
+                capsys, "report", "--r", str(entry.instance.r), "--k", str(entry.instance.k)
             )
             assert code == 0
             assert list(loads(out)) == _REPORT_KEYS.split()

@@ -18,9 +18,7 @@ from waerden import (
     bracket_exponent,
     delta,
     expand,
-    intersection_bracket,
     reconstruct,
-    tower_bound,
 )
 
 
@@ -202,60 +200,3 @@ class TestApproxErrors:
             approx_errors(1, 2)
         with pytest.raises(DomainError):
             approx_errors(4, 5)
-
-
-class TestTowerBound:
-    def test_exact_power_of_kilo_base(self):
-        value = tower_bound(2, 10, 2**35)
-        assert value == 3.5
-        assert bracket_exponent(2**35, 2**10).n == 3 <= value
-
-    def test_reduces_to_plain_log(self):
-        assert tower_bound(2, 1, 8) == 3.0
-
-    def test_base_nine(self):
-        assert tower_bound(3, 2, 27) == 1.5
-        assert bracket_exponent(27, 9).n == 1
-
-    def test_bracket_sandwich_random(self):
-        rng = random.Random(555)
-        for _ in range(300):
-            c = rng.randint(2, 5)
-            x = rng.randint(1, 6)
-            w = rng.randint(1, 2**64)
-            value = tower_bound(c, x, w)
-            n = bracket_exponent(w, c**x).n
-            assert n <= value < n + 1
-
-
-class TestIntersectionBracket:
-    def test_178(self):
-        ib = intersection_bracket(178, 2, 5)
-        assert (ib.n, ib.m) == (7, 3)
-        assert (ib.common_low, ib.common_high) == (128, 256)
-        assert ib.common_low <= 178 < ib.common_high
-
-    def test_nine(self):
-        ib = intersection_bracket(9, 2, 3)
-        assert (ib.n, ib.m) == (3, 2)
-        assert (ib.common_low, ib.common_high) == (9, 16)
-
-    def test_equal_bases(self):
-        ib = intersection_bracket(27, 3, 3)
-        assert (ib.n, ib.m) == (3, 3)
-        assert (ib.common_low, ib.common_high) == (27, 81)
-
-    def test_membership_random(self):
-        rng = random.Random(17)
-        for _ in range(500):
-            r = rng.randint(2, 9)
-            k = rng.randint(2, 9)
-            w = rng.randint(max(r, k), 10**9)
-            ib = intersection_bracket(w, r, k)
-            assert ib.common_low <= w < ib.common_high
-            assert r**ib.n <= w < r ** (ib.n + 1)
-            assert k**ib.m <= w < k ** (ib.m + 1)
-
-    def test_rejects_below_both_bases(self):
-        with pytest.raises(DomainError):
-            intersection_bracket(1, 2, 3)

@@ -28,8 +28,8 @@ class TestKnownValues:
     def test_complete_inventory(self):
         values = known_values()
         assert len(values) == 11
-        exact = {v.inst.key: v.value for v in values if v.kind == "exact"}
-        lower = {v.inst.key: v.value for v in values if v.kind == "lower_bound"}
+        exact = {v.instance.key: v.value for v in values if v.kind == "exact"}
+        lower = {v.instance.key: v.value for v in values if v.kind == "lower_bound"}
         assert exact == EXACT
         assert lower == LOWER
         assert all(v.source for v in values)
@@ -40,7 +40,7 @@ class TestKnownValues:
         assert lookup(VdwInstance(2, 7)).value == 3703
         assert lookup(VdwInstance(2, 7)).kind == "lower_bound"
         assert lookup(VdwInstance(9, 9)) is None
-        assert [lookup(entry.inst) for entry in known_values()] == list(known_values())
+        assert [lookup(entry.instance) for entry in known_values()] == list(known_values())
 
     def test_lower_bounds_below_their_instances_exact_style(self):
         # lower bounds are strictly below the next power bracket they refine

@@ -662,6 +662,12 @@ class TestPlanIntervals:
         hinted = [iv.n for iv in plan if iv.hinted]
         assert hinted == [11, 12, 13, 14, 15]
 
+    def test_inverted_hint_is_rejected(self):
+        with pytest.raises(DomainError, match="inverted"):
+            plan_intervals(VdwInstance(2, 3), 9, hint=(5, 1))
+        plan = plan_intervals(VdwInstance(2, 3), 9, hint=(5, 5))
+        assert [iv.n for iv in plan if iv.hinted] == [5]
+
 
 class TestCertificateJson:
     def test_roundtrip(self):
