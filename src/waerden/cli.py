@@ -1,20 +1,22 @@
 """One binary, subcommand per operation; built for batch use and scripting.
 
 Exit codes: 0 success, 1 domain/config error (including invalid
-certificates, malformed certificate or config files, and results too
-large to print), 2 search timeout or unknown solver outcome, 3 registry
-integrity error, 64 usage error.
+certificates, malformed certificate files, bad flag values, and results
+too large to print), 2 search timeout or unknown solver outcome, 3
+registry integrity error, 64 usage error, which includes a flag that the
+command does not take.
 Output on stdout is deterministic for identical inputs at one worker,
 except `stats.seconds` in the JSON of search and compute-w, the one field
 that varies; with more workers a certificate, and the node count of a SAT
 or TIMEOUT answer, may differ between runs.  Node counts and timings also
 go to stderr.
 
-Defaults are the library's: the precision of `numerics.delta` (6), the
-`search.Budget()` limits (10^9 nodes / 600 s), one search worker process
-(--threads, env override WAERDEN_THREADS), and text output.  A JSON config
-file (--config) may set precision, threads (the worker count), max_nodes,
-max_seconds, and format; explicit flags win.
+Settings are flags, and each command takes only those it reads: --format
+text|json on every command (table-a also csv|markdown), --precision on
+delta (default 6, the precision of `numerics.delta`), --threads (search
+worker processes, default 1), --max-nodes and --max-seconds (the
+`search.Budget()` limits, 10^9 nodes / 600 s) on search and compute-w,
+and --max-seconds alone on cnf, as the time limit of --solver.
 
 Each handler returns its JSON document, its text lines and its exit code;
 `main` alone picks the format and writes stdout.
@@ -25,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -41,17 +42,8 @@ from .errors import (
     require_int,
 )
 
-_ENV_THREADS = "WAERDEN_THREADS"
 # the formats beside text and JSON; only table-a renders them
 _TABLE_A_RENDERERS = {"csv": registry.table_a_csv, "markdown": registry.table_a_markdown}
-_FORMATS = ("text", "json", *_TABLE_A_RENDERERS)
-
-DEFAULTS = {
-    "precision": numerics.DEFAULT_DELTA_PRECISION,
-    "threads": 1,
-    **search.Budget().to_dict(),
-    "format": "text",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,32 +52,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=_FORMATS,
-        default=None,
-        help="output format (csv/markdown apply to table-a only)",
-    )
-    common.add_argument("--precision", type=int, default=None, help="decimal places for logarithms")
-    common.add_argument("--threads", type=int, default=None, help="worker processes for search")
-    common.add_argument("--max-nodes", type=int, default=None, help="search node budget")
-    common.add_argument("--max-seconds", type=float, default=None, help="search wall-time budget")
-    common.add_argument("--config", type=Path, default=None, help="JSON config file")
-    return common
-
-
 def build_parser() -> _Parser:
-    common = _common_options()
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("--r", type=int, required=True)
     instance.add_argument("--k", type=int, required=True)
+    seconds = argparse.ArgumentParser(add_help=False)
+    seconds.add_argument(
+        "--max-seconds", type=float, default=search.Budget.max_seconds, help="wall-time limit; inf is none"
+    )
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--threads", type=int, default=1, help="worker processes for search")
+    budget.add_argument("--max-nodes", type=int, default=search.Budget.max_nodes, help="search node budget")
     parser = _Parser(prog="waerden", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, *parents):
-        p = sub.add_parser(name, parents=[common, *parents], help=help)
+    def command(name, handler, help, *parents, formats=("text", "json")):
+        p = sub.add_parser(name, parents=parents, help=help)
+        p.add_argument("--format", choices=formats, default="text", help="output format")
         p.set_defaults(handler=handler)
         return p
 
@@ -97,9 +80,12 @@ def build_parser() -> _Parser:
     p.add_argument("N", type=int)
     p.add_argument("--base", type=int, required=True)
 
-    p = command("delta", _cmd_delta, "log_base N at the configured precision")
+    p = command("delta", _cmd_delta, "log_base N at the given precision")
     p.add_argument("N", type=int)
     p.add_argument("--base", type=int, required=True)
+    p.add_argument(
+        "--precision", type=int, default=numerics.DEFAULT_DELTA_PRECISION, help="decimal places for logarithms"
+    )
 
     p = command("check", _cmd_check, "triple inequality r^n <= W < r^(n+1) <= r^(k^2)", instance)
     p.add_argument("W", type=int)
@@ -110,13 +96,16 @@ def build_parser() -> _Parser:
     p = command("erdos-rado", _cmd_erdos_rado, "Erdos-Rado lower bound and threshold", instance)
     p.add_argument("--n", type=int, default=None)
 
-    command("table-a", _cmd_table_a, "known-values table with derived columns")
+    command(
+        "table-a", _cmd_table_a, "known-values table with derived columns",
+        formats=("text", "json", *_TABLE_A_RENDERERS),
+    )
 
-    p = command("search", _cmd_search, "decide colorability of [1, n-max]", instance)
+    p = command("search", _cmd_search, "decide colorability of [1, n-max]", instance, budget, seconds)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--cert-out", type=Path, default=None, help="write SAT certificate JSON here")
 
-    p = command("compute-w", _cmd_compute_w, "exact W(r,k) by upward search", instance)
+    p = command("compute-w", _cmd_compute_w, "exact W(r,k) by upward search", instance, budget, seconds)
     p.add_argument("--force", action="store_true", help="run instances outside the desk-scale allowlist")
     p.add_argument("--cert-out", type=Path, default=None, help="write the W-1 certificate JSON here")
 
@@ -131,7 +120,7 @@ def build_parser() -> _Parser:
         help="mark exponents in [LOW, HIGH] as favored (caller-supplied guesswork)",
     )
 
-    p = command("cnf", _cmd_cnf, "emit DIMACS CNF for (N, r, k)", instance)
+    p = command("cnf", _cmd_cnf, "emit DIMACS CNF for (N, r, k)", instance, seconds)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument(
@@ -149,38 +138,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: Path | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
-    unknown = set(data) - set(DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return data
-
-
 def _resolve_config(args: argparse.Namespace) -> None:
-    """Set each DEFAULTS key on args from its flag, else (threads only) a
-    non-empty WAERDEN_THREADS, else the config file, else DEFAULTS; then
-    args.budget from max_nodes and max_seconds."""
-    settings = {**DEFAULTS, **_load_config_file(args.config)}
-    if args.threads is None and os.environ.get(_ENV_THREADS):
-        try:
-            args.threads = int(os.environ[_ENV_THREADS])
-        except ValueError as exc:
-            raise ConfigError(f"{_ENV_THREADS} must be an integer") from exc
-    for key, value in settings.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    require_int(args.threads, 1, "threads must be an integer >= 1", ConfigError)
-    if args.format not in _FORMATS:
-        raise ConfigError(f"unknown output format {args.format!r}")
-    args.budget = search.Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
+    """For the commands that take --max-seconds: check --threads where it is
+    taken, and build args.budget, which checks the limits before any work."""
+    if "threads" in args:
+        require_int(args.threads, 1, "threads must be an integer >= 1", ConfigError)
+    max_nodes = getattr(args, "max_nodes", search.Budget.max_nodes)
+    args.budget = search.Budget(max_nodes=max_nodes, max_seconds=args.max_seconds)
 
 
 # What every _cmd_* handler returns: the JSON document (None prints nothing
@@ -369,14 +333,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 64
     try:
-        _resolve_config(args)
-        fmt = args.format
-        if fmt in _TABLE_A_RENDERERS and args.command != "table-a":
-            raise ConfigError(f"format {fmt!r} is only supported by table-a, not {args.command}")
+        if "max_seconds" in args:
+            _resolve_config(args)
         if "r" in args:
             args.inst = VdwInstance(args.r, args.k)
         document, lines, code = args.handler(args)
-        if fmt == "json":
+        if args.format == "json":
             lines = [] if document is None else [json.dumps(document, indent=2)]
         sys.stdout.write("".join(line + "\n" for line in lines))
         return code

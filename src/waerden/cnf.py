@@ -180,8 +180,9 @@ def write_dimacs(formula: CnfFormula, sink: IO[str] | str | Path) -> None:
 def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
     """Parse DIMACS CNF text back into a formula; comments are preserved.
 
-    Malformed text (a bad header, a non-integer token, an unterminated last
-    clause, a clause count that disagrees with the header) raises DomainError.
+    Malformed text (a bad, repeated or late header, a non-integer token, an
+    unterminated last clause, a clause count that disagrees with the header)
+    raises DomainError.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii") as handle:
@@ -200,6 +201,10 @@ def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
             comments.append(line[2:] if line.startswith("c ") else line[1:])
             continue
         if line[0] == "p":
+            if variable_count is not None:
+                raise DomainError(f"second problem line: {line!r}")
+            if clauses or current:
+                raise DomainError(f"problem line after clauses: {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DomainError(f"malformed problem line: {line!r}")

@@ -5,16 +5,19 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import waerden
 from waerden import read_dimacs, encode, report, VdwInstance, known_values
-from waerden.cli import main
+from waerden.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -50,14 +53,38 @@ def test_imports_only_the_stdlib():
         "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(*sorted(new - set(sys.stdlib_module_names) - {'waerden', '__mp_main__'}))\n"
     )
-    src = os.path.dirname(os.path.dirname(waerden.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path}, timeout=60,
-    )
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run this Python in a subprocess with the package's source on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(waerden.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+
+
+def test_python_m_entry_point():
+    proc = _python("-m", "waerden", "compute-w", "--r", "2", "--k", "3")
+    assert (proc.returncode, proc.stdout) == (0, "9\n"), proc.stderr
+    proc = _python("-m", "waerden", "bracket", "9", "--base", "2", "--threads", "2")
+    assert (proc.returncode, proc.stdout) == (64, "")
+
+
+def test_readme_cli_examples_parse():
+    # every `waerden ...` line of the README's `## CLI` code block
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("waerden ")]
+    assert len(lines) == 13
+    for line in lines:
+        # drop the `# ...` comment and any `[...]` optional part
+        argv = shlex.split(re.sub(r"\[[^]]*\]", "", line.split("#", 1)[0]))
+        build_parser().parse_args(argv[1:])
 
 
 @pytest.fixture
@@ -258,6 +285,10 @@ class TestSearchCommands:
 
     def test_compute_w(self, capsys):
         code, out, _ = run(capsys, "compute-w", "--r", "2", "--k", "3")
+        assert code == 0 and out == "9\n"
+
+    def test_compute_w_two_threads(self, capsys):
+        code, out, _ = run(capsys, "compute-w", "--r", "2", "--k", "3", "--threads", "2")
         assert code == 0 and out == "9\n"
 
     def test_compute_w_deterministic_output(self, capsys):
@@ -523,73 +554,66 @@ class TestConfigAndUsage:
         assert run(capsys, "--help")[0] == 0
 
     def test_config_file(self, capsys, tmp_path):
+        # settings come from flags alone: even a command that takes settings
+        # refuses --config as an unknown flag
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"precision": 3}')
+        cfg.write_text('{"threads": 1}')
         code, out, _ = run(
-            capsys, "delta", "9", "--base", "2", "--config", str(cfg)
-        )
-        assert code == 0 and out.splitlines()[0] == "3.170"
-
-    def test_flag_beats_config(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"precision": 3}')
-        code, out, _ = run(
-            capsys, "delta", "9", "--base", "2", "--config", str(cfg),
-            "--precision", "6",
-        )
-        assert out.splitlines()[0] == "3.169925"
-
-    def test_bad_config_key(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"frobs": 1}')
-        code, _, err = run(capsys, "delta", "9", "--base", "2", "--config", str(cfg))
-        assert code == 1 and "unknown config keys" in err
-
-    @pytest.mark.parametrize("content", [
-        b'{"max_seconds": "5"}',
-        b'{"threads": true}',
-        b'\xff\xfe{\x00}\x00',  # UTF-16 with a byte-order mark, not UTF-8
-    ], ids=["max_seconds-str", "threads-bool", "not-utf8"])
-    def test_malformed_config_exit_one(self, capsys, tmp_path, content):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_bytes(content)
-        code, out, err = run(
             capsys, "search", "--r", "2", "--k", "3", "--n-max", "8", "--config", str(cfg)
         )
-        assert code == 1 and out == "" and err.startswith("error: ")
+        assert code == 64 and out == ""
 
-    def test_env_threads(self, capsys, monkeypatch):
-        monkeypatch.setenv("WAERDEN_THREADS", "2")
-        code, out, _ = run(capsys, "compute-w", "--r", "2", "--k", "3")
-        assert code == 0 and out == "9\n"
+    @pytest.mark.parametrize("argv", [
+        ("expand", "9", "--base", "2", "--threads", "0"),
+        ("bracket", "9", "--base", "2", "--max-nodes", "0"),
+        ("table-a", "--precision", "1"),
+        ("verify", "{cert}", "--threads", "2"),
+        ("cnf", "--r", "2", "--k", "3", "--n-max", "9", "--out", "{out}", "--threads", "2"),
+        ("expand", "9", "--base", "2", "--config", "x.json"),
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_unread_flag_exits_64(self, capsys, tmp_path, argv):
+        cert = tmp_path / "cert.json"
+        cert.write_text(TestVerifyCommand.CERT)
+        out_path = tmp_path / "w.cnf"
+        argv = [arg.format(cert=cert, out=out_path) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "" and "unrecognized arguments" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("search", "--r", "2", "--k", "3", "--n-max", "8", "--threads", "0"),
+         "threads must be an integer >= 1, got 0"),
+        (("compute-w", "--r", "2", "--k", "3", "--max-nodes", "0"),
+         "max_nodes must be a positive integer, got 0"),
+        (("cnf", "--r", "2", "--k", "3", "--n-max", "9", "--out", "{out}", "--max-seconds", "0"),
+         "max_seconds must be positive, got 0.0"),
+    ], ids=["search --threads", "compute-w --max-nodes", "cnf --max-seconds"])
+    def test_bad_setting_exits_one(self, capsys, tmp_path, argv, message):
+        out_path = tmp_path / "w.cnf"
+        code, out, err = run(capsys, *[arg.format(out=out_path) for arg in argv])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_path.exists()  # the setting is checked before any work
 
     def test_bad_env_threads(self, capsys, monkeypatch):
+        # WAERDEN_THREADS is not read, not even by a command that takes --threads
         monkeypatch.setenv("WAERDEN_THREADS", "lots")
-        code, _, err = run(capsys, "compute-w", "--r", "2", "--k", "3")
-        assert code == 1
+        code, out, _ = run(capsys, "compute-w", "--r", "2", "--k", "3")
+        assert code == 0 and out == "9\n"
 
     def test_threads_flag_ignores_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WAERDEN_THREADS", "lots")
         code, out, _ = run(capsys, "compute-w", "--r", "2", "--k", "3", "--threads", "1")
         assert code == 0 and out == "9\n"
 
-    def test_env_threads_beat_config(self, capsys, monkeypatch, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"threads": 0}')
-        monkeypatch.setenv("WAERDEN_THREADS", "1")
-        assert run(capsys, "expand", "9", "--base", "2", "--config", str(cfg))[0] == 0
-        # an empty variable is ignored, so the config file's 0 is rejected
-        monkeypatch.setenv("WAERDEN_THREADS", "")
-        assert run(capsys, "expand", "9", "--base", "2", "--config", str(cfg))[0] == 1
-
     def test_zero_env_threads(self, capsys, monkeypatch):
+        # a command that takes no search setting is not failed by one
         monkeypatch.setenv("WAERDEN_THREADS", "0")
         code, out, err = run(capsys, "expand", "9", "--base", "2")
-        assert code == 1 and out == "" and err.startswith("error: ")
+        assert (code, out, err) == (0, "1 0 0 1\n", "")
 
     def test_csv_only_for_table(self, capsys):
-        code, _, err = run(capsys, "expand", "9", "--base", "2", "--format", "csv")
-        assert code == 1 and "table-a" in err
+        code, out, err = run(capsys, "expand", "9", "--base", "2", "--format", "csv")
+        assert code == 64 and out == "" and "invalid choice: 'csv'" in err
 
 
 def _shape(doc):

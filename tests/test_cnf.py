@@ -209,6 +209,10 @@ class TestDimacs:
             ("p cnf two 1\n1 2 0\n", "non-integer count in problem line: 'p cnf two 1'"),
             ("p dnf 2 1\n1 2 0\n", "malformed problem line: 'p dnf 2 1'"),
             ("p cnf 2 1\n1 5 0\n", "literal 5 references a variable beyond 2"),
+            ("p cnf 2 1\np cnf 5 1\n1 2 0\n", "second problem line: 'p cnf 5 1'"),
+            ("1 2 0\np cnf 2 1\n", "problem line after clauses: 'p cnf 2 1'"),
+            # a partial clause before the header counts too
+            ("1\np cnf 2 1\n2 0\n", "problem line after clauses: 'p cnf 2 1'"),
         ],
     )
     def test_parse_error_messages(self, text, message):
