@@ -56,7 +56,6 @@ from .search import (
     Budget,
     Coloring,
     ComputeWResult,
-    FEASIBLE_INSTANCES,
     SearchOutcome,
     SearchStatus,
     certificate_from_json,
@@ -85,7 +84,6 @@ __all__ = [
     "DeltaReport",
     "DomainError",
     "ErdosRadoReport",
-    "FEASIBLE_INSTANCES",
     "InfeasibleRangeError",
     "IntegrityError",
     "KnownValue",

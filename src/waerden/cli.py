@@ -16,7 +16,9 @@ text|json on every command (table-a also csv|markdown), --precision on
 delta (default 6, the precision of `numerics.delta`), --threads (search
 worker processes, default 1), --max-nodes and --max-seconds (the
 `search.Budget()` limits, 10^9 nodes / 600 s) on search and compute-w,
-and --max-seconds alone on cnf, as the time limit of --solver.
+and --max-seconds alone on cnf, as the time limit of --solver.  search
+and compute-w take any instance and stop on their answer or their budget,
+which is their only limit; a spent budget exits 2.
 
 Each handler returns its JSON document, its text lines and its exit code;
 `main` alone picks the format and writes stdout.
@@ -39,7 +41,6 @@ from .errors import (
     DecodeError,
     DomainError,
     IntegrityError,
-    require_int,
 )
 
 # the formats beside text and JSON; only table-a renders them
@@ -106,7 +107,6 @@ def build_parser() -> _Parser:
     p.add_argument("--cert-out", type=Path, default=None, help="write SAT certificate JSON here")
 
     p = command("compute-w", _cmd_compute_w, "exact W(r,k) by upward search", instance, budget, seconds)
-    p.add_argument("--force", action="store_true", help="run instances outside the desk-scale allowlist")
     p.add_argument("--cert-out", type=Path, default=None, help="write the W-1 certificate JSON here")
 
     p = command("plan", _cmd_plan, "candidate brackets [r^n, r^(n+1)) to test", instance)
@@ -136,15 +136,6 @@ def build_parser() -> _Parser:
     command("report", _cmd_report, "consolidated JSON report for an instance", instance)
 
     return parser
-
-
-def _resolve_config(args: argparse.Namespace) -> None:
-    """For the commands that take --max-seconds: check --threads where it is
-    taken, and build args.budget, which checks the limits before any work."""
-    if "threads" in args:
-        require_int(args.threads, 1, "threads must be an integer >= 1", ConfigError)
-    max_nodes = getattr(args, "max_nodes", search.Budget.max_nodes)
-    args.budget = search.Budget(max_nodes=max_nodes, max_seconds=args.max_seconds)
 
 
 # What every _cmd_* handler returns: the JSON document (None prints nothing
@@ -247,7 +238,7 @@ def _cmd_search(args) -> _Output:
 
 
 def _cmd_compute_w(args) -> _Output:
-    result = search.compute_W(args.inst, args.budget, threads=args.threads, force=args.force)
+    result = search.compute_W(args.inst, args.budget, threads=args.threads)
     _stats_to_stderr(result.stats)
     if args.cert_out is not None:
         _write_certificate(args.cert_out, result.certificate, args.inst.k)
@@ -333,8 +324,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 64
     try:
-        if "max_seconds" in args:
-            _resolve_config(args)
+        if "max_seconds" in args:  # the Budget checks its limits before any work
+            max_nodes = getattr(args, "max_nodes", search.Budget.max_nodes)
+            args.budget = search.Budget(max_nodes=max_nodes, max_seconds=args.max_seconds)
         if "r" in args:
             args.inst = VdwInstance(args.r, args.k)
         document, lines, code = args.handler(args)

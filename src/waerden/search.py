@@ -41,7 +41,8 @@ pool of multiprocessing's default context: the shallowest branches the
 serial pass left are made level by level, each node's branches become one
 job, and the pass's path goes out with the top node's, so no assignment is
 made twice and an UNSAT proof counts the same nodes at any worker count.
-SAT short-circuits the rest and cancels the jobs not yet started; UNSAT
+SAT short-circuits the rest: it spends the shared node count, so every job
+stops at its next poll, and cancels the jobs not yet started; UNSAT
 requires every job to be exhausted.  The SAT/UNSAT answer is identical
 across worker counts; certificates may differ but always verify.
 
@@ -70,14 +71,10 @@ from .errors import (
 )
 from .numerics import Bracket
 
-# Instances whose exact value is reproducible at desk scale.  Anything else
-# (W(2,6) = 1132, W(3,4) = 293, and beyond) needs force=True and may time out.
-FEASIBLE_INSTANCES = frozenset({(2, 3), (2, 4), (2, 5), (3, 3), (4, 3)})
-
-# a search reads the clock, and a pool job also polls the stop flag and
-# charges the shared budget, every _POLL_NODES nodes, so it stops within
-# _POLL_NODES + N nodes of its deadline or of a decision elsewhere; polling
-# costs a lock and a shared read, negligible per 256 nodes
+# a search reads the clock, and a pool job also charges and reads the shared
+# node count, every _POLL_NODES nodes, so it stops within _POLL_NODES + N
+# nodes of its deadline or of a decision elsewhere (the parent spends the
+# count when a job answers); polling costs a lock, negligible per 256 nodes
 _POLL_NODES = 256
 
 
@@ -402,7 +399,7 @@ def _run_tree(r, tables, stack, max_nodes, deadline, poll=None):
     status that returns, if any.
 
     Returns (status, class_masks_or_None, nodes) with status in
-    {"SAT", "UNSAT", "TIMEOUT", "ABORTED"}; UNSAT means the stack ran out.
+    {"SAT", "UNSAT", "TIMEOUT"}; UNSAT means the stack ran out.
     """
     N, aps, shifts = tables
     nodes = 0
@@ -488,7 +485,7 @@ def _split(r, tables, stack, target, nodes, max_nodes, deadline):
 # desk-tier proof fits (the largest, (3,3) at N = 27, takes 3,518)
 _SERIAL_NODES = 4096
 
-# what every job of a worker shares: (stop, spent, r, tables)
+# what every job of a worker shares: (spent, r, tables)
 _POOL = None
 
 
@@ -500,22 +497,19 @@ def _parallel_init(*shared):
 def _parallel_worker(args):
     # deadline is absolute CLOCK_MONOTONIC time, which every process shares
     stack, max_nodes, deadline = args
-    stop, spent, r, tables = _POOL
-    if stop.is_set():
-        return "ABORTED", None, 0
+    spent, r, tables = _POOL
+    if spent.value >= max_nodes:
+        return "TIMEOUT", None, 0
     charged = 0
 
     def poll(nodes: int) -> str | None:
-        """Add the nodes run since the last poll to the shared count; the
-        status to stop with once the budget is spent or the search is stopped."""
+        """Add the nodes run since the last poll to the shared count; TIMEOUT
+        once it reaches max_nodes, by the jobs' work or after an answer."""
         nonlocal charged
         with spent.get_lock():
             spent.value += nodes - charged
             charged = nodes
-            if spent.value >= max_nodes:
-                stop.set()
-                return "TIMEOUT"
-        return "ABORTED" if stop.is_set() else None
+            return "TIMEOUT" if spent.value >= max_nodes else None
 
     status, masks, nodes = _run_tree(r, tables, stack, max_nodes, deadline, poll=poll)
     poll(nodes)  # charge the nodes since the last poll
@@ -538,16 +532,17 @@ def _search(r, tables, threads, max_nodes, deadline):
         return status, jobs, nodes
     if nodes >= max_nodes:
         return "TIMEOUT", None, nodes
-    stop = multiprocessing.Event()
     spent = multiprocessing.Value("q", nodes)
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_parallel_init, initargs=(stop, spent, r, tables)
+        max_workers=workers, initializer=_parallel_init, initargs=(spent, r, tables)
     ) as pool:
         futures = [pool.submit(_parallel_worker, (job, max_nodes, deadline)) for job in jobs]
         for fut in as_completed(futures):
             if fut.result()[0] in ("SAT", "TIMEOUT"):
-                stop.set()
+                # the answer spends the budget: a running job stops at its next
+                # poll, and one already sent to a worker returns at once
+                spent.value = max_nodes
                 break
         # once the answer is known, the jobs still queued never start
         pool.shutdown(cancel_futures=True)
@@ -602,22 +597,16 @@ def compute_W(
     inst: VdwInstance,
     budget: Budget | None = None,
     threads: int = 1,
-    force: bool = False,
 ) -> ComputeWResult:
     """Least N such that every r-coloring of [1, N] has a monochromatic k-AP.
 
     Decides N = k, k + 1, ... in turn with a full search each, until one is
     UNSAT; the last SAT certificate is the coloring of [1, value - 1].  The
     searches share one deadline and one node budget, and no N starts once
-    either is spent.  Budget exhaustion raises BudgetExhausted with the best
-    proven bracket [last_SAT + 1, infinity).
+    either is spent.  Any instance runs; the budget is its only limit, and
+    its exhaustion raises BudgetExhausted with the best proven bracket
+    [last_SAT + 1, infinity).
     """
-    if inst.key not in FEASIBLE_INSTANCES and not force:
-        raise DomainError(
-            f"(r={inst.r}, k={inst.k}) is outside the desk-scale allowlist "
-            f"{sorted(FEASIBLE_INSTANCES)}; pass force=True (--force on the "
-            "command line) to run it anyway with honest timeout semantics"
-        )
     require_int(threads, 1, "threads must be a positive integer", ConfigError)
     budget = budget or Budget()
     started = time.perf_counter()

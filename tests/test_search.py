@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import pickle
 import random
@@ -572,8 +573,22 @@ class TestPoolPath:
         with mock.patch.object(search, "ProcessPoolExecutor", pool):
             out = decide_colorability(76, VdwInstance(4, 3), Budget(max_nodes=20_000), threads=2)
         assert out.status is SearchStatus.TIMEOUT and len(captured) == 1
-        _, _, *shared = captured[0]  # the stop event and node count, then (r, tables)
+        _, *shared = captured[0]  # the shared node count, then (r, tables)
         assert len(pickle.dumps(shared)) < 16 * 1024
+
+    def test_spent_count_stops_a_job_before_its_first_assignment(self):
+        # once a job answers, the parent spends the shared count, so a job
+        # queued behind the answer returns without making a branch
+        tables = search._tables(8, 3)
+        stack = [search._root(2, tables)]
+        deadline = time.monotonic() + 60
+        spent = multiprocessing.Value("q", 100)
+        with mock.patch.object(search, "_POOL", (spent, 2, tables)):
+            assert search._parallel_worker((stack, 100, deadline)) == ("TIMEOUT", None, 0)
+            assert len(stack) == 1
+            spent.value = 99  # one node left: the same job runs and finds (2,3) at N = 8 SAT
+            status, _, nodes = search._parallel_worker((stack, 100, deadline))
+        assert status == "SAT" and nodes > 0 and spent.value == 99 + nodes
 
 
 class TestComputeW:
@@ -601,16 +616,20 @@ class TestComputeW:
         two = compute_W(VdwInstance(r, k), threads=2)
         assert (two.value, two.stats.nodes) == (one.value, one.stats.nodes)
 
-    def test_allowlist_enforced(self):
-        with pytest.raises(DomainError):
-            compute_W(VdwInstance(2, 6))
-        with pytest.raises(DomainError):
-            compute_W(VdwInstance(3, 4))
-
-    def test_force_with_tiny_budget_times_out_honestly(self):
+    def test_tiny_budget_times_out_honestly(self):
         with pytest.raises(BudgetExhausted) as info:
-            compute_W(VdwInstance(2, 6), Budget(max_nodes=2000, max_seconds=60), force=True)
+            compute_W(VdwInstance(2, 6), Budget(max_nodes=2000, max_seconds=60))
         assert info.value.lower_bound >= 6
+
+    def test_any_instance_stops_on_its_budget(self):
+        # W(5,3) = 171 is far out of desk reach; the node budget alone stops
+        # the run, with a lower bound that every smaller N proves
+        inst = VdwInstance(5, 3)
+        with pytest.raises(BudgetExhausted) as info:
+            compute_W(inst, Budget(max_nodes=2000))
+        bound = info.value.lower_bound
+        assert bound > inst.k
+        assert decide_colorability(bound - 1, inst).status is SearchStatus.SAT
 
     @pytest.mark.parametrize("max_nodes", [100, 1000])
     def test_spent_node_budget(self, max_nodes):
