@@ -46,19 +46,27 @@ stops at its next poll, and cancels the jobs not yet started; UNSAT
 requires every job to be exhausted.  The SAT/UNSAT answer is identical
 across worker counts; certificates may differ but always verify.
 
+compute_W searches only above a constructed coloring.  It first takes the
+longest AP-free coloring it finds among Rabung's power-residue colorings
+(_power_residue_coloring), verifies it with verify_certificate, and starts
+its upward loop one position past it, since every shorter N is SAT by
+truncation.  That coloring reaches W - 1 for (2,3), (2,4), (3,3), (4,3)
+and (3,4), so the one search left there is the UNSAT proof at N = W.
+
 W(r, 2) = r + 1 by pigeonhole; the engine only accepts k >= 3.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from itertools import count, groupby
 
 from ._record import Record
 from .bounds import VdwInstance, n_range
@@ -100,6 +108,11 @@ class Budget(Record):
     the serial pass on the pool, and each running job charges the shared
     count every 256 nodes, so it can run up to threads * (256 + N)
     assignments past max_nodes before every worker sees the budget spent.
+    The power-residue scan that compute_W runs first is charged to
+    max_seconds, not to max_nodes: it uses no nodes, reads the clock before
+    each prime and so stops at most one prime's work past the deadline.  On
+    2 cores the whole scan took 0.1 s for (2,6) and 1.7-2.4 s for (2,7), and
+    compute_W for (2,7) with max_seconds=0.5 raised after 0.50 s.
     """
 
     max_nodes: int = 10**9
@@ -593,6 +606,131 @@ def decide_colorability(
     return SearchOutcome(status, certificate, SearchStats(nodes, time.perf_counter() - started))
 
 
+def _primes_one_mod(r: int):
+    """The primes p = 1 (mod r), ascending, by trial division."""
+    p = r + 1
+    while True:
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            yield p
+        p += r
+
+
+def _indices(p: int) -> list[int]:
+    """ind[x] for x in 1..p-1: the exponent i with g**i = x (mod p), g the
+    least primitive root of the prime p (the first whose powers reach 1
+    only at p - 1)."""
+    for g in count(2):
+        ind, x = [0] * p, 1
+        for i in range(1, p):
+            x = x * g % p
+            if x == 1:
+                break
+            ind[x] = i
+        if i == p - 1:
+            return ind
+
+
+def _window_starts(masks, k: int, length: int, starts: int) -> int:
+    """The bits s of `starts` whose window [s, s + length - 1] holds no
+    monochromatic k-AP of the color masks (bit x is position x).
+
+    For each d the AND of a mask with its shifts by d, 2d, ... marks the
+    first members a of the APs of difference d; such an AP lies in the
+    windows that start in [a - w, a], w = length - 1 - (k - 1) * d, so the
+    marks are smeared over that range by doubling shifts and cleared from
+    the starts.  Stops as soon as no start is left.
+    """
+    for d in range(1, (length - 1) // (k - 1) + 1):
+        hits = 0
+        for m in masks:
+            first = m
+            for j in range(d, k * d, d):
+                first &= m >> j
+            hits |= first
+        if not hits:
+            continue
+        w = length - 1 - (k - 1) * d
+        span = 1  # hits holds the marks shifted by 0 .. span - 1
+        while span <= w:
+            step = span if 2 * span <= w + 1 else w + 1 - span
+            hits |= hits >> step
+            span += step
+        starts &= ~hits
+        if not starts:
+            break
+    return starts
+
+
+def _extend(window: list[int], r: int, k: int) -> list[int] | None:
+    """The AP-free window with one more position in front or behind, of the
+    least color that keeps it AP-free (front first), or None.  Only the APs
+    with the new position at one end are new, so only they are checked."""
+    for c in range(r):
+        ap = [c] * (k - 1)
+        for side in (window, window[::-1]):
+            # side[j * d - 1] is the member j * d positions from the new one
+            if all(side[d - 1 : (k - 1) * d : d] != ap for d in range(1, len(side) // (k - 1) + 1)):
+                return [c, *window] if side is window else [*window, c]
+    return None
+
+
+def _power_residue_coloring(inst: VdwInstance, deadline: float) -> Coloring | None:
+    """The longest AP-free coloring found among Rabung's power-residue
+    colorings, or None if none is longer than k - 1 positions.
+
+    For a prime p = 1 (mod r) and a primitive root g, x is colored
+    ind_g(x mod p) mod r, and every multiple of p gets one color z, for each
+    z (J. R. Rabung, Canad. Math. Bull. 22, 1979).  The coloring has period
+    p, so every window of it starts in [1, p], and k multiples of p make an
+    AP, so it is at most (k - 1) * p long.  The longest AP-free window is
+    found by binary search over its length (_window_starts), then one
+    position of any color is tried at either end of each such window.
+    Primes that cannot beat the best length are skipped; the scan stops once
+    p > 2 * (max(best, r * (k - 1)) + 1), r * (k - 1) being the length of the
+    trivial coloring by blocks, or at the deadline, which it reads before
+    each prime.  The choice of g only permutes the colors.
+    """
+    r, k = inst.r, inst.k
+    best, found = k - 1, None
+    for p in _primes_one_mod(r):
+        if p > 2 * (max(best, r * (k - 1)) + 1) or time.monotonic() >= deadline:
+            break
+        if (k - 1) * p + 1 <= best:
+            continue
+        ind = _indices(p)
+        period = sum(1 << j * p for j in range(k + 1))  # bits 0, p, ..., k * p
+        classes = [0] * r
+        for x in range(1, p):
+            classes[ind[x] % r] |= 1 << x
+        every = ((1 << p) - 1) << 1  # the window starts 1..p
+        for z in range(r):
+            masks = [cls * period for cls in classes]
+            masks[z] |= period
+            starts = _window_starts(masks, k, best, every)
+            if not starts:
+                continue
+            low, high = best, (k - 1) * p
+            while low < high:
+                mid = (low + high + 1) // 2
+                free = _window_starts(masks, k, mid, every)
+                if free:
+                    low, starts = mid, free
+                else:
+                    high = mid - 1
+            chosen = None
+            for s in range(1, p + 1):
+                if starts >> s & 1:
+                    window = [z if x % p == 0 else ind[x % p] % r for x in range(s, s + low)]
+                    longer = _extend(window, r, k)
+                    if longer is not None:
+                        chosen = longer
+                        break
+                    chosen = chosen or window
+            if len(chosen) > best:
+                best, found = len(chosen), chosen
+    return None if found is None else Coloring(N=best, r=r, colors=tuple(found))
+
+
 def compute_W(
     inst: VdwInstance,
     budget: Budget | None = None,
@@ -600,20 +738,25 @@ def compute_W(
 ) -> ComputeWResult:
     """Least N such that every r-coloring of [1, N] has a monochromatic k-AP.
 
-    Decides N = k, k + 1, ... in turn with a full search each, until one is
-    UNSAT; the last SAT certificate is the coloring of [1, value - 1].  The
-    searches share one deadline and one node budget, and no N starts once
-    either is spent.  Any instance runs; the budget is its only limit, and
-    its exhaustion raises BudgetExhausted with the best proven bracket
-    [last_SAT + 1, infinity).
+    First builds the longest power-residue coloring it finds and verifies
+    it (IntegrityError if it fails); that scan uses the deadline but no
+    nodes.  Then decides N = its length + 1, + 2, ... (N = k, k + 1, ...
+    if it found none) in turn with a full search each, until one is UNSAT;
+    the last SAT certificate, searched or constructed, is the coloring of
+    [1, value - 1].  The searches share one deadline and one node budget,
+    and no N starts once either is spent.  Any instance runs; the budget is
+    its only limit, and its exhaustion raises BudgetExhausted with the best
+    proven bracket [last_SAT + 1, infinity).
     """
     require_int(threads, 1, "threads must be a positive integer", ConfigError)
     budget = budget or Budget()
     started = time.perf_counter()
     deadline = time.monotonic() + budget.max_seconds
     nodes = 0
-    certificate = None
-    N = inst.k
+    certificate = _power_residue_coloring(inst, deadline)
+    if certificate is not None and not verify_certificate(certificate, inst.k):
+        raise IntegrityError("the power-residue coloring fails verification")
+    N = inst.k if certificate is None else certificate.N + 1
     while nodes < budget.max_nodes and time.monotonic() < deadline:
         status, sat, made = _decide(N, inst, threads, budget.max_nodes - nodes, deadline)
         nodes += made

@@ -101,10 +101,10 @@ def test_criterion_1_extended_w43():
         _announce("1 (extended W(4,3))", False, f"budget exhausted after {elapsed:.0f}s: {exc}")
         pytest.fail(
             f"W(4,3) did not finish inside 600s: {exc}. On a 2-core machine "
-            "the gated run timed out at N=70 after 231,683,730 nodes without "
-            "an AP-free coloring of [1, 70]; at 1 worker, 600s ran "
-            "107,538,842 nodes at N=75 without "
-            "a coloring and 104,519,339 nodes at N=76 without finishing the "
+            "the gated run printed 'search timed out at N=76; W(4,3) >= 76' "
+            "after 277,342,675 nodes: the power-residue coloring of [1, 75] "
+            "leaves only the proof at N=76, which it did not finish; at 1 "
+            "worker, 600s ran 104,519,339 nodes at N=76 without finishing the "
             "proof (see README)."
         )
     elapsed = time.perf_counter() - start

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import multiprocessing
 import os
 import pickle
@@ -28,6 +29,7 @@ from waerden import (
     Coloring,
     ConfigError,
     DomainError,
+    IntegrityError,
     SearchStatus,
     VdwInstance,
     certificate_from_json,
@@ -35,6 +37,7 @@ from waerden import (
     compute_W,
     decide_colorability,
     find_mono_ap,
+    known_values,
     plan_intervals,
     verify_certificate,
 )
@@ -633,8 +636,8 @@ class TestComputeW:
 
     @pytest.mark.parametrize("max_nodes", [100, 1000])
     def test_spent_node_budget(self, max_nodes):
-        # 100 nodes run out between two N, 1,000 inside the proof at N = 27;
-        # either way the N below the first undecided one was decided SAT
+        # the power-residue coloring settles every N below 27, so both budgets
+        # run out inside the proof at N = 27; the N below it is SAT
         inst = VdwInstance(3, 3)
         with pytest.raises(BudgetExhausted) as info:
             compute_W(inst, Budget(max_nodes=max_nodes))
@@ -650,8 +653,64 @@ class TestComputeW:
         assert (info.value.lower_bound, info.value.nodes) == (inst.k, 0)
         tables.assert_not_called()
 
+    @pytest.mark.parametrize("r, k, w, nodes", [(2, 3, 9, 17), (2, 4, 35, 1_313), (3, 3, 27, 3_518)])
+    def test_searches_only_the_proof_at_w(self, r, k, w, nodes):
+        # the constructed coloring reaches W - 1, so the one search left is
+        # the UNSAT proof at N = W
+        inst = VdwInstance(r, k)
+        res = compute_W(inst)
+        assert (res.value, res.stats.nodes, res.certificate.N) == (w, nodes, w - 1)
+        assert decide_colorability(w, inst).stats.nodes == nodes
+
+    def test_w43_budget_stops_in_the_proof_at_76(self):
+        # every N below 76 is settled by construction, so the node budget
+        # runs out inside the proof at N = 76
+        with pytest.raises(BudgetExhausted) as info:
+            compute_W(VdwInstance(4, 3), Budget(max_nodes=1000))
+        assert info.value.lower_bound == 76 and info.value.nodes >= 1000
+
+    def test_unverified_construction_raises(self):
+        bad = Coloring(N=8, r=2, colors=(0,) * 8)
+        with mock.patch.object(search, "_power_residue_coloring", return_value=bad):
+            with pytest.raises(IntegrityError, match="power-residue"):
+                compute_W(VdwInstance(2, 3))
+
     # the extended-tier exact computations W(4,3) and W(2,5) live in
     # tests/test_acceptance.py so the long runs happen exactly once
+
+
+class TestPowerResidueColoring:
+    """The colorings compute_W starts above, checked by the oracle's own AP
+    scan, which shares no code with find_mono_ap."""
+
+    @pytest.mark.parametrize(
+        "r, k, reach",
+        [(2, 3, 8), (2, 4, 34), (3, 3, 26), (4, 3, 75), (3, 4, 292), (2, 5, 149)],
+    )
+    def test_reach(self, r, k, reach):
+        coloring = search._power_residue_coloring(VdwInstance(r, k), math.inf)
+        assert (coloring.N, coloring.r) == (reach, r)
+        assert not oracles.naive_has_mono_ap(coloring.colors, k)
+
+    def test_stays_below_every_exact_value(self):
+        for known in known_values():
+            if known.kind == "exact":
+                coloring = search._power_residue_coloring(known.instance, math.inf)
+                assert coloring.N < known.value, known.instance
+                assert not oracles.naive_has_mono_ap(coloring.colors, known.instance.k)
+
+    def test_spent_deadline_builds_nothing(self):
+        assert search._power_residue_coloring(VdwInstance(4, 3), time.monotonic()) is None
+
+    @pytest.mark.parametrize("n, r, k", [(7, 2, 3), (5, 3, 3), (9, 2, 4)])
+    def test_extension_matches_brute_force(self, n, r, k):
+        # the first of color 0 in front, color 0 behind, color 1 in front, ...
+        # that leaves the window AP-free, for every AP-free window
+        for window in oracles.brute_force_ap_free_colorings(n, r, k):
+            tries = [t for c in range(r) for t in ((c, *window), (*window, c))]
+            expected = next((t for t in tries if not oracles.naive_has_mono_ap(t, k)), None)
+            longer = search._extend(list(window), r, k)
+            assert (longer and tuple(longer)) == expected
 
 
 class TestPlanIntervals:
