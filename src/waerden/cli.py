@@ -343,6 +343,10 @@ def main(argv=None) -> int:
     except (DomainError, ConfigError, DecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # e.g. the search tables of a huge --n-max, whose size grows with N^2
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,17 +3,19 @@
 Method: backtracking over positions 1..N, branching from the middle out
 with colors tried in ascending order, plus forced-position propagation.
 Each color class is a bitmask in position space: bit p is position p, with
-no relabelling.  For every color c a "forbidden" bitmask records the
-positions where assigning c would complete a monochromatic k-AP (an AP all
-of whose other members already carry c).  A node branches on the
+no relabelling.  For every color c an "allowed" bitmask records the
+positions where c may still go: it starts as every position and loses those
+where c would complete a monochromatic k-AP (an AP all of whose other
+members already carry c).  A node branches on the
 unassigned position nearest the centre (N + 1) / 2, ties left first: the
 nearer of the highest unassigned bit of the left half and the lowest of the
 right half.  A middle position lies on more APs than an end one, so its
 color constrains more of the rest early.  After every assignment the
-forbidden masks are refreshed from the APs through that position; a
-position with every color forbidden fails the branch at once, and a
+allowed masks are refreshed from the APs through that position; a
+position with no color allowed fails the branch at once, and a
 position with exactly one color left is assigned without branching,
-cascading until a fixpoint.
+cascading until a fixpoint.  With allowed masks every test of a color at
+a set of positions is one AND, with no complement.
 
 Branch decisions are taken in canonical color order (a branch may introduce
 at most one color index beyond those already used), which is sound and
@@ -26,7 +28,8 @@ the search state holds, for each color, a bit-sliced counter of how many
 of every AP's members carry that color: bit i of level j is bit j of the
 count of AP i.  Assigning a color to a position adds the mask of the APs
 through it to that color's counter with a ripple carry over the levels;
-each AP whose count reaches k - 1 forbids the color at its last member.
+each AP whose count reaches k - 1 takes the color from the allowed mask
+at its last member.
 For k = 3 a class member v and a new member q threaten 2v - q, 2q - v and
 (q + v) / 2, so each class mask also carries a dilated, a reflected and a
 halved copy of the class above bit N, and the threats of q are three
@@ -309,10 +312,10 @@ def _branch_position(un: int, N: int) -> int:
     return left if left + right > N else right
 
 
-def _assign_prop(cm, fb, cnt, un, used, p, c, aps, shifts):
+def _assign_prop(cm, al, cnt, un, used, p, c, aps, shifts):
     """Assign color c to position p, then propagate forced positions.
 
-    Mutates cm (class masks), fb (forbidden masks) and cnt (AP counters).
+    Mutates cm (class masks), al (allowed masks) and cnt (AP counters).
     Returns (ok, un, used, count) where count is the number of assignments
     made; ok is False on conflict (a dead position or a forced position
     already taken).  For k = 3 (shifts given) the threats are three shifts
@@ -320,8 +323,9 @@ def _assign_prop(cm, fb, cnt, un, used, p, c, aps, shifts):
     each color, the bit-sliced count of that color's members in every
     indexed AP, and an AP whose count reaches k - 1 threatens its last
     member.  No count reaches k: a position is never given a color its
-    forbidden mask holds.  Only unassigned positions are read from a
-    forbidden mask, so only they are recorded there.
+    allowed mask lacks.  Only unassigned positions are read from an allowed
+    mask, so a color is taken from it only at unassigned positions, and an
+    assigned position keeps whatever bits it had.
     """
     if shifts is None:
         through, members, levels, full_levels = aps
@@ -334,16 +338,16 @@ def _assign_prop(cm, fb, cnt, un, used, p, c, aps, shifts):
             if cm[qc] & bit:
                 continue  # forced twice with the same color
             return False, un, used, count
-        if fb[qc] & bit:
+        if not al[qc] & bit:
             return False, un, used, count
-        un &= ~bit
+        un ^= bit  # q is unassigned here
         if qc >= used:
             used = qc + 1
         count += 1
         cmq = cm[qc]
         if shifts is not None:
             sig, dilate, reflect, halve = shifts[q]
-            hit = (cmq >> dilate | cmq >> reflect | cmq >> halve) & un
+            hit = cmq >> dilate | cmq >> reflect | cmq >> halve
             cm[qc] = cmq | sig
         else:
             cm[qc] = cmq | bit
@@ -363,24 +367,23 @@ def _assign_prop(cm, fb, cnt, un, used, p, c, aps, shifts):
                 i = full.bit_length() - 1
                 full ^= 1 << i
                 hit |= members[i]
-            hit &= un
-        hit &= ~fb[qc]  # only these positions can change status
+        hit &= un & al[qc]  # only these positions can change status
         if not hit:
             continue
-        fb[qc] |= hit
-        # count the colors still free at each hit position, saturating at two
+        al[qc] ^= hit
+        # count the colors still allowed at each hit position, saturating at two
         one = two = 0
-        for f in fb:
-            free = hit & ~f
+        for a in al:
+            free = hit & a
             two |= one & free
             one |= free
-        if hit & ~one:
-            return False, un, used, count  # a position with every color forbidden
-        forced = one & ~two
+        if hit ^ one:
+            return False, un, used, count  # a position with no color allowed
+        forced = one ^ two
         if not forced:
             continue
-        for c2, f in enumerate(fb):
-            mine = forced & ~f
+        for c2, a in enumerate(al):
+            mine = forced & a
             while mine:
                 low = mine & -mine
                 mine ^= low
@@ -393,14 +396,14 @@ def _root(r, tables):
     N, aps, _ = tables
     unassigned = ((1 << N) - 1) << 1  # positions 1..N
     counters = (0,) * (r * aps[2]) if aps is not None else ()
-    return _branch_position(unassigned, N), 0, ((0,) * r, (0,) * r, counters, unassigned, 0, 0)
+    return _branch_position(unassigned, N), 0, ((0,) * r, (unassigned,) * r, counters, unassigned, 0, 0)
 
 
 def _run_tree(r, tables, stack, max_nodes, deadline, poll=None):
     """Backtrack depth first from a stack of unmade branches until decided.
 
     A branch (p, c, state) gives color c to position p in the state
-    (cm, fb, cnt, un, used, depth) of the node it leaves, one tuple shared
+    (cm, al, cnt, un, used, depth) of the node it leaves, one tuple shared
     by its siblings.  When a branch's node survives, the branches of its
     next position are pushed in descending color order, so the least color
     is made first.  The stack, mutated in place, holds exactly the branches
@@ -417,7 +420,7 @@ def _run_tree(r, tables, stack, max_nodes, deadline, poll=None):
     N, aps, shifts = tables
     nodes = 0
     mark = min(_POLL_NODES, max_nodes)
-    cm, fb, cnt = [], [], []
+    cm, al, cnt = [], [], []
     while stack:
         if nodes >= mark:
             if nodes >= max_nodes or time.monotonic() >= deadline:
@@ -427,11 +430,11 @@ def _run_tree(r, tables, stack, max_nodes, deadline, poll=None):
                 if halt is not None:
                     return halt, None, nodes
             mark = min(nodes + _POLL_NODES, max_nodes)
-        p, c, (cm0, fb0, cnt0, un, used, depth) = stack.pop()
+        p, c, (cm0, al0, cnt0, un, used, depth) = stack.pop()
         cm[:] = cm0
-        fb[:] = fb0
+        al[:] = al0
         cnt[:] = cnt0
-        ok, un, used, made = _assign_prop(cm, fb, cnt, un, used, p, c, aps, shifts)
+        ok, un, used, made = _assign_prop(cm, al, cnt, un, used, p, c, aps, shifts)
         nodes += made
         if not ok:
             continue
@@ -439,9 +442,9 @@ def _run_tree(r, tables, stack, max_nodes, deadline, poll=None):
             return "SAT", list(cm), nodes
         q = _branch_position(un, N)
         bit = 1 << q
-        state = (tuple(cm), tuple(fb), tuple(cnt), un, used, depth + 1)
+        state = (tuple(cm), tuple(al), tuple(cnt), un, used, depth + 1)
         for c in range(min(used, r - 1), -1, -1):  # canonical: at most one new color
-            if not fb[c] & bit:
+            if al[c] & bit:
                 stack.append((q, c, state))
     return "UNSAT", None, nodes
 

@@ -102,9 +102,9 @@ def test_criterion_1_extended_w43():
         pytest.fail(
             f"W(4,3) did not finish inside 600s: {exc}. On a 2-core machine "
             "the gated run printed 'search timed out at N=76; W(4,3) >= 76' "
-            "after 277,342,675 nodes: the power-residue coloring of [1, 75] "
+            "after 363,380,979 nodes: the power-residue coloring of [1, 75] "
             "leaves only the proof at N=76, which it did not finish; at 1 "
-            "worker, 600s ran 104,519,339 nodes at N=76 without finishing the "
+            "worker, 600s ran 180,065,971 nodes at N=76 without finishing the "
             "proof (see README)."
         )
     elapsed = time.perf_counter() - start

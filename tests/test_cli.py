@@ -587,6 +587,16 @@ class TestConfigAndUsage:
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not out_path.exists()  # the setting is checked before any work
 
+    def test_out_of_memory_exits_one(self, capsys, monkeypatch):
+        # the k = 3 tables of this N would take far more memory than there
+        # is; the mock raises as their build does, and allocates nothing
+        def out_of_memory(N, k):
+            raise MemoryError
+
+        monkeypatch.setattr(waerden.search, "_tables", out_of_memory)
+        argv = ("search", "--r", "2", "--k", "3", "--n-max", "99999999999", "--max-nodes", "1")
+        assert run(capsys, *argv) == (1, "", "error: out of memory\n")
+
     def test_bad_env_threads(self, capsys, monkeypatch):
         # WAERDEN_THREADS is not read, not even by a command that takes --threads
         monkeypatch.setenv("WAERDEN_THREADS", "lots")

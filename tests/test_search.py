@@ -146,7 +146,7 @@ class TestDecideColorability:
 
     @pytest.mark.extended
     def test_monotone_unsat_w43(self):
-        # at 1 worker, 600 s ran 104,519,339 nodes at N=76 without finishing
+        # at 1 worker, 600 s ran 180,065,971 nodes at N=76 without finishing
         # the proof (see README); this records the honest outcome rather
         # than being skipped
         budget = Budget(max_nodes=10**10, max_seconds=600)
@@ -155,7 +155,7 @@ class TestDecideColorability:
             assert outcome.status is SearchStatus.UNSAT, (
                 f"decide({n},(4,3)) returned {outcome.status.value} after "
                 f"{outcome.stats.nodes} nodes; at 1 worker, 600s ran "
-                "104,519,339 nodes at N=76 without finishing the proof (see README)"
+                "180,065,971 nodes at N=76 without finishing the proof (see README)"
             )
 
     def test_timeout_reports_partial_stats(self):
@@ -277,6 +277,7 @@ class TestDecideColorability:
         (3, 3, 27, SearchStatus.UNSAT, 3_518),  # k = 3 shifts
         (3, 4, 100, SearchStatus.SAT, 149),  # AP counters
         (2, 6, 180, SearchStatus.SAT, 41_175),
+        (3, 4, 125, SearchStatus.SAT, 92_065),  # the heaviest frontier SAT probe
     ],
 )
 def test_one_worker_node_counts(r, k, n, status, nodes):
@@ -310,7 +311,7 @@ def test_one_worker_trees(r, k, n, status, decisions, certificate):
 
 @pytest.mark.parametrize(
     "r, k, n, max_nodes, nodes",
-    [(2, 5, 178, 40_000, 40_003), (3, 4, 293, 2_000, 2_004)],
+    [(2, 5, 178, 40_000, 40_003), (3, 4, 293, 2_000, 2_004), (4, 3, 76, 150_000, 150_001)],
 )
 def test_one_worker_slice_node_counts(r, k, n, max_nodes, nodes):
     """The first max_nodes of a proof too large to finish are pinned too."""
@@ -406,19 +407,47 @@ class TestShiftRule:
     @given(n=st.integers(3, 40), data=st.data())
     def test_kernel_forbids_the_free_third_members(self, n, data):
         # three colors and only color 0 used: no position is forced, so the
-        # kernel makes one assignment and forbids color 0 at exactly the
-        # free third members
+        # kernel makes one assignment and takes color 0 from the allowed
+        # mask at exactly the free third members
         q, members = _class_and_outsider(n, data)
         table = search._shift_table(n)
         cm = [0, 0, 0]
         for v in members:
             cm[0] |= table[v][0]
         un = (((1 << n) - 1) << 1) & ~sum(1 << v for v in members)
-        fb = [0, 0, 0]
-        ok, left, _, made = search._assign_prop(cm, fb, [], un, 1, q, 0, None, table)
+        al = [un] * 3
+        ok, left, _, made = search._assign_prop(cm, al, [], un, 1, q, 0, None, table)
         free = _third_members(n, members, q) - members
         assert (ok, made, left) == (True, 1, un & ~(1 << q))
-        assert fb == [sum(1 << t for t in free), 0, 0]
+        assert al == [un ^ sum(1 << t for t in free), un, un]
+
+
+class TestAllowedMasks:
+    """After every assignment the kernel accepts, each unassigned position
+    allows exactly the colors that complete no monochromatic k-AP there, on
+    both kernel paths (k = 3 shifts, k > 3 AP counters)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 30), r=st.integers(2, 4), k=st.integers(3, 5), data=st.data())
+    def test_allowed_iff_no_ap_is_completed(self, n, r, k, data):
+        _, aps, shifts = tables = search._tables(n, k)
+        _, _, (cm, al, cnt, un, used, _) = search._root(r, tables)
+        cm, al, cnt = list(cm), list(al), list(cnt)
+        through = {p: [ap for ap in oracles.naive_all_aps(n, k) if p in ap] for p in range(1, n + 1)}
+        while un:
+            p = data.draw(st.sampled_from([p for p in range(1, n + 1) if un >> p & 1]))
+            c = data.draw(st.integers(0, r - 1))
+            ok, un, used, _ = search._assign_prop(cm, al, cnt, un, used, p, c, aps, shifts)
+            if not ok:
+                break
+            color = {q: c2 for c2 in range(r) for q in range(1, n + 1) if cm[c2] >> q & 1}
+            for q in range(1, n + 1):
+                if un >> q & 1:
+                    for c2 in range(r):
+                        completes = any(
+                            all(color.get(t) == c2 for t in ap if t != q) for ap in through[q]
+                        )
+                        assert bool(al[c2] >> q & 1) == (not completes), (q, c2)
 
 
 class TestCertificateSymmetry:
