@@ -23,6 +23,25 @@ complete for SAT/UNSAT because AP-freeness is invariant under color
 permutation; forced assignments are exempt, so the explored space sits
 between the canonical colorings and the full space.
 
+AP-freeness is invariant under the reversal p -> N + 1 - p too, and the
+search breaks that symmetry with a lex-leader predicate (J. Crawford,
+M. Ginsberg, E. Luks, A. Roy, "Symmetry-breaking predicates for search
+problems", KR 1996).  The middle-out sequence of a coloring is its colors
+read from the centre when N is odd, then from each position a = N // 2,
+N // 2 - 1, ..., 1 followed by its mirror N + 1 - a, relabelled in order
+of first appearance.  A node is a leaf when the sequence of its complete
+mirror pairs is larger than that of the same pairs of its mirror image
+(_mirror_check).  This loses no orbit under color permutation x reversal.
+Of a coloring and its mirror image take the one whose sequence is the
+smaller, relabelled so that its colors appear in ascending order: call it
+y.  Canonical branching reaches y, because at each branch every position
+earlier in middle-out order is assigned and y's color there is at most
+one past the colors those positions hold.  Each prefix of y's sequence is
+at most the same prefix of its mirror's, so no node on y's path is
+pruned.  UNSAT therefore means exhausted up to color permutation and
+reversal.  A SAT leaf is returned before the check, so a certificate need
+not lead its orbit.
+
 There is one propagation kernel.  For k > 3 every k-AP has an index, and
 the search state holds, for each color, a bit-sliced counter of how many
 of every AP's members carry that color: bit i of level j is bit j of the
@@ -392,23 +411,68 @@ def _assign_prop(cm, al, cnt, un, used, p, c, aps, shifts):
 
 
 def _root(r, tables):
-    """The root branch: color 0, the first in canonical order, at the middle."""
+    """The root branch: color 0, the first in canonical order, at the middle.
+    Its state's tie has no labels yet and starts at pair 0, or at the
+    centre, pair -1, when N is odd (see _mirror_check)."""
     N, aps, _ = tables
     unassigned = ((1 << N) - 1) << 1  # positions 1..N
     counters = (0,) * (r * aps[2]) if aps is not None else ()
-    return _branch_position(unassigned, N), 0, ((0,) * r, (unassigned,) * r, counters, unassigned, 0, 0)
+    tie = (-(N & 1), (-1,) * r, (-1,) * r, 0)
+    state = ((0,) * r, (unassigned,) * r, counters, unassigned, 0, 0, tie)
+    return _branch_position(unassigned, N), 0, state
+
+
+def _mirror_check(cm, un, N, tie):
+    """Carry the reversal lex-leader comparison over the complete mirror pairs.
+
+    Read middle out, position a = N // 2 - i and its mirror N + 1 - a form
+    pair i; when N is odd, pair -1 is the centre, read twice.  The sequence
+    of a coloring x is its colors in that order, and its mirror's sequence
+    is the same with each pair swapped, that of p -> x(N + 1 - p).  Both are
+    normalised by relabelling colors in order of first appearance.  The tie
+    (i, xmap, mmap, labels) holds the next pair to compare, the labels given
+    so far to each color in the two sequences (-1 for none) and how many
+    labels each has given: equal prefixes give the same number.
+
+    Compares the pairs from i on while both of their positions are assigned
+    (not in un).  Returns None once the prefix is smaller than its mirror's,
+    so every coloring below passes; False when it is larger, so none does;
+    otherwise the tie after the last complete pair.
+    """
+    i, xmap, mmap, labels = tie
+    xmap, mmap = list(xmap), list(mmap)
+    while i < N >> 1:
+        a = (N >> 1) - i
+        b = N + 1 - a
+        if (un >> a | un >> b) & 1:
+            break
+        ca = next(c for c, mask in enumerate(cm) if mask >> a & 1)
+        cb = next(c for c, mask in enumerate(cm) if mask >> b & 1)
+        for cx, cy in ((ca, cb), (cb, ca)):  # x reads a, b; its mirror b, a
+            lx = xmap[cx] if xmap[cx] >= 0 else labels
+            ly = mmap[cy] if mmap[cy] >= 0 else labels
+            if lx != ly:
+                return None if lx < ly else False
+            if lx == labels:
+                xmap[cx] = mmap[cy] = labels
+                labels += 1
+        i += 1
+    return i, tuple(xmap), tuple(mmap), labels
 
 
 def _run_tree(r, tables, stack, max_nodes, deadline, poll=None):
     """Backtrack depth first from a stack of unmade branches until decided.
 
     A branch (p, c, state) gives color c to position p in the state
-    (cm, al, cnt, un, used, depth) of the node it leaves, one tuple shared
-    by its siblings.  When a branch's node survives, the branches of its
-    next position are pushed in descending color order, so the least color
-    is made first.  The stack, mutated in place, holds exactly the branches
-    not yet made.  The budget is checked just before each branch: a run
-    stopped on max_nodes leaves them all in the stack for a later run.
+    (cm, al, cnt, un, used, depth, tie) of the node it leaves, one tuple
+    shared by its siblings.  When a branch's node survives propagation and
+    the reversal check, the branches of its next position are pushed in
+    descending color order, so the least color is made first.  The check
+    runs only while tie is not None: once a node's pairs read smaller than
+    its mirror image's, tie is None in its whole subtree.  The stack,
+    mutated in place, holds exactly the branches not yet made.  The budget
+    is checked just before each branch: a run stopped on max_nodes leaves
+    them all in the stack for a later run.
 
     Every _POLL_NODES nodes the run reads the clock and stops at the
     deadline; with poll it also calls poll(nodes) there and stops with the
@@ -430,7 +494,7 @@ def _run_tree(r, tables, stack, max_nodes, deadline, poll=None):
                 if halt is not None:
                     return halt, None, nodes
             mark = min(nodes + _POLL_NODES, max_nodes)
-        p, c, (cm0, al0, cnt0, un, used, depth) = stack.pop()
+        p, c, (cm0, al0, cnt0, un, used, depth, tie) = stack.pop()
         cm[:] = cm0
         al[:] = al0
         cnt[:] = cnt0
@@ -440,9 +504,13 @@ def _run_tree(r, tables, stack, max_nodes, deadline, poll=None):
             continue
         if un == 0:
             return "SAT", list(cm), nodes
+        if tie is not None:
+            tie = _mirror_check(cm, un, N, tie)
+            if tie is False:
+                continue  # the mirror image's colorings are searched instead
         q = _branch_position(un, N)
         bit = 1 << q
-        state = (tuple(cm), tuple(al), tuple(cnt), un, used, depth + 1)
+        state = (tuple(cm), tuple(al), tuple(cnt), un, used, depth + 1, tie)
         for c in range(min(used, r - 1), -1, -1):  # canonical: at most one new color
             if al[c] & bit:
                 stack.append((q, c, state))
@@ -498,7 +566,7 @@ def _split(r, tables, stack, target, nodes, max_nodes, deadline):
 
 
 # nodes a multi-worker search runs serially before it starts a pool; every
-# desk-tier proof fits (the largest, (3,3) at N = 27, takes 3,518)
+# desk-tier proof fits (the largest, (3,3) at N = 27, takes 1,766)
 _SERIAL_NODES = 4096
 
 # what every job of a worker shares: (spent, r, tables)
@@ -594,10 +662,11 @@ def decide_colorability(
     """Decide whether [1, N] admits an r-coloring with no monochromatic k-AP.
 
     SAT outcomes carry a verified certificate; UNSAT means the search space
-    was exhausted; TIMEOUT carries partial node statistics.  Sequential mode
-    is deterministic: branch positions from the middle out (nearest
-    (N + 1) / 2 first, ties left first), colors ascending in canonical
-    order, forced positions propagated.  The tables are built for this call
+    was exhausted up to color permutation and reversal; TIMEOUT carries
+    partial node statistics.  Sequential mode is deterministic: branch
+    positions from the middle out (nearest (N + 1) / 2 first, ties left
+    first), colors ascending in canonical order, forced positions
+    propagated, mirror images pruned.  The tables are built for this call
     alone and freed when it returns.
     """
     require_int(N, 1, "N must be a positive integer")

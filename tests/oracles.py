@@ -58,6 +58,36 @@ def brute_force_ap_free_colorings(n: int, r: int, k: int) -> list[tuple[int, ...
     return [cs for cs in product(range(r), repeat=n) if not naive_has_mono_ap(cs, k)]
 
 
+def reversal_verdict(colors, n: int) -> str:
+    """Lex-leader verdict of a partial coloring against its mirror image.
+
+    colors maps each assigned position of [1, n] to its color.  Positions are
+    read nearest the centre (n + 1) / 2 first, ties left; the centre, when n
+    is odd, forms a group alone and each other group is a position with its
+    mirror n + 1 - p.  The prefix of complete groups is read from the
+    coloring and from its mirror p -> colors[n + 1 - p], each sequence is
+    relabelled by first appearance, and the two are compared: "free" if the
+    coloring's is smaller, "prune" if larger, "tie" if equal.
+    """
+    order = sorted(range(1, n + 1), key=lambda p: (abs(2 * p - n - 1), p))
+    prefix = []
+    for p in order:
+        if p in prefix:
+            continue
+        group = sorted({p, n + 1 - p})
+        if any(q not in colors for q in group):
+            break
+        prefix += group
+    own = _first_appearance([colors[p] for p in prefix])
+    mirror = _first_appearance([colors[n + 1 - p] for p in prefix])
+    return "free" if own < mirror else "prune" if own > mirror else "tie"
+
+
+def _first_appearance(seq):
+    labels: dict[int, int] = {}
+    return [labels.setdefault(c, len(labels)) for c in seq]
+
+
 def dpll_satisfiable(clauses, num_vars: int, max_decisions: int = 10_000_000):
     """DPLL with unit propagation; returns (sat, model_or_None).
 

@@ -146,16 +146,14 @@ class TestDecideColorability:
 
     @pytest.mark.extended
     def test_monotone_unsat_w43(self):
-        # at 1 worker, 600 s ran 180,065,971 nodes at N=76 without finishing
-        # the proof (see README); this records the honest outcome rather
-        # than being skipped
+        # the proof at N=76 does not yet finish in 600 s (see README); this
+        # records the outcome and its node count rather than being skipped
         budget = Budget(max_nodes=10**10, max_seconds=600)
         for n in (76, 77):
             outcome = decide_colorability(n, VdwInstance(4, 3), budget, threads=2)
             assert outcome.status is SearchStatus.UNSAT, (
                 f"decide({n},(4,3)) returned {outcome.status.value} after "
-                f"{outcome.stats.nodes} nodes; at 1 worker, 600s ran "
-                "180,065,971 nodes at N=76 without finishing the proof (see README)"
+                f"{outcome.stats.nodes:,} nodes in {outcome.stats.seconds:.0f}s (see README)"
             )
 
     def test_timeout_reports_partial_stats(self):
@@ -185,10 +183,10 @@ class TestDecideColorability:
             par = decide_colorability(n, inst, threads=2).status
             assert seq == par, (r, k, n)
         # an UNSAT proof on the pool, past a shorter serial pass, makes its
-        # 3,518 assignments once, as at one worker
+        # 1,766 assignments once, as at one worker
         with mock.patch.object(search, "_SERIAL_NODES", 1000):
             par = decide_colorability(27, VdwInstance(3, 3), threads=2)
-        assert (par.status, par.stats.nodes) == (SearchStatus.UNSAT, 3_518)
+        assert (par.status, par.stats.nodes) == (SearchStatus.UNSAT, 1_766)
 
     def test_parallel_counts_prefix_split_nodes(self):
         # (2,3) at N=8 and N=9 is settled by the serial first pass
@@ -202,7 +200,7 @@ class TestDecideColorability:
         # nodes and stops at the next branch of at most N assignments
         threads = 2
         cases = (
-            (35, VdwInstance(2, 4), 1000),
+            (35, VdwInstance(2, 4), 500),
             (76, VdwInstance(4, 3), 20_000),
             (178, VdwInstance(2, 5), 40_000),
         )
@@ -250,10 +248,10 @@ class TestDecideColorability:
         assert proc.returncode == 0, proc.stderr
         # the tree outgrows the 1,000-node serial pass, and the pool resumes
         # it without repeating an assignment, so the UNSAT proof counts the
-        # same 3,518 nodes as at one worker whatever the start method
+        # same 1,766 nodes as at one worker whatever the start method
         one = decide_colorability(27, VdwInstance(3, 3))
-        assert (one.status, one.stats.nodes) == (SearchStatus.UNSAT, 3_518)
-        assert proc.stdout.split() == ["UNSAT", "3518"]
+        assert (one.status, one.stats.nodes) == (SearchStatus.UNSAT, 1_766)
+        assert proc.stdout.split() == ["UNSAT", "1766"]
 
     def test_domain_and_config_errors(self):
         with pytest.raises(DomainError):
@@ -272,9 +270,9 @@ class TestDecideColorability:
 @pytest.mark.parametrize(
     "r, k, n, status, nodes",
     [
-        (2, 4, 35, SearchStatus.UNSAT, 1_313),  # r = 2
-        (2, 4, 34, SearchStatus.SAT, 859),
-        (3, 3, 27, SearchStatus.UNSAT, 3_518),  # k = 3 shifts
+        (2, 4, 35, SearchStatus.UNSAT, 708),  # r = 2
+        (2, 4, 34, SearchStatus.SAT, 610),
+        (3, 3, 27, SearchStatus.UNSAT, 1_766),  # k = 3 shifts
         (3, 4, 100, SearchStatus.SAT, 149),  # AP counters
         (2, 6, 180, SearchStatus.SAT, 41_175),
         (3, 4, 125, SearchStatus.SAT, 92_065),  # the heaviest frontier SAT probe
@@ -290,9 +288,9 @@ def test_one_worker_node_counts(r, k, n, status, nodes):
 @pytest.mark.parametrize(
     "r, k, n, status, decisions, certificate",
     [
-        (2, 4, 35, SearchStatus.UNSAT, 295, None),
-        (2, 4, 34, SearchStatus.SAT, 205, "09c806086091a8d4adde897d42d57eb199b59df800af4879a1ffef7cbee573e1"),
-        (3, 3, 27, SearchStatus.UNSAT, 876, None),
+        (2, 4, 35, SearchStatus.UNSAT, 161, None),
+        (2, 4, 34, SearchStatus.SAT, 153, "09c806086091a8d4adde897d42d57eb199b59df800af4879a1ffef7cbee573e1"),
+        (3, 3, 27, SearchStatus.UNSAT, 442, None),
         (3, 4, 100, SearchStatus.SAT, 47, "8afb1653758f9eb4d1ada6bc71def4368e540f1578d7754c576189f7c282dc88"),
         (2, 6, 180, SearchStatus.SAT, 3_867, "352a41746029a1a155619cd6a7c1ff1aa3c911ac953f7f1d7245a00b15ddd75e"),
         (4, 3, 61, SearchStatus.SAT, 6_146, "f31847b8bd3bc8134a023001024808cb3c5d5b600584c8414259c2579c042d78"),
@@ -311,7 +309,7 @@ def test_one_worker_trees(r, k, n, status, decisions, certificate):
 
 @pytest.mark.parametrize(
     "r, k, n, max_nodes, nodes",
-    [(2, 5, 178, 40_000, 40_003), (3, 4, 293, 2_000, 2_004), (4, 3, 76, 150_000, 150_001)],
+    [(2, 5, 178, 40_000, 40_009), (3, 4, 293, 2_000, 2_004), (4, 3, 76, 150_000, 150_002)],
 )
 def test_one_worker_slice_node_counts(r, k, n, max_nodes, nodes):
     """The first max_nodes of a proof too large to finish are pinned too."""
@@ -431,7 +429,7 @@ class TestAllowedMasks:
     @given(n=st.integers(1, 30), r=st.integers(2, 4), k=st.integers(3, 5), data=st.data())
     def test_allowed_iff_no_ap_is_completed(self, n, r, k, data):
         _, aps, shifts = tables = search._tables(n, k)
-        _, _, (cm, al, cnt, un, used, _) = search._root(r, tables)
+        _, _, (cm, al, cnt, un, used, _, _) = search._root(r, tables)
         cm, al, cnt = list(cm), list(al), list(cnt)
         through = {p: [ap for ap in oracles.naive_all_aps(n, k) if p in ap] for p in range(1, n + 1)}
         while un:
@@ -468,6 +466,79 @@ class TestCertificateSymmetry:
                 assert not oracles.naive_has_mono_ap(moved, k), (image, perm)
 
 
+def _verdict(tie):
+    return "free" if tie is None else "prune" if tie is False else "tie"
+
+
+class TestReversalPrune:
+    """The kernel prunes a node once its complete mirror pairs, read middle
+    out and color-normalised, are larger than its mirror image's.  No tree
+    of N <= 12 prunes, so brute force alone cannot catch a wrong predicate."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(1, 40), r=st.integers(2, 4),
+        colors=st.lists(st.integers(0, 3), min_size=40, max_size=40),
+        mirrored=st.integers(0, 20), swap=st.booleans(),
+        known=st.integers(0, 40), hidden=st.integers(0, 2**40 - 1), cut=st.integers(-1, 20),
+    )
+    # palindromes, read to the end and cut short, tie at either parity
+    @example(n=40, r=2, colors=[0, 1] * 20, mirrored=20, swap=False, known=40, hidden=0, cut=5)
+    @example(n=39, r=3, colors=[0, 1, 2] * 13 + [0], mirrored=20, swap=False, known=30, hidden=2**40 - 1, cut=3)
+    # a mirror image under the color swap 0 <-> 1, with the centre color 2
+    @example(n=39, r=3, colors=[0] * 19 + [2] + [0] * 20, mirrored=20, swap=True, known=40, hidden=0, cut=0)
+    # 1 0 0 0 reads 0 0 1 0 middle out against its mirror's 0 0 0 1: prune
+    @example(n=4, r=2, colors=[1, 0, 0, 0] + [0] * 36, mirrored=0, swap=False, known=4, hidden=0, cut=-1)
+    @example(n=1, r=2, colors=[1] * 40, mirrored=0, swap=False, known=1, hidden=0, cut=0)
+    @example(n=2, r=4, colors=[3, 2] + [0] * 38, mirrored=0, swap=False, known=0, hidden=2, cut=0)
+    def test_incremental_check_matches_the_oracle(
+        self, n, r, colors, mirrored, swap, known, hidden, cut
+    ):
+        x = {p: colors[p - 1] % r for p in range(1, n + 1)}
+        for i in range(min(mirrored, n // 2)):  # make pairs 0.. mirror images
+            a = n // 2 - i
+            x[n + 1 - a] = {0: 1, 1: 0}.get(x[a], x[a]) if swap else x[a]
+        order = sorted(range(1, n + 1), key=lambda p: (abs(2 * p - n - 1), p))
+        un = sum(1 << p for p in order[known:] if hidden >> (p - 1) & 1)
+        cm = [sum(1 << p for p in x if x[p] == c and not un >> p & 1) for c in range(r)]
+        # the first call sees the pairs before `cut` only, the second the rest
+        before = un | sum(1 << p for p in x if n // 2 - min(p, n + 1 - p) >= cut)
+        tie = search._root(r, search._tables(n, 3))[2][6]
+        first = search._mirror_check(cm, before, n, tie)
+        visible = {p: c for p, c in x.items() if not before >> p & 1}
+        assert _verdict(first) == oracles.reversal_verdict(visible, n)
+        assigned = {p: c for p, c in x.items() if not un >> p & 1}
+        want = oracles.reversal_verdict(assigned, n)
+        if isinstance(first, tuple):
+            assert _verdict(search._mirror_check(cm, un, n, first)) == want
+        else:
+            assert _verdict(first) == want  # a decided prefix stays decided
+
+    @pytest.mark.parametrize("r, k, n", [(2, 4, 34), (2, 4, 35), (3, 3, 26), (3, 3, 27)])
+    def test_dpll_agrees_where_pruning_fires(self, r, k, n):
+        inst = VdwInstance(r, k)
+        formula = waerden.encode(n, inst)
+        sat, _ = oracles.dpll_satisfiable(formula.clauses, formula.variable_count)
+        want = SearchStatus.SAT if sat else SearchStatus.UNSAT
+        verdicts = []
+        check = search._mirror_check
+
+        def spy(*args):
+            tie = check(*args)
+            verdicts.append(_verdict(tie))
+            return tie
+
+        with mock.patch.object(search, "_mirror_check", spy):
+            one = decide_colorability(n, inst)
+        assert one.status is want and "prune" in verdicts
+        # a serial pass of 100 nodes leaves the rest of the tree to the pool
+        with mock.patch.object(search, "_SERIAL_NODES", 100):
+            two = decide_colorability(n, inst, threads=2)
+        assert two.status is want
+        if not sat:
+            assert two.stats.nodes == one.stats.nodes
+
+
 class TestPoolPath:
     """With a serial first pass of a few nodes, small trees reach the split
     and the pool, in many shapes: the pass can stop at any depth, having
@@ -496,11 +567,11 @@ class TestPoolPath:
             one = decide_colorability(n, inst)
             assert out.stats.nodes == one.stats.nodes
 
-    @pytest.mark.parametrize("serial", [250, 1_000, 2_000, 3_000])
+    @pytest.mark.parametrize("serial", [250, 500, 1_000, 1_500])
     def test_jobs_are_the_leaves_the_serial_pass_left(self, serial):
-        # (3,3) at N=27: 28 nodes at the cut depth when split from the root,
-        # and 3,518 nodes in all, so each budget leaves fewer of them; at
-        # 3,000 the split makes the last branches itself
+        # (3,3) at N=27: 39 nodes at the cut depth of 20 jobs when split
+        # from the root, and 1,766 nodes in all, so each budget leaves fewer
+        # of them; at 1,500 the split makes the last branches itself
         n, r, k = 27, 3, 3
         tables = search._tables(n, k)
         deadline = time.monotonic() + 60
@@ -511,16 +582,16 @@ class TestPoolPath:
             if budget:
                 status, _, nodes = search._run_tree(r, tables, stack, budget, deadline)
                 assert status == "TIMEOUT"
-            status, jobs, nodes = search._split(r, tables, stack, 16, nodes, 10**9, deadline)
+            status, jobs, nodes = search._split(r, tables, stack, 20, nodes, 10**9, deadline)
             return status, stack, jobs, nodes
 
         status, _, jobs, _ = split(0)
         assert status == "jobs"
         leaves = [job[0][2] for job in jobs]
         status, stack, jobs, nodes = split(serial)
-        assert (status == "jobs") == (serial < 3_000)
+        assert (status == "jobs") == (serial < 1_500)
         if status == "jobs":
-            assert len(leaves) == 28 and 16 <= len(jobs) < 28
+            assert len(leaves) == 39 and 20 <= len(jobs) < 39
             # the node the pass stopped inside and the leaves after it, in
             # depth-first order; a branch's state is its [2]
             assert [job[0][2] for job in jobs] == leaves[-len(jobs):]
@@ -536,11 +607,11 @@ class TestPoolPath:
                 nodes += made
         else:
             assert status == "UNSAT" and not stack
-        assert nodes == 3_518
+        assert nodes == 1_766
 
     @pytest.mark.parametrize(
         "r, k, n, jobs, branches, first",
-        [(4, 3, 61, 38, 141, 14), (2, 6, 180, 16, 62, 32)],
+        [(4, 3, 61, 22, 86, 14), (2, 6, 180, 20, 69, 31)],
     )
     def test_pool_jobs(self, r, k, n, jobs, branches, first):
         # the split of the default serial pass at 2 workers, counted in
@@ -565,9 +636,9 @@ class TestPoolPath:
 
     @pytest.mark.parametrize(
         "threads, cpus, cut, workers",
-        # (4,3) at N = 61 splits into 1,414 jobs at 64 threads and 38 at 2;
-        # a cut of 2 leaves 4 jobs
-        [(64, 3, None, 3), (2, None, None, 1), (2, 8, None, 2), (64, 10**6, 2, 4)],
+        # (4,3) at N = 61 splits into 721 jobs at 64 threads and 22 at 2;
+        # a cut of 2 leaves 3 jobs
+        [(64, 3, None, 3), (2, None, None, 1), (2, 8, None, 2), (64, 10**6, 2, 3)],
     )
     def test_pool_workers_are_capped(self, threads, cpus, cut, workers):
         # at most one worker per CPU and per job, whatever the thread count;
@@ -682,7 +753,7 @@ class TestComputeW:
         assert (info.value.lower_bound, info.value.nodes) == (inst.k, 0)
         tables.assert_not_called()
 
-    @pytest.mark.parametrize("r, k, w, nodes", [(2, 3, 9, 17), (2, 4, 35, 1_313), (3, 3, 27, 3_518)])
+    @pytest.mark.parametrize("r, k, w, nodes", [(2, 3, 9, 17), (2, 4, 35, 708), (3, 3, 27, 1_766)])
     def test_searches_only_the_proof_at_w(self, r, k, w, nodes):
         # the constructed coloring reaches W - 1, so the one search left is
         # the UNSAT proof at N = W
