@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import multiprocessing
@@ -267,12 +268,23 @@ class TestDecideColorability:
                 Budget(**bad)
 
 
+def _unpruned():
+    """The kernel with the reversal prune switched off: every node's pairs
+    read as smaller than its mirror image's, so no subtree is cut."""
+    return mock.patch.object(search, "_mirror_check", lambda cm, un, N, tie: None)
+
+
+# the nodes and branches the reversal prune leaves of the pinned trees it
+# cuts; it leaves the other pinned trees as they are
+_REVERSAL = {(2, 4, 35): (708, 161), (2, 4, 34): (610, 153), (3, 3, 27): (1_766, 442)}
+
+
 @pytest.mark.parametrize(
     "r, k, n, status, nodes",
     [
-        (2, 4, 35, SearchStatus.UNSAT, 708),  # r = 2
-        (2, 4, 34, SearchStatus.SAT, 610),
-        (3, 3, 27, SearchStatus.UNSAT, 1_766),  # k = 3 shifts
+        (2, 4, 35, SearchStatus.UNSAT, 1_313),  # r = 2
+        (2, 4, 34, SearchStatus.SAT, 859),
+        (3, 3, 27, SearchStatus.UNSAT, 3_518),  # k = 3 shifts
         (3, 4, 100, SearchStatus.SAT, 149),  # AP counters
         (2, 6, 180, SearchStatus.SAT, 41_175),
         (3, 4, 125, SearchStatus.SAT, 92_065),  # the heaviest frontier SAT probe
@@ -280,17 +292,23 @@ class TestDecideColorability:
 )
 def test_one_worker_node_counts(r, k, n, status, nodes):
     """The search tree of each kernel path is pinned, so a kernel change
-    that walks a different tree shows up here."""
-    out = decide_colorability(n, VdwInstance(r, k))
-    assert (out.status, out.stats.nodes) == (status, nodes)
+    that walks a different tree shows up here.  `nodes` is the tree with
+    the reversal prune switched off, so a change to the rest of the kernel
+    shows up apart from a change to the prune; _REVERSAL holds what the
+    prune leaves of it."""
+    pruned = _REVERSAL.get((r, k, n), (nodes,))[0]
+    for switch, want in ((_unpruned, nodes), (contextlib.nullcontext, pruned)):
+        with switch():
+            out = decide_colorability(n, VdwInstance(r, k))
+        assert (out.status, out.stats.nodes) == (status, want)
 
 
 @pytest.mark.parametrize(
     "r, k, n, status, decisions, certificate",
     [
-        (2, 4, 35, SearchStatus.UNSAT, 161, None),
-        (2, 4, 34, SearchStatus.SAT, 153, "09c806086091a8d4adde897d42d57eb199b59df800af4879a1ffef7cbee573e1"),
-        (3, 3, 27, SearchStatus.UNSAT, 442, None),
+        (2, 4, 35, SearchStatus.UNSAT, 295, None),
+        (2, 4, 34, SearchStatus.SAT, 205, "09c806086091a8d4adde897d42d57eb199b59df800af4879a1ffef7cbee573e1"),
+        (3, 3, 27, SearchStatus.UNSAT, 876, None),
         (3, 4, 100, SearchStatus.SAT, 47, "8afb1653758f9eb4d1ada6bc71def4368e540f1578d7754c576189f7c282dc88"),
         (2, 6, 180, SearchStatus.SAT, 3_867, "352a41746029a1a155619cd6a7c1ff1aa3c911ac953f7f1d7245a00b15ddd75e"),
         (4, 3, 61, SearchStatus.SAT, 6_146, "f31847b8bd3bc8134a023001024808cb3c5d5b600584c8414259c2579c042d78"),
@@ -300,11 +318,15 @@ def test_one_worker_trees(r, k, n, status, decisions, certificate):
     """The tree itself is pinned, not only its size: the branches made (calls
     of _assign_prop) and the SHA-256 of the certificate's colors.  Node
     counts may move when a failing branch's forced assignments are made in
-    another order; these may not."""
-    with mock.patch.object(search, "_assign_prop", wraps=search._assign_prop) as prop:
-        out = decide_colorability(n, VdwInstance(r, k))
-    digest = out.certificate and hashlib.sha256(bytes(out.certificate.colors)).hexdigest()
-    assert (out.status, prop.call_count, digest) == (status, decisions, certificate)
+    another order; these may not.  `decisions` counts the tree with the
+    reversal prune switched off, and _REVERSAL what the prune leaves of it;
+    the certificate is the same either way."""
+    pruned = _REVERSAL.get((r, k, n), (None, decisions))[1]
+    for switch, want in ((_unpruned, decisions), (contextlib.nullcontext, pruned)):
+        with switch(), mock.patch.object(search, "_assign_prop", wraps=search._assign_prop) as prop:
+            out = decide_colorability(n, VdwInstance(r, k))
+        digest = out.certificate and hashlib.sha256(bytes(out.certificate.colors)).hexdigest()
+        assert (out.status, prop.call_count, digest) == (status, want, certificate)
 
 
 @pytest.mark.parametrize(
@@ -636,9 +658,9 @@ class TestPoolPath:
 
     @pytest.mark.parametrize(
         "threads, cpus, cut, workers",
-        # (4,3) at N = 61 splits into 721 jobs at 64 threads and 22 at 2;
-        # a cut of 2 leaves 3 jobs
-        [(64, 3, None, 3), (2, None, None, 1), (2, 8, None, 2), (64, 10**6, 2, 3)],
+        # (4,3) at N = 60 splits into 744 jobs at 64 threads and 28 at 2;
+        # a cut of 2 leaves 4 jobs
+        [(64, 3, None, 3), (2, None, None, 1), (2, 8, None, 2), (64, 10**6, 2, 4)],
     )
     def test_pool_workers_are_capped(self, threads, cpus, cut, workers):
         # at most one worker per CPU and per job, whatever the thread count;
@@ -660,7 +682,7 @@ class TestPoolPath:
                 mock.patch.object(search, "_split", split_at), \
                 mock.patch.object(search, "_POOL", None), \
                 mock.patch.object(search.os, "cpu_count", return_value=cpus):
-            out = decide_colorability(61, VdwInstance(4, 3), threads=threads)
+            out = decide_colorability(60, VdwInstance(4, 3), threads=threads)
         assert out.status is SearchStatus.SAT and verify_certificate(out.certificate, 3)
         assert sizes == [workers] and len(jobs) >= workers
 
