@@ -18,6 +18,7 @@ from .bounds import (
     exponent_relations,
     graham_condition,
     n_range,
+    plan_intervals,
     power_of_ten_bound,
 )
 from .cnf import (
@@ -63,7 +64,6 @@ from .search import (
     compute_W,
     decide_colorability,
     find_mono_ap,
-    plan_intervals,
     verify_certificate,
 )
 

@@ -5,7 +5,8 @@ Central facts implemented here, all decided with exact integer arithmetic:
 * the triple chain r**n <= W < r**(n+1) <= r**(k*k), which holds exactly when
   k*k >= n + 1 (equivalently n <= k*k - 1);
 * the derived exponent window n in [1, k*k - 1], refinable from a published
-  lower bound on W;
+  lower bound on W, and the plan of candidate brackets [r**n, r**(n+1)) over
+  it;
 * the Erdos-Rado lower bound W > sqrt(2*(k-1)*r**(k-1)) and the exponent
   threshold above which r**n already clears it;
 * the k-versus-r exponent relations and the (log_r k - 1, k*k - 1] window.
@@ -215,6 +216,36 @@ def n_range_dict(inst: VdwInstance, window: NRange) -> dict:
     top = window.high + 1
     value = Bracket(inst.r, window.high).high
     return {**window.to_dict(), "upper_power": f"{inst.r}^{top}", "upper_power_value": value}
+
+
+@dataclass(frozen=True)
+class PlannedInterval(Bracket):
+    """One candidate bracket [r**n, r**(n+1)), with its cumulative form [1, r**(n+1)]."""
+
+    hinted: bool = False
+
+    def to_dict(self) -> dict:
+        doc = {"n": self.n, "low": self.low, "high": self.high}
+        return {**doc, "cumulative": [1, doc["high"]], "hinted": self.hinted}
+
+
+def plan_intervals(
+    inst: VdwInstance,
+    lower_bound: int,
+    hint: tuple[int, int] | None = None,
+) -> tuple[PlannedInterval, ...]:
+    """Candidate brackets [r**n, r**(n+1)) for every n the lower bound allows.
+
+    Ordered ascending; each carries its cumulative form [1, r**(n+1)].  The
+    optional hint window [low, high] marks brackets as favored; it is
+    caller-supplied guesswork, never a default, and low > high is rejected.
+    """
+    if hint is not None and hint[0] > hint[1]:
+        raise DomainError(f"hint window [{hint[0]}, {hint[1]}] is inverted")
+    return tuple(
+        PlannedInterval(inst.r, n, hinted=hint is not None and hint[0] <= n <= hint[1])
+        for n in n_range(inst, lower_bound)
+    )
 
 
 def _erdos_rado_bound(r: int, k: int) -> tuple[int, float]:

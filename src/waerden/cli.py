@@ -249,7 +249,7 @@ def _cmd_plan(args) -> _Output:
     hint = tuple(args.hint) if args.hint is not None else None
     bounds.n_range(args.inst, args.lower)  # a bad lower bound is reported first
     _require_printable(args.inst)
-    intervals = search.plan_intervals(args.inst, args.lower, hint=hint)
+    intervals = bounds.plan_intervals(args.inst, args.lower, hint=hint)
     lines = [
         f"n={iv.n}: [{iv.low}, {iv.high})  cumulative [1, {iv.high}]"
         + ("  (hinted)" if iv.hinted else "")

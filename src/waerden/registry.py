@@ -26,10 +26,10 @@ from .bounds import (
     exponent_relations,
     n_range,
     n_range_dict,
+    plan_intervals,
 )
 from .errors import IntegrityError
 from .numerics import bracket_exponent, delta
-from .search import plan_intervals
 
 # Every entry by instance: the exact values in table order, then the
 # published lower bounds (W(r, k) > value).

@@ -20,8 +20,11 @@ a set of positions is one AND, with no complement.
 Branch decisions are taken in canonical color order (a branch may introduce
 at most one color index beyond those already used), which is sound and
 complete for SAT/UNSAT because AP-freeness is invariant under color
-permutation; forced assignments are exempt, so the explored space sits
-between the canonical colorings and the full space.
+permutation.  Forced assignments are exempt, but they never skip a color:
+a color not yet used is allowed at every unassigned position, so a
+position is forced to a new color only when that color is r - 1, the one
+left unused.  The colors in use are thus always 0..h, and the branch colors
+0..min(h + 1, r - 1) are read off the class masks.
 
 AP-freeness is invariant under the reversal p -> N + 1 - p too, and the
 search breaks that symmetry with a lex-leader predicate (J. Crawford,
@@ -56,17 +59,21 @@ right shifts of that one int (see _shift_table).  That table has N entries,
 but each holds an int of about 6N bits, so its size grows with N^2: its
 ints take 0.85 MiB at N = 1000 and 13.3 MiB at N = 4000 (sys.getsizeof).
 
-The search state is one stack of unmade branches.  Parallel mode first
-searches serially for up to _SERIAL_NODES nodes, so a small tree is
-decided as at one worker, without a pool.  A larger tree goes to a process
-pool of multiprocessing's default context: the shallowest branches the
-serial pass left are made level by level, each node's branches become one
-job, and the pass's path goes out with the top node's, so no assignment is
-made twice and an UNSAT proof counts the same nodes at any worker count.
-SAT short-circuits the rest: it spends the shared node count, so every job
-stops at its next poll, and cancels the jobs not yet started; UNSAT
-requires every job to be exhausted.  The SAT/UNSAT answer is identical
-across worker counts; certificates may differ but always verify.
+The search state is one stack of unmade branches.  _expand makes one
+branch: it assigns and propagates, tests for SAT, runs the reversal check
+and lists the branches of the next position; the serial search and the
+prefix split are loops over it.  Parallel mode first searches serially for
+up to _SERIAL_NODES nodes, so a small tree is decided as at one worker,
+without a pool.  A larger tree goes to a process pool of multiprocessing's
+default context: the shallowest branches the serial pass left are made
+level by level, each node's branches become one job, and the pass's path
+goes out with the top node's, so no assignment is made twice and an UNSAT
+proof counts the same nodes at any worker count.  SAT short-circuits the
+rest: it spends the shared node count, so every job stops at its next
+poll, and cancels the jobs not yet started; a job's error does the same
+before it is re-raised.  UNSAT requires every job to be exhausted.  The
+SAT/UNSAT answer is identical across worker counts; certificates may
+differ but always verify.
 
 compute_W searches only above a constructed coloring.  It first takes the
 longest AP-free coloring it finds among Rabung's power-residue colorings
@@ -91,7 +98,7 @@ from enum import Enum
 from itertools import count, groupby
 
 from ._record import Record
-from .bounds import VdwInstance, n_range
+from .bounds import VdwInstance
 from .errors import (
     BudgetExhausted,
     ConfigError,
@@ -99,7 +106,6 @@ from .errors import (
     IntegrityError,
     require_int,
 )
-from .numerics import Bracket
 
 # a search reads the clock, and a pool job also charges and reads the shared
 # node count, every _POLL_NODES nodes, so it stops within _POLL_NODES + N
@@ -206,17 +212,6 @@ class ComputeWResult(Record):
     value: int
     certificate: Coloring  # AP-free coloring of [1, value - 1]
     stats: SearchStats
-
-
-@dataclass(frozen=True)
-class PlannedInterval(Bracket):
-    """One candidate bracket [r**n, r**(n+1)), with its cumulative form [1, r**(n+1)]."""
-
-    hinted: bool = False
-
-    def to_dict(self) -> dict:
-        doc = {"n": self.n, "low": self.low, "high": self.high}
-        return {**doc, "cumulative": [1, doc["high"]], "hinted": self.hinted}
 
 
 def find_mono_ap(coloring: Coloring, k: int) -> APWitness | None:
@@ -331,11 +326,11 @@ def _branch_position(un: int, N: int) -> int:
     return left if left + right > N else right
 
 
-def _assign_prop(cm, al, cnt, un, used, p, c, aps, shifts):
+def _assign_prop(cm, al, cnt, un, p, c, aps, shifts):
     """Assign color c to position p, then propagate forced positions.
 
     Mutates cm (class masks), al (allowed masks) and cnt (AP counters).
-    Returns (ok, un, used, count) where count is the number of assignments
+    Returns (ok, un, count) where count is the number of assignments
     made; ok is False on conflict (a dead position or a forced position
     already taken).  For k = 3 (shifts given) the threats are three shifts
     of the class mask, laid out by _shift_table; for k > 3 cnt holds, for
@@ -356,12 +351,10 @@ def _assign_prop(cm, al, cnt, un, used, p, c, aps, shifts):
         if not un & bit:
             if cm[qc] & bit:
                 continue  # forced twice with the same color
-            return False, un, used, count
+            return False, un, count
         if not al[qc] & bit:
-            return False, un, used, count
+            return False, un, count
         un ^= bit  # q is unassigned here
-        if qc >= used:
-            used = qc + 1
         count += 1
         cmq = cm[qc]
         if shifts is not None:
@@ -397,7 +390,7 @@ def _assign_prop(cm, al, cnt, un, used, p, c, aps, shifts):
             two |= one & free
             one |= free
         if hit ^ one:
-            return False, un, used, count  # a position with no color allowed
+            return False, un, count  # a position with no color allowed
         forced = one ^ two
         if not forced:
             continue
@@ -407,7 +400,7 @@ def _assign_prop(cm, al, cnt, un, used, p, c, aps, shifts):
                 low = mine & -mine
                 mine ^= low
                 pending.append((low.bit_length() - 1, c2))
-    return True, un, used, count
+    return True, un, count
 
 
 def _root(r, tables):
@@ -418,7 +411,7 @@ def _root(r, tables):
     unassigned = ((1 << N) - 1) << 1  # positions 1..N
     counters = (0,) * (r * aps[2]) if aps is not None else ()
     tie = (-(N & 1), (-1,) * r, (-1,) * r, 0)
-    state = ((0,) * r, (unassigned,) * r, counters, unassigned, 0, 0, tie)
+    state = ((0,) * r, (unassigned,) * r, counters, unassigned, 0, tie)
     return _branch_position(unassigned, N), 0, state
 
 
@@ -460,19 +453,55 @@ def _mirror_check(cm, un, N, tie):
     return i, tuple(xmap), tuple(mmap), labels
 
 
+def _expand(r, tables, branch):
+    """Make one branch: the only code that does.
+
+    A branch (p, c, state) gives color c to position p in the state
+    (cm, al, cnt, un, depth, tie) of the node it leaves, one tuple shared by
+    its siblings.  Returns (status, made, children), made being the
+    assignments made.  Status "SAT" means every position is assigned, and
+    children is then the class masks.  Status "leaf" means a conflict, or a
+    node whose pairs read larger than its mirror image's, and children is
+    empty.  Otherwise status is "branch" and children lists the branches of
+    the next position, in descending color order, so a stack makes the
+    least color first.  The reversal check runs only while tie is not None:
+    once a node's pairs read smaller than its mirror image's, tie is None in
+    its whole subtree.  The children take the canonical colors allowed at
+    their position: every color up to one past the highest color whose
+    class is not empty, capped at r - 1.
+    """
+    N, aps, shifts = tables
+    p, c, (cm, al, cnt, un, depth, tie) = branch
+    cm, al, cnt = list(cm), list(al), list(cnt)
+    ok, un, made = _assign_prop(cm, al, cnt, un, p, c, aps, shifts)
+    if not ok:
+        return "leaf", made, ()
+    if un == 0:
+        return "SAT", made, cm
+    if tie is not None:
+        tie = _mirror_check(cm, un, N, tie)
+        if tie is False:
+            return "leaf", made, ()  # the mirror image's colorings are searched instead
+    q = _branch_position(un, N)
+    bit = 1 << q
+    top = r - 1
+    while not cm[top]:
+        top -= 1
+    state = (tuple(cm), tuple(al), tuple(cnt), un, depth + 1, tie)
+    children = []
+    for c in range(min(top + 1, r - 1), -1, -1):  # canonical: at most one new color
+        if al[c] & bit:
+            children.append((q, c, state))
+    return "branch", made, children
+
+
 def _run_tree(r, tables, stack, max_nodes, deadline, poll=None):
     """Backtrack depth first from a stack of unmade branches until decided.
 
-    A branch (p, c, state) gives color c to position p in the state
-    (cm, al, cnt, un, used, depth, tie) of the node it leaves, one tuple
-    shared by its siblings.  When a branch's node survives propagation and
-    the reversal check, the branches of its next position are pushed in
-    descending color order, so the least color is made first.  The check
-    runs only while tie is not None: once a node's pairs read smaller than
-    its mirror image's, tie is None in its whole subtree.  The stack,
-    mutated in place, holds exactly the branches not yet made.  The budget
-    is checked just before each branch: a run stopped on max_nodes leaves
-    them all in the stack for a later run.
+    Each branch popped is made by _expand, and the branches it lists are
+    pushed.  The stack, mutated in place, holds exactly the branches not
+    yet made.  The budget is checked just before each branch: a run stopped
+    on max_nodes leaves them all in the stack for a later run.
 
     Every _POLL_NODES nodes the run reads the clock and stops at the
     deadline; with poll it also calls poll(nodes) there and stops with the
@@ -481,10 +510,8 @@ def _run_tree(r, tables, stack, max_nodes, deadline, poll=None):
     Returns (status, class_masks_or_None, nodes) with status in
     {"SAT", "UNSAT", "TIMEOUT"}; UNSAT means the stack ran out.
     """
-    N, aps, shifts = tables
     nodes = 0
     mark = min(_POLL_NODES, max_nodes)
-    cm, al, cnt = [], [], []
     while stack:
         if nodes >= mark:
             if nodes >= max_nodes or time.monotonic() >= deadline:
@@ -494,26 +521,11 @@ def _run_tree(r, tables, stack, max_nodes, deadline, poll=None):
                 if halt is not None:
                     return halt, None, nodes
             mark = min(nodes + _POLL_NODES, max_nodes)
-        p, c, (cm0, al0, cnt0, un, used, depth, tie) = stack.pop()
-        cm[:] = cm0
-        al[:] = al0
-        cnt[:] = cnt0
-        ok, un, used, made = _assign_prop(cm, al, cnt, un, used, p, c, aps, shifts)
+        status, made, children = _expand(r, tables, stack.pop())
         nodes += made
-        if not ok:
-            continue
-        if un == 0:
-            return "SAT", list(cm), nodes
-        if tie is not None:
-            tie = _mirror_check(cm, un, N, tie)
-            if tie is False:
-                continue  # the mirror image's colorings are searched instead
-        q = _branch_position(un, N)
-        bit = 1 << q
-        state = (tuple(cm), tuple(al), tuple(cnt), un, used, depth + 1, tie)
-        for c in range(min(used, r - 1), -1, -1):  # canonical: at most one new color
-            if al[c] & bit:
-                stack.append((q, c, state))
+        if status == "SAT":
+            return status, children, nodes
+        stack += children
     return "UNSAT", None, nodes
 
 
@@ -530,22 +542,23 @@ def _masks_to_coloring(masks, N, r) -> Coloring:
     return Coloring(N=N, r=r, colors=tuple(colors))
 
 
-def _split(r, tables, stack, target, nodes, max_nodes, deadline):
+def _split(r, tables, stack, target, nodes, max_nodes):
     """Cut the branches a stopped serial pass left in `stack` into pool jobs.
 
     The stack is sorted by depth from the bottom.  Its shallowest level is
-    made in place, each branch replaced by its children, until that depth
-    is 24 or holds `target` nodes that still have branches (nodes the pass
-    exhausted do not count).  A job is one node's branches; the top node's
-    go out with the rest of the pass's path.  `nodes` is the count so far.
+    made in place with _expand, each branch replaced by its children, until
+    that depth is 24 or holds `target` nodes that still have branches (nodes
+    the pass exhausted do not count).  A job is one node's branches; the top
+    node's go out with the rest of the pass's path.  `nodes` is the count so
+    far.
 
     Returns ("jobs", stacks, nodes) with the stacks in depth-first order, or
     (status, masks_or_None, nodes) when the levels find a coloring, run out
     of branches or spend the budget.
     """
     while True:
-        depth = stack[0][2][5]
-        top = sum(branch[2][5] == depth for branch in stack)
+        depth = stack[0][2][4]
+        top = sum(branch[2][4] == depth for branch in stack)
         # a node's branches share its state and lie together in the stack
         groups = [list(g) for _, g in groupby(stack[:top], key=lambda branch: id(branch[2]))]
         if len(groups) >= target or depth >= 24:
@@ -554,11 +567,10 @@ def _split(r, tables, stack, target, nodes, max_nodes, deadline):
         for branch in stack[:top]:
             if nodes >= max_nodes:
                 return "TIMEOUT", None, nodes
-            children = [branch]
-            status, masks, made = _run_tree(r, tables, children, 1, deadline)
+            status, made, children = _expand(r, tables, branch)
             nodes += made
             if status == "SAT":
-                return status, masks, nodes
+                return status, children, nodes
             level += children
         stack[:top] = level
         if not stack:
@@ -611,7 +623,7 @@ def _search(r, tables, threads, max_nodes, deadline):
     # decided, out of time, or out of the caller's nodes: no pool
     if status != "TIMEOUT" or nodes < serial_budget or nodes >= max_nodes:
         return status, masks, nodes
-    status, jobs, nodes = _split(r, tables, stack, threads * 8, nodes, max_nodes, deadline)
+    status, jobs, nodes = _split(r, tables, stack, threads * 8, nodes, max_nodes)
     if status != "jobs":
         return status, jobs, nodes
     if nodes >= max_nodes:
@@ -623,13 +635,15 @@ def _search(r, tables, threads, max_nodes, deadline):
     ) as pool:
         futures = [pool.submit(_parallel_worker, (job, max_nodes, deadline)) for job in jobs]
         for fut in as_completed(futures):
-            if fut.result()[0] in ("SAT", "TIMEOUT"):
-                # the answer spends the budget: a running job stops at its next
-                # poll, and one already sent to a worker returns at once
+            if fut.exception() is not None or fut.result()[0] in ("SAT", "TIMEOUT"):
+                # an answer or an error spends the budget: a running job stops
+                # at its next poll, and one already sent to a worker returns
+                # at once
                 spent.value = max_nodes
                 break
         # once the answer is known, the jobs still queued never start
         pool.shutdown(cancel_futures=True)
+    # re-raises a job's error, now that no job runs on
     results = [fut.result() for fut in futures if not fut.cancelled()]
     nodes += sum(made for _, _, made in results)
     for status, masks, _ in results:
@@ -848,25 +862,6 @@ def compute_W(
         lower_bound=N,
         nodes=nodes,
         seconds=time.perf_counter() - started,
-    )
-
-
-def plan_intervals(
-    inst: VdwInstance,
-    lower_bound: int,
-    hint: tuple[int, int] | None = None,
-) -> tuple[PlannedInterval, ...]:
-    """Candidate brackets [r**n, r**(n+1)) for every n the lower bound allows.
-
-    Ordered ascending; each carries its cumulative form [1, r**(n+1)].  The
-    optional hint window [low, high] marks brackets as favored; it is
-    caller-supplied guesswork, never a default, and low > high is rejected.
-    """
-    if hint is not None and hint[0] > hint[1]:
-        raise DomainError(f"hint window [{hint[0]}, {hint[1]}] is inverted")
-    return tuple(
-        PlannedInterval(inst.r, n, hinted=hint is not None and hint[0] <= n <= hint[1])
-        for n in n_range(inst, lower_bound)
     )
 
 

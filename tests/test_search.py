@@ -436,7 +436,7 @@ class TestShiftRule:
             cm[0] |= table[v][0]
         un = (((1 << n) - 1) << 1) & ~sum(1 << v for v in members)
         al = [un] * 3
-        ok, left, _, made = search._assign_prop(cm, al, [], un, 1, q, 0, None, table)
+        ok, left, made = search._assign_prop(cm, al, [], un, q, 0, None, table)
         free = _third_members(n, members, q) - members
         assert (ok, made, left) == (True, 1, un & ~(1 << q))
         assert al == [un ^ sum(1 << t for t in free), un, un]
@@ -451,13 +451,13 @@ class TestAllowedMasks:
     @given(n=st.integers(1, 30), r=st.integers(2, 4), k=st.integers(3, 5), data=st.data())
     def test_allowed_iff_no_ap_is_completed(self, n, r, k, data):
         _, aps, shifts = tables = search._tables(n, k)
-        _, _, (cm, al, cnt, un, used, _, _) = search._root(r, tables)
+        _, _, (cm, al, cnt, un, _, _) = search._root(r, tables)
         cm, al, cnt = list(cm), list(al), list(cnt)
         through = {p: [ap for ap in oracles.naive_all_aps(n, k) if p in ap] for p in range(1, n + 1)}
         while un:
             p = data.draw(st.sampled_from([p for p in range(1, n + 1) if un >> p & 1]))
             c = data.draw(st.integers(0, r - 1))
-            ok, un, used, _ = search._assign_prop(cm, al, cnt, un, used, p, c, aps, shifts)
+            ok, un, _ = search._assign_prop(cm, al, cnt, un, p, c, aps, shifts)
             if not ok:
                 break
             color = {q: c2 for c2 in range(r) for q in range(1, n + 1) if cm[c2] >> q & 1}
@@ -468,6 +468,65 @@ class TestAllowedMasks:
                             all(color.get(t) == c2 for t in ap if t != q) for ap in through[q]
                         )
                         assert bool(al[c2] >> q & 1) == (not completes), (q, c2)
+
+
+def _walk(n, r, k, picks):
+    """Expand from the root down to a leaf, taking children[pick % len] for
+    each pick in turn and the first child once they run out.  Every node
+    that branches must list the children of the canonical rule, read from
+    the colors on positions 1..N: the position _branch_position picks, with
+    each color allowed there up to one past the highest color used, capped
+    at r - 1, in descending order.  Returns the number of nodes whose
+    highest color neither the branch made nor the node before held: one that
+    forcing introduced."""
+    tables = search._tables(n, k)
+    aps = oracles.naive_all_aps(n, k)
+    branch = search._root(r, tables)
+    introduced, high = 0, -1
+    for i in range(n + 1):  # each branch assigns a position
+        status, _, children = search._expand(r, tables, branch)
+        if status != "branch":
+            return introduced
+        cm, un = children[0][2][0], children[0][2][3]
+        colors = {p: c for c in range(r) for p in range(1, n + 1) if cm[c] >> p & 1}
+        assert un == sum(1 << p for p in range(1, n + 1) if p not in colors)
+        q = search._branch_position(un, n)
+        top = max(colors.values())
+        allowed = [
+            c for c in range(min(r - 1, top + 1), -1, -1)
+            if not any(q in ap and all(colors.get(t) == c for t in ap if t != q) for ap in aps)
+        ]
+        assert [(p, c) for p, c, _ in children] == [(q, c) for c in allowed]
+        assert len({id(state) for _, _, state in children}) == 1  # siblings share one state
+        # a color not yet used is allowed at every unassigned position, so a
+        # position is forced only once at most one color is unused: forcing
+        # introduces only r - 1 and never skips a color
+        assert set(colors.values()) == set(range(top + 1))
+        if top > max(high, branch[1]):
+            introduced += 1
+            assert top == r - 1
+        high = top
+        branch = children[(picks[i] if i < len(picks) else 0) % len(children)]
+    raise AssertionError("a walk outlived its positions")
+
+
+class TestExpand:
+    """_expand is the one node step: the search and the split make every
+    branch through it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 30), r=st.integers(2, 4), k=st.integers(3, 5),
+        picks=st.lists(st.integers(0, 3), max_size=30),
+    )
+    def test_children_follow_the_canonical_rule(self, n, r, k, picks):
+        _walk(n, r, k, picks)
+
+    @pytest.mark.parametrize(
+        "n, r, k, picks", [(5, 2, 3, [1]), (8, 3, 3, [0, 1, 2, 1]), (10, 4, 3, [3, 2, 1, 0, 1, 3, 1])]
+    )
+    def test_walks_where_forcing_introduces_a_color(self, n, r, k, picks):
+        assert _walk(n, r, k, picks) == 1
 
 
 class TestCertificateSymmetry:
@@ -525,7 +584,7 @@ class TestReversalPrune:
         cm = [sum(1 << p for p in x if x[p] == c and not un >> p & 1) for c in range(r)]
         # the first call sees the pairs before `cut` only, the second the rest
         before = un | sum(1 << p for p in x if n // 2 - min(p, n + 1 - p) >= cut)
-        tie = search._root(r, search._tables(n, 3))[2][6]
+        tie = search._root(r, search._tables(n, 3))[2][5]
         first = search._mirror_check(cm, before, n, tie)
         visible = {p: c for p, c in x.items() if not before >> p & 1}
         assert _verdict(first) == oracles.reversal_verdict(visible, n)
@@ -559,6 +618,20 @@ class TestReversalPrune:
         assert two.status is want
         if not sat:
             assert two.stats.nodes == one.stats.nodes
+
+
+def _thread_pool(sizes, jobs):
+    """A fake process pool that records its size in `sizes` and each job's
+    arguments in `jobs`, and runs the jobs in order on one thread."""
+
+    def pool(max_workers, initializer, initargs):
+        sizes.append(max_workers)
+        executor = ThreadPoolExecutor(1, initializer=initializer, initargs=initargs)
+        submit = executor.submit
+        executor.submit = lambda fn, job_args: jobs.append(job_args) or submit(fn, job_args)
+        return executor
+
+    return pool
 
 
 class TestPoolPath:
@@ -604,7 +677,7 @@ class TestPoolPath:
             if budget:
                 status, _, nodes = search._run_tree(r, tables, stack, budget, deadline)
                 assert status == "TIMEOUT"
-            status, jobs, nodes = search._split(r, tables, stack, 20, nodes, 10**9, deadline)
+            status, jobs, nodes = search._split(r, tables, stack, 20, nodes, 10**9)
             return status, stack, jobs, nodes
 
         status, _, jobs, _ = split(0)
@@ -663,28 +736,40 @@ class TestPoolPath:
         [(64, 3, None, 3), (2, None, None, 1), (2, 8, None, 2), (64, 10**6, 2, 4)],
     )
     def test_pool_workers_are_capped(self, threads, cpus, cut, workers):
-        # at most one worker per CPU and per job, whatever the thread count;
-        # the fake pool records its size and runs the jobs on one thread
+        # at most one worker per CPU and per job, whatever the thread count
         sizes, jobs = [], []
         split = search._split
-
-        def pool(max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            executor = ThreadPoolExecutor(1, initializer=initializer, initargs=initargs)
-            submit = executor.submit
-            executor.submit = lambda fn, job_args: jobs.append(job_args) or submit(fn, job_args)
-            return executor
 
         def split_at(r, tables, stack, target, *rest):
             return split(r, tables, stack, cut or target, *rest)
 
-        with mock.patch.object(search, "ProcessPoolExecutor", pool), \
+        with mock.patch.object(search, "ProcessPoolExecutor", _thread_pool(sizes, jobs)), \
                 mock.patch.object(search, "_split", split_at), \
                 mock.patch.object(search, "_POOL", None), \
                 mock.patch.object(search.os, "cpu_count", return_value=cpus):
             out = decide_colorability(60, VdwInstance(4, 3), threads=threads)
         assert out.status is SearchStatus.SAT and verify_certificate(out.certificate, 3)
         assert sizes == [workers] and len(jobs) >= workers
+
+    def test_a_job_that_raises_stops_the_others(self):
+        # an error spends the shared count and cancels the queued jobs, as an
+        # answer does, before it reaches the caller; (4,3) at N = 76 splits
+        # into 28 jobs at 2 workers, none of which ends within the budget
+        jobs, started = [], []
+        worker = search._parallel_worker
+
+        def failing(args):
+            started.append(args)
+            if len(started) == 1:
+                raise MemoryError
+            return worker(args)
+
+        with mock.patch.object(search, "ProcessPoolExecutor", _thread_pool([], jobs)), \
+                mock.patch.object(search, "_parallel_worker", failing), \
+                mock.patch.object(search, "_POOL", None), \
+                pytest.raises(MemoryError):
+            decide_colorability(76, VdwInstance(4, 3), Budget(max_nodes=100_000), threads=2)
+        assert len(jobs) == 28 and len(started) < len(jobs)
 
     def test_pool_tables_are_linear_in_n(self):
         # the k = 3 shift table holds a few ints per position, where the
