@@ -14,8 +14,10 @@ color constrains more of the rest early.  After every assignment the
 allowed masks are refreshed from the APs through that position; a
 position with no color allowed fails the branch at once, and a
 position with exactly one color left is assigned without branching,
-cascading until a fixpoint.  With allowed masks every test of a color at
-a set of positions is one AND, with no complement.
+cascading until a fixpoint.  Only the positions the assigned color has
+just left can change status, so only the other r - 1 colors are counted
+there.  With allowed masks every test of a color at a set of positions is
+one AND, with no complement.
 
 Branch decisions are taken in canonical color order (a branch may introduce
 at most one color index beyond those already used), which is sound and
@@ -62,13 +64,16 @@ ints take 0.85 MiB at N = 1000 and 13.3 MiB at N = 4000 (sys.getsizeof).
 The search state is one stack of unmade branches.  _expand makes one
 branch: it assigns and propagates, tests for SAT, runs the reversal check
 and lists the branches of the next position; the serial search and the
-prefix split are loops over it.  Parallel mode first searches serially for
-up to _SERIAL_NODES nodes, so a small tree is decided as at one worker,
-without a pool.  A larger tree goes to a process pool of multiprocessing's
-default context: the shallowest branches the serial pass left are made
-level by level, each node's branches become one job, and the pass's path
-goes out with the top node's, so no assignment is made twice and an UNSAT
-proof counts the same nodes at any worker count.  SAT short-circuits the
+prefix split are loops over it.  A node's branches share one state, whose
+class, allowed and counter lists are the ones its own branch built: each
+branch copies them before it assigns, so no state is written once made.
+Parallel mode first searches serially for up to _SERIAL_NODES nodes, so a
+small tree is decided as at one worker, without a pool.  A larger tree
+goes to a process pool of multiprocessing's default context: the
+shallowest branches the serial pass left are made level by level, each
+node's branches become one job, and the pass's path goes out with the top
+node's, so no assignment is made twice and an UNSAT proof counts the same
+nodes at any worker count.  SAT short-circuits the
 rest: it spends the shared node count, so every job stops at its next
 poll, and cancels the jobs not yet started; a job's error does the same
 before it is re-raised.  UNSAT requires every job to be exhausted.  The
@@ -95,6 +100,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import count, groupby
 
 from ._record import Record
@@ -326,6 +332,12 @@ def _branch_position(un: int, N: int) -> int:
     return left if left + right > N else right
 
 
+@cache
+def _other_colors(r: int) -> tuple:
+    """For each color c of 0..r-1, the other colors in ascending order."""
+    return tuple(tuple(c2 for c2 in range(r) if c2 != c) for c in range(r))
+
+
 def _assign_prop(cm, al, cnt, un, p, c, aps, shifts):
     """Assign color c to position p, then propagate forced positions.
 
@@ -340,9 +352,14 @@ def _assign_prop(cm, al, cnt, un, p, c, aps, shifts):
     allowed mask lacks.  Only unassigned positions are read from an allowed
     mask, so a color is taken from it only at unassigned positions, and an
     assigned position keeps whatever bits it had.
+
+    The positions an assignment of qc threatens have just lost qc, so the
+    count of the colors still allowed there and the scan for the positions
+    it forces read only the other r - 1 colors (_other_colors).
     """
     if shifts is None:
         through, members, levels, full_levels = aps
+    others = _other_colors(len(al))
     pending = [(p, c)]
     count = 0
     while pending:
@@ -383,10 +400,12 @@ def _assign_prop(cm, al, cnt, un, p, c, aps, shifts):
         if not hit:
             continue
         al[qc] ^= hit
-        # count the colors still allowed at each hit position, saturating at two
+        # count the other colors still allowed at each hit position,
+        # saturating at two; qc is allowed at none of them now
+        rest = others[qc]
         one = two = 0
-        for a in al:
-            free = hit & a
+        for c2 in rest:
+            free = hit & al[c2]
             two |= one & free
             one |= free
         if hit ^ one:
@@ -394,8 +413,8 @@ def _assign_prop(cm, al, cnt, un, p, c, aps, shifts):
         forced = one ^ two
         if not forced:
             continue
-        for c2, a in enumerate(al):
-            mine = forced & a
+        for c2 in rest:
+            mine = forced & al[c2]
             while mine:
                 low = mine & -mine
                 mine ^= low
@@ -409,9 +428,9 @@ def _root(r, tables):
     centre, pair -1, when N is odd (see _mirror_check)."""
     N, aps, _ = tables
     unassigned = ((1 << N) - 1) << 1  # positions 1..N
-    counters = (0,) * (r * aps[2]) if aps is not None else ()
+    counters = [0] * (r * aps[2]) if aps is not None else []
     tie = (-(N & 1), (-1,) * r, (-1,) * r, 0)
-    state = ((0,) * r, (unassigned,) * r, counters, unassigned, 0, tie)
+    state = ([0] * r, [unassigned] * r, counters, unassigned, 0, tie)
     return _branch_position(unassigned, N), 0, state
 
 
@@ -458,7 +477,10 @@ def _expand(r, tables, branch):
 
     A branch (p, c, state) gives color c to position p in the state
     (cm, al, cnt, un, depth, tie) of the node it leaves, one tuple shared by
-    its siblings.  Returns (status, made, children), made being the
+    its siblings.  Its lists cm, al and cnt are those the node's own
+    _expand built and propagated; a branch copies them before it assigns,
+    so siblings, and the pool jobs _split makes of them, never see a state
+    change.  Returns (status, made, children), made being the
     assignments made.  Status "SAT" means every position is assigned, and
     children is then the class masks.  Status "leaf" means a conflict, or a
     node whose pairs read larger than its mirror image's, and children is
@@ -487,7 +509,7 @@ def _expand(r, tables, branch):
     top = r - 1
     while not cm[top]:
         top -= 1
-    state = (tuple(cm), tuple(al), tuple(cnt), un, depth + 1, tie)
+    state = (cm, al, cnt, un, depth + 1, tie)
     children = []
     for c in range(min(top + 1, r - 1), -1, -1):  # canonical: at most one new color
         if al[c] & bit:

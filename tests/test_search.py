@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import math
 import multiprocessing
@@ -469,6 +470,45 @@ class TestAllowedMasks:
                         )
                         assert bool(al[c2] >> q & 1) == (not completes), (q, c2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), r=st.integers(2, 4), k=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+    # no coloring of N = W(r, k) avoids the APs, so these walks must conflict
+    @example(n=9, r=2, k=3, seed=0)
+    @example(n=27, r=3, k=3, seed=0)
+    @example(n=35, r=2, k=4, seed=0)
+    def test_conflict_iff_a_position_is_dead(self, n, r, k, seed):
+        # from the root, assign random allowed colors at random positions, as
+        # the search does: the kernel reports a conflict exactly when the
+        # classes it leaves hold an unassigned position where every color
+        # completes a monochromatic k-AP, and never assigns one itself
+        rng = random.Random(seed)
+        _, aps, shifts = tables = search._tables(n, k)
+        _, _, (cm, al, cnt, un, _, _) = search._root(r, tables)
+        cm, al, cnt = list(cm), list(al), list(cnt)
+        every = oracles.naive_all_aps(n, k)
+        through = {p: [ap for ap in every if p in ap] for p in range(1, n + 1)}
+
+        def free_colors():
+            """The colors that complete no AP, at each unassigned position."""
+            color = {q: c2 for c2 in range(r) for q in range(1, n + 1) if cm[c2] >> q & 1}
+            assert not any(ap[0] in color and len({color.get(t) for t in ap}) == 1 for ap in every)
+            return {
+                q: [
+                    c2 for c2 in range(r)
+                    if not any(all(color.get(t) == c2 for t in ap if t != q) for ap in through[q])
+                ]
+                for q in range(1, n + 1) if q not in color
+            }
+
+        ok = True
+        while ok and un:
+            free = free_colors()
+            assert all(free.values())  # an accepted assignment leaves no dead position
+            p = rng.choice(sorted(free))
+            c = rng.choice(free[p])
+            ok, un, _ = search._assign_prop(cm, al, cnt, un, p, c, aps, shifts)
+        assert ok == all(free_colors().values())
+
 
 def _walk(n, r, k, picks):
     """Expand from the root down to a leaf, taking children[pick % len] for
@@ -476,9 +516,9 @@ def _walk(n, r, k, picks):
     that branches must list the children of the canonical rule, read from
     the colors on positions 1..N: the position _branch_position picks, with
     each color allowed there up to one past the highest color used, capped
-    at r - 1, in descending order.  Returns the number of nodes whose
-    highest color neither the branch made nor the node before held: one that
-    forcing introduced."""
+    at r - 1, in descending order, sharing one state that making them leaves
+    unchanged.  Returns the number of nodes whose highest color neither the
+    branch made nor the node before held: one that forcing introduced."""
     tables = search._tables(n, k)
     aps = oracles.naive_all_aps(n, k)
     branch = search._root(r, tables)
@@ -498,6 +538,12 @@ def _walk(n, r, k, picks):
         ]
         assert [(p, c) for p, c, _ in children] == [(q, c) for c in allowed]
         assert len({id(state) for _, _, state in children}) == 1  # siblings share one state
+        # its lists are not copied for them, so making every child in stack
+        # order must leave the state as it was made
+        snapshot = copy.deepcopy(children[0][2])
+        for child in reversed(children):
+            search._expand(r, tables, child)
+        assert children[0][2] == snapshot
         # a color not yet used is allowed at every unassigned position, so a
         # position is forced only once at most one color is unused: forcing
         # introduces only r - 1 and never skips a color
@@ -527,6 +573,29 @@ class TestExpand:
     )
     def test_walks_where_forcing_introduces_a_color(self, n, r, k, picks):
         assert _walk(n, r, k, picks) == 1
+
+    @pytest.mark.parametrize("r, k, n", [(2, 4, 35), (3, 3, 27), (3, 4, 100)])
+    def test_no_search_writes_a_state(self, r, k, n):
+        # every state a whole search makes, at one worker and through the
+        # split and the jobs of a thread pool, is unchanged at its end
+        states = []
+        expand = search._expand
+
+        def spy(*args):
+            out = expand(*args)
+            if out[0] == "branch":
+                states.append((out[2][0][2], copy.deepcopy(out[2][0][2])))
+            return out
+
+        with mock.patch.object(search, "_expand", spy):
+            one = decide_colorability(n, VdwInstance(r, k))
+        with mock.patch.object(search, "_expand", spy), \
+                mock.patch.object(search, "ProcessPoolExecutor", _thread_pool([], [])), \
+                mock.patch.object(search, "_SERIAL_NODES", 50), \
+                mock.patch.object(search, "_POOL", None):
+            two = decide_colorability(n, VdwInstance(r, k), threads=2)
+        assert one.status is two.status and len(states) > 80
+        assert all(state == snapshot for state, snapshot in states)
 
 
 class TestCertificateSymmetry:
