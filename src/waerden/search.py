@@ -48,12 +48,12 @@ reversal.  A SAT leaf is returned before the check, so a certificate need
 not lead its orbit.
 
 There is one propagation kernel.  For k > 3 every k-AP has an index, and
-the search state holds, for each color, a bit-sliced counter of how many
-of every AP's members carry that color: bit i of level j is bit j of the
-count of AP i.  Assigning a color to a position adds the mask of the APs
-through it to that color's counter with a ripple carry over the levels;
-each AP whose count reaches k - 1 takes the color from the allowed mask
-at its last member.
+the search state holds, for each color, a unary count in k - 2 levels:
+level j holds the APs with more than j members of that color.  Assigning
+a color to a position ORs a carry, at first the APs through it, into each
+level in turn, keeping only the APs the level already held; what carries
+out of the top level is the APs that now hold k - 1 members, and each
+takes the color from the allowed mask at its last member.
 For k = 3 a class member v and a new member q threaten 2v - q, 2q - v and
 (q + v) / 2, so each class mask also carries a dilated, a reflected and a
 halved copy of the class above bit N, and the threats of q are three
@@ -258,12 +258,11 @@ def verify_certificate(coloring: Coloring, k: int) -> bool:
 
 
 def _ap_index(N: int, k: int):
-    """Index every k-AP in [1, N]: (through, members, levels, full_levels).
+    """Index every k-AP in [1, N]: (through, members, levels).
 
     through[p] masks the indices of the APs through position p, members[i]
-    is the position mask of AP i, levels = bit length of k - 1 is the number
-    of counter levels per color, and full_levels lists the levels whose bits
-    spell k - 1.  AP (a, d) has index base_d + a - 1, one block per d, and
+    is the position mask of AP i, and levels = k - 2 unary counter levels
+    per color.  AP (a, d) has index base_d + a - 1, one block per d, and
     members pattern_d << a.  AP (a + 1, d) holds p where AP (a, d) holds
     p - 1, so through[p] is through[p - 1] shifted up one index, less what
     crosses into a block's a = 1 slot or past the last AP (keep), plus the
@@ -281,9 +280,7 @@ def _ap_index(N: int, k: int):
     through = [0]
     for p in range(1, N + 1):
         through.append((through[-1] << 1) & keep | adds[p])
-    levels = (k - 1).bit_length()
-    full_levels = tuple(j for j in range(levels) if (k - 1) >> j & 1)
-    return tuple(through), tuple(members), levels, full_levels
+    return tuple(through), tuple(members), k - 2
 
 
 def _shift_table(N: int) -> tuple:
@@ -346,19 +343,20 @@ def _assign_prop(cm, al, cnt, un, p, c, aps, shifts):
     made; ok is False on conflict (a dead position or a forced position
     already taken).  For k = 3 (shifts given) the threats are three shifts
     of the class mask, laid out by _shift_table; for k > 3 cnt holds, for
-    each color, the bit-sliced count of that color's members in every
-    indexed AP, and an AP whose count reaches k - 1 threatens its last
-    member.  No count reaches k: a position is never given a color its
-    allowed mask lacks.  Only unassigned positions are read from an allowed
-    mask, so a color is taken from it only at unassigned positions, and an
-    assigned position keeps whatever bits it had.
+    each color, k - 2 levels of a unary count of that color's members in
+    every indexed AP (level j: the APs with more than j), and the carry out
+    of the top level, the APs whose count reaches k - 1, threatens their
+    last members.  No count reaches k: a position is never given a color
+    its allowed mask lacks.  Only unassigned positions are read from an
+    allowed mask, so a color is taken from it only at unassigned positions,
+    and an assigned position keeps whatever bits it had.
 
     The positions an assignment of qc threatens have just lost qc, so the
     count of the colors still allowed there and the scan for the positions
     it forces read only the other r - 1 colors (_other_colors).
     """
     if shifts is None:
-        through, members, levels, full_levels = aps
+        through, members, levels = aps
     others = _other_colors(len(al))
     pending = [(p, c)]
     count = 0
@@ -380,21 +378,20 @@ def _assign_prop(cm, al, cnt, un, p, c, aps, shifts):
             cm[qc] = cmq | sig
         else:
             cm[qc] = cmq | bit
-            # ripple-carry add one to the count of every AP through q
+            # add one to the unary count of every AP through q; what carries
+            # out of the top level is the APs that now hold k - 1 members
             base = qc * levels
-            carry = full = through[q]
+            carry = through[q]
             for j in range(base, base + levels):
                 lv = cnt[j]
-                cnt[j] = lv ^ carry
+                cnt[j] = lv | carry
                 carry &= lv
                 if not carry:
                     break
-            for j in full_levels:
-                full &= cnt[base + j]
             hit = 0
-            while full:
-                i = full.bit_length() - 1
-                full ^= 1 << i
+            while carry:
+                i = carry.bit_length() - 1
+                carry ^= 1 << i
                 hit |= members[i]
         hit &= un & al[qc]  # only these positions can change status
         if not hit:
@@ -645,15 +642,18 @@ def _search(r, tables, threads, max_nodes, deadline):
     # decided, out of time, or out of the caller's nodes: no pool
     if status != "TIMEOUT" or nodes < serial_budget or nodes >= max_nodes:
         return status, masks, nodes
-    status, jobs, nodes = _split(r, tables, stack, threads * 8, nodes, max_nodes)
+    workers = min(threads, os.cpu_count() or 1)
+    status, jobs, nodes = _split(r, tables, stack, 8 * workers, nodes, max_nodes)
     if status != "jobs":
         return status, jobs, nodes
     if nodes >= max_nodes:
         return "TIMEOUT", None, nodes
+    # the shared count is a signed 64-bit int that wraps silently, and jobs
+    # charge past the budget before they stop; no search nears 2**62 nodes
+    max_nodes = min(max_nodes, 2**62)
     spent = multiprocessing.Value("q", nodes)
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_parallel_init, initargs=(spent, r, tables)
+        max_workers=min(workers, len(jobs)), initializer=_parallel_init, initargs=(spent, r, tables)
     ) as pool:
         futures = [pool.submit(_parallel_worker, (job, max_nodes, deadline)) for job in jobs]
         for fut in as_completed(futures):

@@ -12,6 +12,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import cache
@@ -379,14 +380,13 @@ class TestApIndex:
     @pytest.mark.parametrize("k", range(3, 8))
     def test_matches_the_naive_aps(self, k):
         for n in range(1, 61):  # n < k included: no AP at all
-            through, members, levels, full_levels = search._ap_index(n, k)
+            through, members, levels = search._ap_index(n, k)
             aps = sorted(oracles.naive_all_aps(n, k), key=lambda ap: (ap[1] - ap[0], ap[0]))
             assert members == tuple(sum(1 << p for p in ap) for ap in aps), n
             assert len(through) == n + 1 and through[0] == 0, n
             for p in range(1, n + 1):
                 assert through[p] == sum(1 << i for i, ap in enumerate(aps) if p in ap), (n, p)
-            assert levels == (k - 1).bit_length() and max(full_levels) < levels
-            assert sum(1 << j for j in full_levels) == k - 1
+            assert levels == k - 2, n  # unary: one level per count 1 .. k - 2
 
 
 def _third_members(n, members, q):
@@ -449,18 +449,29 @@ class TestAllowedMasks:
     both kernel paths (k = 3 shifts, k > 3 AP counters)."""
 
     @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(1, 30), r=st.integers(2, 4), k=st.integers(3, 5), data=st.data())
+    # k = 6 is the first k with more unary levels (k - 2) than binary ones
+    @given(n=st.integers(1, 30), r=st.integers(2, 4), k=st.integers(3, 6), data=st.data())
     def test_allowed_iff_no_ap_is_completed(self, n, r, k, data):
         _, aps, shifts = tables = search._tables(n, k)
         _, _, (cm, al, cnt, un, _, _) = search._root(r, tables)
         cm, al, cnt = list(cm), list(al), list(cnt)
-        through = {p: [ap for ap in oracles.naive_all_aps(n, k) if p in ap] for p in range(1, n + 1)}
+        every = sorted(oracles.naive_all_aps(n, k), key=lambda ap: (ap[1] - ap[0], ap[0]))
+        through = {p: [ap for ap in every if p in ap] for p in range(1, n + 1)}
         while un:
             p = data.draw(st.sampled_from([p for p in range(1, n + 1) if un >> p & 1]))
             c = data.draw(st.integers(0, r - 1))
             ok, un, _ = search._assign_prop(cm, al, cnt, un, p, c, aps, shifts)
             if not ok:
                 break
+            if shifts is None:
+                # level j of color c2 holds the APs, in (d, a) order, with
+                # more than j members of c2
+                for c2, j in product(range(r), range(k - 2)):
+                    want = sum(
+                        1 << i for i, ap in enumerate(every)
+                        if sum(cm[c2] >> t & 1 for t in ap) > j
+                    )
+                    assert cnt[c2 * (k - 2) + j] == want, (c2, j)
             color = {q: c2 for c2 in range(r) for q in range(1, n + 1) if cm[c2] >> q & 1}
             for q in range(1, n + 1):
                 if un >> q & 1:
@@ -689,13 +700,13 @@ class TestReversalPrune:
             assert two.stats.nodes == one.stats.nodes
 
 
-def _thread_pool(sizes, jobs):
+def _thread_pool(sizes, jobs, threads=1):
     """A fake process pool that records its size in `sizes` and each job's
-    arguments in `jobs`, and runs the jobs in order on one thread."""
+    arguments in `jobs`, and runs the jobs in order on `threads` threads."""
 
     def pool(max_workers, initializer, initargs):
         sizes.append(max_workers)
-        executor = ThreadPoolExecutor(1, initializer=initializer, initargs=initargs)
+        executor = ThreadPoolExecutor(threads, initializer=initializer, initargs=initargs)
         submit = executor.submit
         executor.submit = lambda fn, job_args: jobs.append(job_args) or submit(fn, job_args)
         return executor
@@ -793,15 +804,16 @@ class TestPoolPath:
             executor.submit = capture
             return executor
 
-        with mock.patch.object(search, "ProcessPoolExecutor", pool):
+        with mock.patch.object(search, "ProcessPoolExecutor", pool), \
+                mock.patch.object(search.os, "cpu_count", return_value=2):
             out = decide_colorability(n, VdwInstance(r, k), threads=2)
         assert out.status is SearchStatus.SAT
         assert (len(captured), sum(captured), captured[0]) == (jobs, branches, first)
 
     @pytest.mark.parametrize(
         "threads, cpus, cut, workers",
-        # (4,3) at N = 60 splits into 744 jobs at 64 threads and 28 at 2;
-        # a cut of 2 leaves 4 jobs
+        # the split asks for 8 jobs per worker, min(threads, CPUs): (4,3) at
+        # N = 60 gives 28 for 2 or 3 workers and 9 for 1; a cut of 2 gives 4
         [(64, 3, None, 3), (2, None, None, 1), (2, 8, None, 2), (64, 10**6, 2, 4)],
     )
     def test_pool_workers_are_capped(self, threads, cpus, cut, workers):
@@ -836,9 +848,51 @@ class TestPoolPath:
         with mock.patch.object(search, "ProcessPoolExecutor", _thread_pool([], jobs)), \
                 mock.patch.object(search, "_parallel_worker", failing), \
                 mock.patch.object(search, "_POOL", None), \
+                mock.patch.object(search.os, "cpu_count", return_value=2), \
                 pytest.raises(MemoryError):
             decide_colorability(76, VdwInstance(4, 3), Budget(max_nodes=100_000), threads=2)
         assert len(jobs) == 28 and len(started) < len(jobs)
+
+    def test_a_budget_past_the_shared_count_still_stops_the_jobs(self):
+        # the shared count is a signed 64-bit int, so a budget of 2**64 must
+        # not wrap it: on two threads the first job raises only once the
+        # second runs, which must then stop at its next poll, not run on to
+        # its deadline
+        jobs, started = [], []
+        second = threading.Event()
+        worker = search._parallel_worker
+
+        def failing(args):
+            started.append(args)
+            if args is jobs[0]:
+                assert second.wait(60)
+                raise MemoryError
+            second.set()
+            return worker(args)
+
+        budget = Budget(max_nodes=2**64, max_seconds=10)
+        clock = time.monotonic()
+        with mock.patch.object(search, "ProcessPoolExecutor", _thread_pool([], jobs, threads=2)), \
+                mock.patch.object(search, "_parallel_worker", failing), \
+                mock.patch.object(search, "_POOL", None), \
+                mock.patch.object(search.os, "cpu_count", return_value=2), \
+                pytest.raises(MemoryError):
+            decide_colorability(76, VdwInstance(4, 3), budget, threads=2)
+        assert time.monotonic() - clock < budget.max_seconds / 2
+        assert len(jobs) == 28 and 2 <= len(started) < len(jobs)
+
+    @pytest.mark.parametrize("threads", [2, 10_000])
+    def test_threads_past_the_cpus_split_as_the_cpus(self, threads):
+        # the pool starts at most one worker per CPU, so the split asks for
+        # jobs for those workers only, however many threads are asked for
+        sizes, jobs = [], []
+        with mock.patch.object(search, "ProcessPoolExecutor", _thread_pool(sizes, jobs)), \
+                mock.patch.object(search, "_POOL", None), \
+                mock.patch.object(search.os, "cpu_count", return_value=2):
+            budget = Budget(max_nodes=20_000)
+            out = decide_colorability(76, VdwInstance(4, 3), budget, threads=threads)
+        assert out.status is SearchStatus.TIMEOUT
+        assert sizes == [2] and len(jobs) == 28
 
     def test_pool_tables_are_linear_in_n(self):
         # the k = 3 shift table holds a few ints per position, where the
