@@ -1,8 +1,9 @@
 """One binary, subcommand per operation; built for batch use and scripting.
 
 Exit codes: 0 success, 1 domain/config error (including invalid
-certificates, malformed certificate files, bad flag values, and results
-too large to print), 2 search timeout or unknown solver outcome, 3
+certificates, malformed certificate files, bad flag values, results too
+large to print, running out of memory and a search worker process that
+dies), 2 search timeout or unknown solver outcome, 3
 registry integrity error, 64 usage error, which includes a flag that the
 command does not take.
 Output on stdout is deterministic for identical inputs at one worker,
@@ -31,6 +32,7 @@ import json
 import math
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import bounds, cnf, numerics, registry, search
@@ -346,6 +348,10 @@ def main(argv=None) -> int:
     except MemoryError:
         # e.g. the search tables of a huge --n-max, whose size grows with N^2
         print("error: out of memory", file=sys.stderr)
+        return 1
+    except BrokenProcessPool as exc:
+        # a --threads worker killed from outside, e.g. by the OOM killer
+        print(f"error: a search worker process died: {exc}", file=sys.stderr)
         return 1
 
 

@@ -52,8 +52,10 @@ the search state holds, for each color, a unary count in k - 2 levels:
 level j holds the APs with more than j members of that color.  Assigning
 a color to a position ORs a carry, at first the APs through it, into each
 level in turn, keeping only the APs the level already held; what carries
-out of the top level is the APs that now hold k - 1 members, and each
-takes the color from the allowed mask at its last member.
+out of the top level is the APs that now hold k - 1 members.  Level 0 of a
+color is the set of APs that hold it, so the walk skips every such AP that
+holds another color too: its last member is assigned already.  Each AP
+left takes the color from the allowed mask at its last member.
 For k = 3 a class member v and a new member q threaten 2v - q, 2q - v and
 (q + v) / 2, so each class mask also carries a dilated, a reflected and a
 halved copy of the class above bit N, and the threats of q are three
@@ -346,10 +348,14 @@ def _assign_prop(cm, al, cnt, un, p, c, aps, shifts):
     each color, k - 2 levels of a unary count of that color's members in
     every indexed AP (level j: the APs with more than j), and the carry out
     of the top level, the APs whose count reaches k - 1, threatens their
-    last members.  No count reaches k: a position is never given a color
-    its allowed mask lacks.  Only unassigned positions are read from an
-    allowed mask, so a color is taken from it only at unassigned positions,
-    and an assigned position keeps whatever bits it had.
+    last members.  The walk over that carry skips the APs in level 0 of
+    another color: their last member holds that color, so they threaten
+    nothing.  The filter comes after the level loop, which must count
+    every AP through the position.  No count reaches k: a position is
+    never given a color its allowed mask lacks.  Only unassigned positions
+    are read from an allowed mask, so a color is taken from it only at
+    unassigned positions, and an assigned position keeps whatever bits it
+    had.
 
     The positions an assignment of qc threatens have just lost qc, so the
     count of the colors still allowed there and the scan for the positions
@@ -388,6 +394,13 @@ def _assign_prop(cm, al, cnt, un, p, c, aps, shifts):
                 carry &= lv
                 if not carry:
                     break
+            if carry:
+                # an AP with a member of another color has no free member
+                # left, so its walk would add nothing to hit
+                dead = 0
+                for c2 in others[qc]:
+                    dead |= cnt[c2 * levels]
+                carry ^= carry & dead
             hit = 0
             while carry:
                 i = carry.bit_length() - 1

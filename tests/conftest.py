@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 
@@ -17,3 +19,16 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "extended" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process running, such as a pool
+    worker its search did not shut down; the children are stopped first, so
+    the next test starts with none."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert not left, f"the test left child processes running: {left}"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import re
 import shlex
@@ -596,6 +597,26 @@ class TestConfigAndUsage:
         monkeypatch.setattr(waerden.search, "_tables", out_of_memory)
         argv = ("search", "--r", "2", "--k", "3", "--n-max", "99999999999", "--max-nodes", "1")
         assert run(capsys, *argv) == (1, "", "error: out of memory\n")
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="a spawned worker imports the search module afresh and never sees the patch",
+    )
+    def test_dead_worker_exits_one(self, capsys, monkeypatch):
+        # the worker dies as one killed from outside would; the job is sent
+        # by reference to waerden.search._parallel_worker, which a forked
+        # worker resolves to this function
+        def _parallel_worker(args):
+            os._exit(9)
+
+        _parallel_worker.__module__ = "waerden.search"
+        _parallel_worker.__qualname__ = "_parallel_worker"
+        monkeypatch.setattr(waerden.search, "_parallel_worker", _parallel_worker)
+        # (4,3) at N = 76 outlasts the serial pass, so it reaches the pool
+        argv = ("search", "--r", "4", "--k", "3", "--n-max", "76", "--threads", "2")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: a search worker process died: ") and err.count("\n") == 1
 
     def test_bad_env_threads(self, capsys, monkeypatch):
         # WAERDEN_THREADS is not read, not even by a command that takes --threads

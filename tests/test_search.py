@@ -521,6 +521,53 @@ class TestAllowedMasks:
         assert ok == all(free_colors().values())
 
 
+class _ReadLog(tuple):
+    """A tuple that logs each index it is asked for, with the class masks
+    of `cm` (a list the kernel mutates in place) at the time of the read."""
+
+    def __new__(cls, items, cm):
+        log = super().__new__(cls, items)
+        log.cm, log.reads = cm, []
+        return log
+
+    def __getitem__(self, i):
+        self.reads.append((i, tuple(self.cm)))
+        return super().__getitem__(i)
+
+
+class TestLiveApWalk:
+    """For k > 3 the kernel reads the members of an AP only when the AP can
+    threaten: it holds k - 1 members of one color, none of another, and one
+    unassigned member."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(4, 40), r=st.integers(2, 4), k=st.integers(4, 6), seed=st.integers(0, 2**32 - 1))
+    # long walks, each of which reaches APs that hold two colors, which a
+    # kernel without the filter would read
+    @example(n=35, r=2, k=4, seed=0)
+    @example(n=40, r=3, k=4, seed=0)
+    @example(n=40, r=4, k=5, seed=0)
+    def test_walk_reads_only_live_aps(self, n, r, k, seed):
+        # from the root, assign random allowed colors at random positions, as
+        # the search does, and check every AP read at the moment of its read
+        rng = random.Random(seed)
+        _, (through, members, levels), _ = tables = search._tables(n, k)
+        _, _, (cm, al, cnt, un, _, _) = search._root(r, tables)
+        cm, al, cnt = list(cm), list(al), list(cnt)
+        log = _ReadLog(members, cm)
+        ok = True
+        while ok and un:
+            p = rng.choice([q for q in range(1, n + 1) if un >> q & 1])
+            c = rng.choice([c2 for c2 in range(r) if al[c2] >> p & 1])
+            ok, un, _ = search._assign_prop(cm, al, cnt, un, p, c, (through, log, levels), None)
+        for i, masks in log.reads:
+            ap = members[i]
+            held = [c2 for c2 in range(r) if ap & masks[c2]]
+            assert len(held) == 1, (i, held)  # no member of another color
+            # k - 1 of its k members hold it, so exactly one is unassigned
+            assert (ap & masks[held[0]]).bit_count() == k - 1
+
+
 def _walk(n, r, k, picks):
     """Expand from the root down to a leaf, taking children[pick % len] for
     each pick in turn and the first child once they run out.  Every node
