@@ -5,7 +5,8 @@ certificates, malformed certificate files, bad flag values, results too
 large to print, running out of memory and a search worker process that
 dies), 2 search timeout or unknown solver outcome, 3
 registry integrity error, 64 usage error, which includes a flag that the
-command does not take.
+command does not take, 130 interrupted (Ctrl-C), once every search worker
+and solver process has stopped.
 Output on stdout is deterministic for identical inputs at one worker,
 except `stats.seconds` in the JSON of search and compute-w, the one field
 that varies; with more workers a certificate, and the node count of a SAT
@@ -353,6 +354,9 @@ def main(argv=None) -> int:
         # a --threads worker killed from outside, e.g. by the OOM killer
         print(f"error: a search worker process died: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ as a fallback when no status line is printed.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import shlex
@@ -316,9 +317,11 @@ def run_external_solver(
     Exit codes 10/20 stand in for a missing status line.  A command that
     does not parse or names no program raises DomainError; the solver binary
     not existing raises FileNotFoundError; timeouts raise
-    subprocess.TimeoutExpired after killing the solver's whole process
-    group, so no helper process it started outlives the call.  A timeout
-    that is not finite (inf, nan) is no limit.
+    subprocess.TimeoutExpired.  On a timeout, an interrupt or any other
+    exception while it waits, the solver's whole process group is killed
+    first, so no helper process it started outlives the call: the solver
+    runs in its own session, where a terminal's Ctrl-C does not reach it.
+    A timeout that is not finite (inf, nan) is no limit.
     """
     if timeout is not None and not math.isfinite(timeout):
         timeout = None
@@ -340,8 +343,9 @@ def run_external_solver(
         ) as proc:
             try:
                 stdout, _ = proc.communicate(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                os.killpg(proc.pid, signal.SIGKILL)
+            except BaseException:
+                with contextlib.suppress(ProcessLookupError):  # the group has ended
+                    os.killpg(proc.pid, signal.SIGKILL)
                 proc.communicate()
                 raise
     finally:

@@ -69,16 +69,19 @@ and lists the branches of the next position; the serial search and the
 prefix split are loops over it.  A node's branches share one state, whose
 class, allowed and counter lists are the ones its own branch built: each
 branch copies them before it assigns, so no state is written once made.
-Parallel mode first searches serially for up to _SERIAL_NODES nodes, so a
-small tree is decided as at one worker, without a pool.  A larger tree
-goes to a process pool of multiprocessing's default context: the
+With more than one worker (threads, capped at the CPU count) a search
+first runs serially for up to _SERIAL_NODES nodes, so a small tree is
+decided as at one worker, without a pool; with one, as on one CPU, it
+stays serial.  A larger tree goes to a process pool of multiprocessing's
+default context: the
 shallowest branches the serial pass left are made level by level, each
 node's branches become one job, and the pass's path goes out with the top
 node's, so no assignment is made twice and an UNSAT proof counts the same
 nodes at any worker count.  SAT short-circuits the
-rest: it spends the shared node count, so every job stops at its next
-poll, and cancels the jobs not yet started; a job's error does the same
-before it is re-raised.  UNSAT requires every job to be exhausted.  The
+rest: it spends the shared node count, so every job stops after its
+current run of _POLL_NODES nodes, and cancels the jobs not yet started; a
+job's error and an interrupt (KeyboardInterrupt) take the same path
+before they are re-raised.  UNSAT requires every job to be exhausted.  The
 SAT/UNSAT answer is identical across worker counts; certificates may
 differ but always verify.
 
@@ -115,10 +118,11 @@ from .errors import (
     require_int,
 )
 
-# a search reads the clock, and a pool job also charges and reads the shared
-# node count, every _POLL_NODES nodes, so it stops within _POLL_NODES + N
-# nodes of its deadline or of a decision elsewhere (the parent spends the
-# count when a job answers); polling costs a lock, negligible per 256 nodes
+# _run_tree walks in runs of _POLL_NODES nodes; after each run it reads the
+# clock, and a pool job also adds the run to the shared node count and reads
+# it, so a search stops within _POLL_NODES + N nodes of its deadline or of a
+# decision elsewhere (the parent spends the count when a job answers or
+# fails, or on an interrupt); two lock takes per 256 nodes cost little
 _POLL_NODES = 256
 
 
@@ -342,9 +346,13 @@ def _assign_prop(cm, al, cnt, un, p, c, aps, shifts):
 
     Mutates cm (class masks), al (allowed masks) and cnt (AP counters).
     Returns (ok, un, count) where count is the number of assignments
-    made; ok is False on conflict (a dead position or a forced position
-    already taken).  For k = 3 (shifts given) the threats are three shifts
-    of the class mask, laid out by _shift_table; for k > 3 cnt holds, for
+    made; ok is False on conflict (a position with no color allowed, or c
+    not allowed at p).  p must be unassigned.  A position is pushed only
+    when one color is left there, and only an assignment of that color can
+    threaten it, which leaves it dead and fails the branch first; so each
+    position is pushed once, and is still unassigned when popped.  For
+    k = 3 (shifts given) the threats are three shifts of the class mask,
+    laid out by _shift_table; for k > 3 cnt holds, for
     each color, k - 2 levels of a unary count of that color's members in
     every indexed AP (level j: the APs with more than j), and the carry out
     of the top level, the APs whose count reaches k - 1, threatens their
@@ -369,10 +377,6 @@ def _assign_prop(cm, al, cnt, un, p, c, aps, shifts):
     while pending:
         q, qc = pending.pop()
         bit = 1 << q
-        if not un & bit:
-            if cm[qc] & bit:
-                continue  # forced twice with the same color
-            return False, un, count
         if not al[qc] & bit:
             return False, un, count
         un ^= bit  # q is unassigned here
@@ -527,38 +531,48 @@ def _expand(r, tables, branch):
     return "branch", made, children
 
 
-def _run_tree(r, tables, stack, max_nodes, deadline, poll=None):
-    """Backtrack depth first from a stack of unmade branches until decided.
+def _walk(r, tables, stack, max_nodes):
+    """Backtrack depth first from a stack of unmade branches for up to
+    max_nodes nodes.
 
     Each branch popped is made by _expand, and the branches it lists are
     pushed.  The stack, mutated in place, holds exactly the branches not
-    yet made.  The budget is checked just before each branch: a run stopped
-    on max_nodes leaves them all in the stack for a later run.
-
-    Every _POLL_NODES nodes the run reads the clock and stops at the
-    deadline; with poll it also calls poll(nodes) there and stops with the
-    status that returns, if any.
+    yet made.  The cap is checked just before each branch: a walk stopped
+    on it leaves them all in the stack for a later walk.
 
     Returns (status, class_masks_or_None, nodes) with status in
     {"SAT", "UNSAT", "TIMEOUT"}; UNSAT means the stack ran out.
     """
     nodes = 0
-    mark = min(_POLL_NODES, max_nodes)
     while stack:
-        if nodes >= mark:
-            if nodes >= max_nodes or time.monotonic() >= deadline:
-                return "TIMEOUT", None, nodes
-            if poll is not None:
-                halt = poll(nodes)
-                if halt is not None:
-                    return halt, None, nodes
-            mark = min(nodes + _POLL_NODES, max_nodes)
+        if nodes >= max_nodes:
+            return "TIMEOUT", None, nodes
         status, made, children = _expand(r, tables, stack.pop())
         nodes += made
         if status == "SAT":
             return status, children, nodes
         stack += children
     return "UNSAT", None, nodes
+
+
+def _run_tree(r, tables, stack, max_nodes, deadline, spent=None):
+    """_walk the stack in runs of _POLL_NODES nodes until it is decided,
+    max_nodes nodes are made or the deadline, read after each run, passes.
+    A pool job passes the shared node count `spent`: each run is added to
+    it, and the job stops once it reaches max_nodes, also before its first
+    run.  Returns what _walk returns, with the nodes of every run."""
+    nodes = 0
+    while spent is None or spent.value < max_nodes:
+        status, masks, made = _walk(r, tables, stack, min(_POLL_NODES, max_nodes - nodes))
+        nodes += made
+        if spent is not None:
+            with spent.get_lock():
+                spent.value += made
+        if status != "TIMEOUT":
+            return status, masks, nodes
+        if nodes >= max_nodes or time.monotonic() >= deadline:
+            break
+    return "TIMEOUT", None, nodes
 
 
 def _masks_to_coloring(masks, N, r) -> Coloring:
@@ -626,36 +640,24 @@ def _parallel_worker(args):
     # deadline is absolute CLOCK_MONOTONIC time, which every process shares
     stack, max_nodes, deadline = args
     spent, r, tables = _POOL
-    if spent.value >= max_nodes:
-        return "TIMEOUT", None, 0
-    charged = 0
-
-    def poll(nodes: int) -> str | None:
-        """Add the nodes run since the last poll to the shared count; TIMEOUT
-        once it reaches max_nodes, by the jobs' work or after an answer."""
-        nonlocal charged
-        with spent.get_lock():
-            spent.value += nodes - charged
-            charged = nodes
-            return "TIMEOUT" if spent.value >= max_nodes else None
-
-    status, masks, nodes = _run_tree(r, tables, stack, max_nodes, deadline, poll=poll)
-    poll(nodes)  # charge the nodes since the last poll
-    return status, masks, nodes
+    return _run_tree(r, tables, stack, max_nodes, deadline, spent)
 
 
 def _search(r, tables, threads, max_nodes, deadline):
-    """Search serially (for up to _SERIAL_NODES nodes when threads > 1), then
-    fan the branches the serial pass left out over a process pool of at most
-    one worker per CPU, whose workers receive the tables once, at start-up;
-    SAT short-circuits, UNSAT needs every job exhausted."""
+    """Search serially, for up to _SERIAL_NODES nodes when more than one
+    worker can run (threads capped at the CPU count), then fan the branches
+    the serial pass left out over a process pool of that many workers, which
+    receive the tables once, at start-up; SAT short-circuits, UNSAT needs
+    every job exhausted.  However the pool loop ends, by an answer, a job's
+    error or an interrupt, it spends the shared count and cancels the queued
+    jobs on the way out, so no job runs on."""
+    workers = min(threads, os.cpu_count() or 1)
     stack = [_root(r, tables)]
-    serial_budget = min(max_nodes, _SERIAL_NODES) if threads > 1 else max_nodes
+    serial_budget = min(max_nodes, _SERIAL_NODES) if workers > 1 else max_nodes
     status, masks, nodes = _run_tree(r, tables, stack, serial_budget, deadline)
     # decided, out of time, or out of the caller's nodes: no pool
     if status != "TIMEOUT" or nodes < serial_budget or nodes >= max_nodes:
         return status, masks, nodes
-    workers = min(threads, os.cpu_count() or 1)
     status, jobs, nodes = _split(r, tables, stack, 8 * workers, nodes, max_nodes)
     if status != "jobs":
         return status, jobs, nodes
@@ -668,16 +670,16 @@ def _search(r, tables, threads, max_nodes, deadline):
     with ProcessPoolExecutor(
         max_workers=min(workers, len(jobs)), initializer=_parallel_init, initargs=(spent, r, tables)
     ) as pool:
-        futures = [pool.submit(_parallel_worker, (job, max_nodes, deadline)) for job in jobs]
-        for fut in as_completed(futures):
-            if fut.exception() is not None or fut.result()[0] in ("SAT", "TIMEOUT"):
-                # an answer or an error spends the budget: a running job stops
-                # at its next poll, and one already sent to a worker returns
-                # at once
-                spent.value = max_nodes
-                break
-        # once the answer is known, the jobs still queued never start
-        pool.shutdown(cancel_futures=True)
+        try:
+            futures = [pool.submit(_parallel_worker, (job, max_nodes, deadline)) for job in jobs]
+            for fut in as_completed(futures):
+                if fut.exception() is not None or fut.result()[0] in ("SAT", "TIMEOUT"):
+                    break
+        finally:
+            # a running job stops after its current run, one already sent
+            # to a worker returns at once, and the queued jobs never start
+            spent.value = max_nodes
+            pool.shutdown(cancel_futures=True)
     # re-raises a job's error, now that no job runs on
     results = [fut.result() for fut in futures if not fut.cancelled()]
     nodes += sum(made for _, _, made in results)
@@ -805,19 +807,16 @@ def _power_residue_coloring(inst: VdwInstance, deadline: float) -> Coloring | No
     p, so every window of it starts in [1, p], and k multiples of p make an
     AP, so it is at most (k - 1) * p long.  The longest AP-free window is
     found by binary search over its length (_window_starts), then one
-    position of any color is tried at either end of each such window.
-    Primes that cannot beat the best length are skipped; the scan stops once
-    p > 2 * (max(best, r * (k - 1)) + 1), r * (k - 1) being the length of the
-    trivial coloring by blocks, or at the deadline, which it reads before
-    each prime.  The choice of g only permutes the colors.
+    position of any color is tried at either end of each such window.  The
+    scan stops once p > 2 * (max(best, r * (k - 1)) + 1), r * (k - 1) being
+    the length of the trivial coloring by blocks, or at the deadline, which
+    it reads before each prime.  The choice of g only permutes the colors.
     """
     r, k = inst.r, inst.k
     best, found = k - 1, None
     for p in _primes_one_mod(r):
         if p > 2 * (max(best, r * (k - 1)) + 1) or time.monotonic() >= deadline:
             break
-        if (k - 1) * p + 1 <= best:
-            continue
         ind = _indices(p)
         period = sum(1 << j * p for j in range(k + 1))  # bits 0, p, ..., k * p
         classes = [0] * r

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import multiprocessing
@@ -59,13 +60,17 @@ def test_imports_only_the_stdlib():
     assert proc.stdout.split() == []
 
 
-def _python(*args) -> subprocess.CompletedProcess:
-    """Run this Python in a subprocess with the package's source on PYTHONPATH."""
+def _env() -> dict:
+    """This environment with the package's source on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(waerden.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run this Python in a subprocess with the package's source on PYTHONPATH."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        [sys.executable, *args], capture_output=True, text=True, env=_env(), timeout=60
     )
 
 
@@ -315,6 +320,17 @@ class TestSearchCommands:
         data = loads(cert_path.read_text())
         assert data["N"] == 8 and data["k"] == 3 and data["r"] == 2
 
+    def test_search_cert_out_verifies(self, capsys, tmp_path):
+        cert_path = tmp_path / "cert.json"
+        code, out, _ = run(
+            capsys, "search", "--r", "2", "--k", "3", "--n-max", "8", "--cert-out", str(cert_path)
+        )
+        assert code == 0 and out.splitlines()[0] == "SAT"
+        data = loads(cert_path.read_text())
+        assert (data["r"], data["k"], data["N"]) == (2, 3, 8)
+        assert out.splitlines()[1] == "certificate: " + " ".join(map(str, data["colors"]))
+        assert run(capsys, "verify", str(cert_path)) == (0, "VALID\n", "")
+
     def test_plan(self, capsys):
         code, out, _ = run(capsys, "plan", "--r", "2", "--k", "7", "--lower", "3703")
         assert code == 0
@@ -363,12 +379,19 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 1 and "error" in err
 
+    def test_no_k_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text('{"r": 2, "N": 8, "colors": [1, 1, 0, 0, 1, 1, 0, 0]}')
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out, err) == (1, "", "error: certificate has no k field; pass --k\n")
+
     @pytest.mark.parametrize("content", [
         b'{"r": 2, "k": 3, "N": "3", "colors": [1, 0, 1]}',
         b'{"r": 2, "k": 3, "N": 3.0, "colors": [1, 0, 1]}',
         b'{"r": 2.5, "k": 3, "N": 3, "colors": [1, 0, 1]}',
         b'\xff\xfe{\x00}\x00',  # UTF-16 with a byte-order mark, not UTF-8
-    ], ids=["N-str", "N-float", "r-float", "not-utf8"])
+        b'{"r": 2, "k": 3, "N": 3, "colors": "101"}',
+    ], ids=["N-str", "N-float", "r-float", "not-utf8", "colors-not-list"])
     def test_malformed_certificate_exit_one(self, capsys, tmp_path, content):
         path = tmp_path / "cert.json"
         path.write_bytes(content)
@@ -461,6 +484,14 @@ class TestCnfCommand:
         assert code == 1
         assert err == f"error: solver command {command!r} {message}\n"
 
+    def test_missing_solver_exit_one(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "cnf", "--r", "2", "--k", "3", "--n-max", "9",
+            "--out", str(tmp_path / "w.cnf"), "--solver", str(tmp_path / "no-such-solver"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: solver not found: ") and err.count("\n") == 1
+
     def test_solver_malformed_value_line_exit_one(self, capsys, tmp_path):
         solver = tmp_path / "solver.py"
         solver.write_text("#!/usr/bin/env python3\nprint('s SATISFIABLE')\nprint('v 1 x 0')\n")
@@ -537,6 +568,61 @@ def _running(pid: int) -> bool:
         return True
 
 
+def _group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestInterrupt:
+    """Ctrl-C sends SIGINT to the terminal's foreground process group: here
+    the command runs in a session of its own, and the signal goes to its
+    group."""
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "--r", "4", "--k", "3", "--n-max", "76", "--threads", "1"),
+        ("search", "--r", "4", "--k", "3", "--n-max", "76", "--threads", "2"),
+        ("cnf", "--r", "2", "--k", "3", "--n-max", "9", "--out", "{out}",
+         "--solver", "sh -c 'echo $$ > {pid}; exec sleep 41' sh"),
+    ], ids=["search-1", "search-2", "cnf-solver"])
+    def test_ctrl_c_exits_130(self, tmp_path, argv):
+        # the (4,3) proof at N = 76 runs far past its 60 s budget, and the
+        # solver sleeps; each must end at once, with one stderr line and no
+        # worker or solver process left behind
+        pid_file = tmp_path / "solver.pid"
+        argv = [arg.format(out=tmp_path / "w.cnf", pid=pid_file) for arg in argv]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "waerden", *argv, "--max-seconds", "60"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_env(),
+            start_new_session=True,
+        )
+        solver = None
+        try:
+            deadline = time.monotonic() + 10
+            if argv[0] == "cnf":
+                while not (pid_file.exists() and pid_file.read_text().strip()):
+                    assert time.monotonic() < deadline, "the solver never started"
+                    time.sleep(0.05)
+                solver = int(pid_file.read_text())
+            else:
+                time.sleep(1)  # past start-up, inside the serial pass or the pool
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=10)
+            assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+            while _group_alive(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _group_alive(proc.pid), "a worker process outlived the command"
+            assert solver is None or not _running(solver)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            if solver is not None and _running(solver):
+                os.kill(solver, signal.SIGKILL)
+            proc.communicate()
+
+
 class TestConfigAndUsage:
     def test_usage_error_64(self, capsys):
         assert run(capsys, "frobnicate")[0] == 64
@@ -587,6 +673,14 @@ class TestConfigAndUsage:
         code, out, err = run(capsys, *[arg.format(out=out_path) for arg in argv])
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not out_path.exists()  # the setting is checked before any work
+
+    def test_integrity_error_exits_three(self, capsys, monkeypatch):
+        # a stored Table A cell that disagrees with the value it displays
+        cells = {**waerden.registry._TABLE_DISPLAY, (2, 3): ("2", 3, "3.171")}
+        monkeypatch.setattr(waerden.registry, "_TABLE_DISPLAY", cells)
+        code, out, err = run(capsys, "table-a")
+        assert (code, out) == (3, "")
+        assert err.startswith("integrity error: ") and err.count("\n") == 1
 
     def test_out_of_memory_exits_one(self, capsys, monkeypatch):
         # the k = 3 tables of this N would take far more memory than there

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import io
 import math
+import os
+import signal
 import stat
 
 import pytest
@@ -444,6 +447,35 @@ class TestExternalSolver:
         run = run_external_solver(cmd, f)
         assert run.status == "UNSATISFIABLE"
         assert run.returncode == 20
+
+    def test_exit_ten_without_a_status_line(self, tmp_path):
+        cmd = _fake_solver(tmp_path, "sys.exit(10)\n")  # silent solver
+        run = run_external_solver(cmd, encode(8, VdwInstance(2, 3)))
+        assert (run.status, run.model, run.returncode) == ("SATISFIABLE", None, 10)
+
+    def test_interrupt_kills_the_solver(self, tmp_path):
+        # the solver runs in a session of its own, which a terminal's Ctrl-C
+        # does not reach, so an interrupt in this process must kill it
+        pid_file = tmp_path / "solver.pid"
+        command = ["sh", "-c", f"echo $$ > {pid_file}; exec sleep 43"]
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                run_external_solver(command, encode(9, VdwInstance(2, 3)))
+            pid = int(pid_file.read_text())
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+            if pid_file.exists():
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(int(pid_file.read_text()), signal.SIGKILL)
 
     def test_solver_reads_the_dimacs_file(self, tmp_path):
         f = encode(3, VdwInstance(2, 3))

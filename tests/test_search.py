@@ -860,7 +860,8 @@ class TestPoolPath:
     @pytest.mark.parametrize(
         "threads, cpus, cut, workers",
         # the split asks for 8 jobs per worker, min(threads, CPUs): (4,3) at
-        # N = 60 gives 28 for 2 or 3 workers and 9 for 1; a cut of 2 gives 4
+        # N = 60 gives 28 for 2 or 3 workers; a cut of 2 gives 4; one worker,
+        # as on one CPU, searches serially and starts no pool
         [(64, 3, None, 3), (2, None, None, 1), (2, 8, None, 2), (64, 10**6, 2, 4)],
     )
     def test_pool_workers_are_capped(self, threads, cpus, cut, workers):
@@ -877,7 +878,10 @@ class TestPoolPath:
                 mock.patch.object(search.os, "cpu_count", return_value=cpus):
             out = decide_colorability(60, VdwInstance(4, 3), threads=threads)
         assert out.status is SearchStatus.SAT and verify_certificate(out.certificate, 3)
-        assert sizes == [workers] and len(jobs) >= workers
+        if workers == 1:
+            assert sizes == jobs == []
+        else:
+            assert sizes == [workers] and len(jobs) >= workers
 
     def test_a_job_that_raises_stops_the_others(self):
         # an error spends the shared count and cancels the queued jobs, as an
@@ -903,8 +907,8 @@ class TestPoolPath:
     def test_a_budget_past_the_shared_count_still_stops_the_jobs(self):
         # the shared count is a signed 64-bit int, so a budget of 2**64 must
         # not wrap it: on two threads the first job raises only once the
-        # second runs, which must then stop at its next poll, not run on to
-        # its deadline
+        # second runs, which must then stop after its current run, not run
+        # on to its deadline
         jobs, started = [], []
         second = threading.Event()
         worker = search._parallel_worker
@@ -927,6 +931,47 @@ class TestPoolPath:
             decide_colorability(76, VdwInstance(4, 3), budget, threads=2)
         assert time.monotonic() - clock < budget.max_seconds / 2
         assert len(jobs) == 28 and 2 <= len(started) < len(jobs)
+
+    def test_an_interrupt_stops_the_jobs(self):
+        # Ctrl-C while the parent waits on the pool ends the search at once:
+        # the running jobs stop after their current run and the queued ones
+        # never start, where the jobs would otherwise run to the deadline
+        jobs, started = [], []
+        worker = search._parallel_worker
+
+        def counted(args):
+            started.append(args)
+            return worker(args)
+
+        clock = time.monotonic()
+        with mock.patch.object(search, "ProcessPoolExecutor", _thread_pool([], jobs, threads=2)), \
+                mock.patch.object(search, "_parallel_worker", counted), \
+                mock.patch.object(search, "_POOL", None), \
+                mock.patch.object(search.os, "cpu_count", return_value=2), \
+                mock.patch.object(search, "as_completed", side_effect=KeyboardInterrupt), \
+                pytest.raises(KeyboardInterrupt):
+            decide_colorability(76, VdwInstance(4, 3), Budget(max_seconds=8), threads=2)
+        assert time.monotonic() - clock < 1
+        assert len(jobs) == 28 and len(started) < len(jobs)
+
+    @pytest.mark.parametrize("max_nodes", [4_100, 4_140, 4_141])
+    def test_budget_spent_between_the_serial_pass_and_the_pool(self, max_nodes):
+        # at 2 workers (4,3) at N = 76 stops its serial pass at 4,098 nodes,
+        # and the split makes 42 more, to 4,140: a budget inside the split or
+        # spent by it ends there, on the node, and only a larger one starts
+        # the pool
+        class PoolStarted(Exception):
+            pass
+
+        budget = Budget(max_nodes=max_nodes)
+        with mock.patch.object(search, "ProcessPoolExecutor", side_effect=PoolStarted), \
+                mock.patch.object(search.os, "cpu_count", return_value=2):
+            if max_nodes > 4_140:
+                with pytest.raises(PoolStarted):
+                    decide_colorability(76, VdwInstance(4, 3), budget, threads=2)
+            else:
+                out = decide_colorability(76, VdwInstance(4, 3), budget, threads=2)
+                assert (out.status, out.stats.nodes) == (SearchStatus.TIMEOUT, max_nodes)
 
     @pytest.mark.parametrize("threads", [2, 10_000])
     def test_threads_past_the_cpus_split_as_the_cpus(self, threads):
