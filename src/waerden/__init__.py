@@ -37,6 +37,7 @@ from .errors import (
     DomainError,
     InfeasibleRangeError,
     IntegrityError,
+    KernelError,
     TriviallySatisfiableError,
     WaerdenError,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "ErdosRadoReport",
     "InfeasibleRangeError",
     "IntegrityError",
+    "KernelError",
     "KnownValue",
     "NRange",
     "RadixExpansion",

@@ -1,0 +1,279 @@
+"""The C search kernel (_kernel.c): built once by gcc, loaded through ctypes.
+
+The first search of a process that finds no cached library compiles
+_kernel.c with _COMPILE into $XDG_CACHE_HOME/waerden, else ~/.cache/waerden,
+under a name keyed by the SHA-256 of the source and the command.  gcc writes
+to a temporary file there, which is then renamed into place, so a process
+that loads the library always loads a whole one, even when several build it
+at once.  A cached library that is cut short or fails to load is rebuilt
+once.  Importing this module builds and loads nothing, and a process
+that finds the library cached starts no child process.  A missing gcc or a
+failed build raises KernelError.
+
+Kernel binds the library to the tables of one (N, r, k).  A branch is a
+tuple (position, color, state), the state being the bytes of the node the
+branch leaves, shared by its siblings; the layout of a state is described
+in _kernel.c, and its first four bytes are its depth.  Walk packs a stack
+of such branches into C arrays, walks it depth first in runs, and unpacks
+what is left.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import struct
+
+from .errors import KernelError
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+
+# the compiler and its flags; the output and source paths follow them
+_COMPILE = ("gcc", "-O2", "-shared", "-fPIC")
+
+# the loaded library, once a search has needed it
+_LIB = None
+
+# return codes of wd_expand and wd_walk; wd_expand returns 4 for a branch
+_UNSAT, _SAT, _TIMEOUT, _GROW, _NOMEM = 0, 1, 2, 3, -1
+_STATUS = {_UNSAT: "UNSAT", _SAT: "SAT", _TIMEOUT: "TIMEOUT"}
+
+_word_p = ctypes.POINTER(ctypes.c_uint64)
+_int32_p = ctypes.POINTER(ctypes.c_int32)
+_int64_p = ctypes.POINTER(ctypes.c_int64)
+
+
+def _build(path: str) -> None:
+    """Compile _kernel.c to `path` through a temporary file in its directory."""
+    import subprocess  # only a build needs these
+    import tempfile
+
+    directory = os.path.dirname(path)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so", dir=directory)
+        os.close(fd)
+    except OSError as exc:
+        raise KernelError(f"cannot write the search kernel to {directory}: {exc}") from exc
+    try:
+        try:
+            done = subprocess.run([*_COMPILE, "-o", tmp, _SOURCE], capture_output=True, text=True)
+        except FileNotFoundError as exc:
+            raise KernelError(f"cannot build the search kernel: {_COMPILE[0]} not found") from exc
+        except OSError as exc:
+            raise KernelError(f"cannot build the search kernel: {_COMPILE[0]}: {exc}") from exc
+        if done.returncode != 0:
+            lines = done.stderr.splitlines() or [f"exit {done.returncode}"]
+            detail = next((line for line in lines if "error" in line), lines[-1])
+            raise KernelError(f"cannot build the search kernel: {' '.join(_COMPILE)}: {detail}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _bind(lib):
+    lib.wd_new.restype = ctypes.c_void_p
+    lib.wd_new.argtypes = [ctypes.c_int32] * 3
+    lib.wd_free.restype = None
+    lib.wd_free.argtypes = [ctypes.c_void_p]
+    lib.wd_state_words.restype = ctypes.c_int64
+    lib.wd_state_words.argtypes = [ctypes.c_void_p]
+    lib.wd_root.restype = ctypes.c_int32
+    lib.wd_root.argtypes = [ctypes.c_void_p, _word_p]
+    lib.wd_expand.restype = ctypes.c_int
+    lib.wd_expand.argtypes = [
+        ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int32, ctypes.c_int32, _word_p,
+        _int32_p, _int64_p, _int32_p,
+    ]
+    lib.wd_charge.restype = ctypes.c_int64
+    lib.wd_charge.argtypes = [_int64_p, ctypes.c_int64]
+    lib.wd_walk.restype = ctypes.c_int
+    lib.wd_walk.argtypes = [
+        ctypes.c_void_p, _int32_p, _int64_p, ctypes.c_int64, _word_p, ctypes.c_int64,
+        ctypes.c_int64, _int64_p, _int32_p,
+    ]
+    return lib
+
+
+def _path() -> str:
+    """Where the library of this source and _COMPILE is cached."""
+    with open(_SOURCE, "rb") as f:
+        key = hashlib.sha256(f.read() + "\0".join(_COMPILE).encode()).hexdigest()
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "waerden", f"kernel-{key[:32]}.so")
+
+
+def _whole(path: str) -> bool:
+    """False unless `path` holds a file that is not cut short.  dlopen of a
+    cut ELF library can fault (SIGBUS) instead of failing, so a 64-bit ELF
+    file, as gcc builds here, is read first: ld writes the section header
+    table last, and a file that ends before that table does is cut.  Any
+    other file is left to dlopen."""
+    try:
+        with open(path, "rb") as f:
+            head = f.read(64)
+            size = os.fstat(f.fileno()).st_size
+    except OSError:
+        return False
+    if head[:5] != b"\x7fELF\x02":
+        return True
+    if len(head) < 64:
+        return False
+    (table,), (entry, count) = struct.unpack_from("=Q", head, 0x28), struct.unpack_from("=HH", head, 0x3A)
+    return size >= table + entry * count
+
+
+def library():
+    """The kernel library, built into the cache first if it is not there."""
+    global _LIB
+    if _LIB is None:
+        path = _path()
+        try:
+            if not _whole(path):
+                raise OSError(f"{path} is missing or cut short")
+            lib = ctypes.CDLL(path)
+        except OSError:  # not cached, or not loadable: build it once
+            _build(path)
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError as exc:
+                raise KernelError(f"cannot load the search kernel {path}: {exc}") from exc
+        _LIB = _bind(lib)
+    return _LIB
+
+
+def charge(count, made: int) -> int:
+    """Add `made` to a shared count, a c_int64 in memory that processes
+    share (multiprocessing.RawValue("q")), by one atomic add; returns the
+    new count."""
+    return library().wd_charge(ctypes.byref(count), made)
+
+
+def depth(state: bytes) -> int:
+    """The depth of the node a state belongs to; the root's is 0."""
+    return int.from_bytes(state[:4], "little")
+
+
+class Kernel:
+    """The kernel's tables for [1, N], r colors and k-APs, freed with it.
+
+    `decisions` counts the branches its walks have made, the calls of
+    _assign_prop in the Python kernel the C one was written from."""
+
+    def __init__(self, N: int, r: int, k: int):
+        self._ctx = None
+        self._lib = lib = library()
+        self.N, self.r, self.k = N, r, k
+        # positions up to 2N and the colors are int32s in the kernel; tables
+        # that large would not fit in memory anyway
+        if max(N, r) >= 2**30:
+            raise MemoryError(f"the search tables of N={N}, r={r}, k={k} do not fit in memory")
+        # no k-AP fits in [1, N] once k > N, as none of length N + 1 does
+        self._ctx = lib.wd_new(N, r, min(k, max(N + 1, 3)))
+        if not self._ctx:
+            raise MemoryError(f"the search tables of N={N}, r={r}, k={k} do not fit in memory")
+        self.words = lib.wd_state_words(self._ctx)
+        self.decisions = 0
+
+    def __del__(self):
+        if self._ctx:
+            self._lib.wd_free(self._ctx)
+            self._ctx = None
+
+    def root(self):
+        """The root branch: color 0, the first in canonical order, at the middle."""
+        state = (ctypes.c_uint64 * self.words)()
+        p = self._lib.wd_root(self._ctx, state)
+        return p, 0, bytes(state)
+
+    def expand(self, branch):
+        """Make one branch: (status, made, children), made being the
+        assignments made.  Status "SAT" means every position is assigned,
+        and children is then the colors of positions 1..N; "leaf" means a
+        conflict or a mirror-image prune, with no children; "branch" lists
+        the branches of the next position in descending color order, which
+        share the new state."""
+        p, c, state = branch
+        child = (ctypes.c_uint64 * self.words)()
+        out = (ctypes.c_int32 * (self.r + 2))()
+        made = ctypes.c_int64()
+        colors = (ctypes.c_int32 * self.N)()
+        status = self._lib.wd_expand(self._ctx, state, p, c, child, out, ctypes.byref(made), colors)
+        if status == _NOMEM:
+            raise MemoryError("the search kernel ran out of memory")
+        if status == _SAT:
+            return "SAT", made.value, tuple(colors)
+        if status == _UNSAT:
+            return "leaf", made.value, ()
+        state = bytes(child)
+        return "branch", made.value, [(out[0], out[2 + i], state) for i in range(out[1])]
+
+
+class Walk:
+    """A stack of branches packed for wd_walk: three int32s per branch
+    (position, color, slot) and one state per slot.  The states are
+    numbered in stack order from the bottom, siblings sharing theirs, so a
+    branch's child always goes to the slot after its own."""
+
+    def __init__(self, kernel: Kernel, stack):
+        self.kernel = kernel
+        states, entries = [], []
+        for p, c, state in stack:
+            if not states or states[-1] is not state:
+                states.append(state)
+            entries += (p, c, len(states) - 1)
+        self.sp = ctypes.c_int64(len(stack))
+        self.cap = len(stack) + (kernel.N + 2) * kernel.r
+        self.stack = (ctypes.c_int32 * (3 * self.cap))(*entries)
+        self.slots = len(states) + 32
+        self.states = (ctypes.c_uint64 * (self.slots * kernel.words))()
+        size = 8 * kernel.words
+        for slot, state in enumerate(states):
+            ctypes.memmove(ctypes.addressof(self.states) + slot * size, state, size)
+        self.counts = (ctypes.c_int64 * 2)()
+        self.colors = (ctypes.c_int32 * kernel.N)()
+
+    def _grow(self) -> None:
+        """Double the slots and the stack room."""
+        kernel = self.kernel
+        self.slots *= 2
+        states = (ctypes.c_uint64 * (self.slots * kernel.words))()
+        ctypes.memmove(states, self.states, ctypes.sizeof(self.states))
+        self.cap *= 2
+        stack = (ctypes.c_int32 * (3 * self.cap))()
+        ctypes.memmove(stack, self.stack, ctypes.sizeof(self.stack))
+        self.states, self.stack = states, stack
+
+    def walk(self, max_nodes: int):
+        """Walk for up to max_nodes assignments: (status, colors or None,
+        nodes), status being "SAT", "UNSAT" (the stack ran out) or
+        "TIMEOUT"; colors are those of positions 1..N."""
+        kernel, nodes = self.kernel, 0
+        while True:
+            status = kernel._lib.wd_walk(
+                kernel._ctx, self.stack, ctypes.byref(self.sp), self.cap, self.states, self.slots,
+                max_nodes - nodes, self.counts, self.colors,
+            )
+            nodes += self.counts[0]
+            kernel.decisions += self.counts[1]
+            if status == _NOMEM:
+                raise MemoryError("the search kernel ran out of memory")
+            if status != _GROW:
+                break
+            self._grow()
+        return _STATUS[status], tuple(self.colors) if status == _SAT else None, nodes
+
+    def branches(self) -> list:
+        """The unmade branches, bottom first, as (position, color, state)."""
+        size = 8 * self.kernel.words
+        base = ctypes.addressof(self.states)
+        states: dict[int, bytes] = {}
+        out = []
+        for i in range(self.sp.value):
+            p, c, slot = self.stack[3 * i : 3 * i + 3]
+            if slot not in states:
+                states[slot] = ctypes.string_at(base + slot * size, size)
+            out.append((p, c, states[slot]))
+        return out

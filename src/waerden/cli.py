@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 domain/config error (including invalid
 certificates, malformed certificate files, bad flag values, results too
-large to print, running out of memory and a search worker process that
-dies), 2 search timeout or unknown solver outcome, 3
-registry integrity error, 64 usage error, which includes a flag that the
-command does not take, 130 interrupted (Ctrl-C), once every search worker
-and solver process has stopped.
+large to print, running out of memory, a search worker process that dies
+and a search kernel that gcc cannot build), 2 search timeout or unknown
+solver outcome, 3 registry integrity error, 64 usage error, which includes
+a flag that the command does not take, 130 interrupted (Ctrl-C), once
+every search worker and solver process has stopped.
 Output on stdout is deterministic for identical inputs at one worker,
 except `stats.seconds` in the JSON of search and compute-w, the one field
 that varies; with more workers a certificate, and the node count of a SAT
@@ -44,6 +44,7 @@ from .errors import (
     DecodeError,
     DomainError,
     IntegrityError,
+    KernelError,
 )
 
 # the formats beside text and JSON; only table-a renders them
@@ -343,7 +344,7 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, ConfigError, DecodeError, OSError) as exc:
+    except (DomainError, ConfigError, DecodeError, KernelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

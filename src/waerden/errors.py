@@ -1,7 +1,8 @@
 """Exception taxonomy shared by every waerden module.
 
-The CLI maps these onto exit codes: domain/config/decode problems exit 1,
-exhausted search budgets exit 2, registry integrity violations exit 3.
+The CLI maps these onto exit codes: domain/config/decode problems and a
+search kernel that cannot be built exit 1, exhausted search budgets exit 2,
+registry integrity violations exit 3.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ class DecodeError(WaerdenError, ValueError):
 
 class IntegrityError(WaerdenError, RuntimeError):
     """Stored reference data disagrees with a recomputation; fails loudly."""
+
+
+class KernelError(WaerdenError, RuntimeError):
+    """The C search kernel cannot be built or loaded: no gcc, or a failed build."""
 
 
 class InfeasibleRangeError(DomainError):

@@ -47,28 +47,30 @@ pruned.  UNSAT therefore means exhausted up to color permutation and
 reversal.  A SAT leaf is returned before the check, so a certificate need
 not lead its orbit.
 
-There is one propagation kernel.  For k > 3 every k-AP has an index, and
-the search state holds, for each color, a unary count in k - 2 levels:
-level j holds the APs with more than j members of that color.  Assigning
-a color to a position ORs a carry, at first the APs through it, into each
-level in turn, keeping only the APs the level already held; what carries
-out of the top level is the APs that now hold k - 1 members.  Level 0 of a
-color is the set of APs that hold it, so the walk skips every such AP that
-holds another color too: its last member is assigned already.  Each AP
-left takes the color from the allowed mask at its last member.
-For k = 3 a class member v and a new member q threaten 2v - q, 2q - v and
-(q + v) / 2, so each class mask also carries a dilated, a reflected and a
-halved copy of the class above bit N, and the threats of q are three
-right shifts of that one int (see _shift_table).  That table has N entries,
-but each holds an int of about 6N bits, so its size grows with N^2: its
-ints take 0.85 MiB at N = 1000 and 13.3 MiB at N = 4000 (sys.getsizeof).
+There is one propagation kernel, written in C (_kernel.c) and called
+through ctypes (_native).  gcc builds it on the first search of a process
+that finds no cached copy, into $XDG_CACHE_HOME/waerden or
+~/.cache/waerden, and importing this module builds and loads nothing; a
+missing gcc or a failed build raises KernelError.  A position mask takes
+(N + 64) // 64 words, so any N runs.  For k > 3 every k-AP has an index,
+and the search state holds, for each color, a unary count in k - 2 bit
+levels over that index: level j holds the APs with more than j members of
+that color.  Assigning a color to a position ORs a carry, at first the APs
+through it, into each level in turn, keeping only the APs the level
+already held; what carries out of the top level is the APs that now hold
+k - 1 members.  Level 0 of a color is the set of APs that hold it, so the
+walk skips every such AP that holds another color too: its last member is
+assigned already.  Each AP left takes the color from the allowed mask at
+its last member.  For k = 3 a class member v and a new member q threaten
+2v - q, 2q - v and (q + v) / 2, read off the class members, with no table.
 
-The search state is one stack of unmade branches.  _expand makes one
-branch: it assigns and propagates, tests for SAT, runs the reversal check
-and lists the branches of the next position; the serial search and the
-prefix split are loops over it.  A node's branches share one state, whose
-class, allowed and counter lists are the ones its own branch built: each
-branch copies them before it assigns, so no state is written once made.
+The search state is one stack of unmade branches.  A branch is (position,
+color, state), the state being the bytes of the node the branch leaves,
+shared by its siblings and never written once made.  _run_tree walks a
+stack in C, in runs of _POLL_NODES nodes, and leaves the unmade branches
+in it; Kernel.expand makes one branch, and the prefix split is a loop over
+it.  The C walk copies each state into a slot before it assigns, one
+state per depth, so no state it was given is written.
 With more than one worker (threads, capped at the CPU count) a search
 first runs serially for up to _SERIAL_NODES nodes, so a small tree is
 decided as at one worker, without a pool; with one, as on one CPU, it
@@ -105,9 +107,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from itertools import count, groupby
 
+from . import _native
 from ._record import Record
 from .bounds import VdwInstance
 from .errors import (
@@ -122,7 +124,7 @@ from .errors import (
 # clock, and a pool job also adds the run to the shared node count and reads
 # it, so a search stops within _POLL_NODES + N nodes of its deadline or of a
 # decision elsewhere (the parent spends the count when a job answers or
-# fails, or on an interrupt); two lock takes per 256 nodes cost little
+# fails, or on an interrupt)
 _POLL_NODES = 256
 
 
@@ -141,10 +143,11 @@ class Budget(Record):
     decides the tree reports its answer.  Every worker reads the clock
     every _POLL_NODES (256) nodes, so it makes at most 256 + N assignments
     after max_seconds has passed, counted from the end of the table build:
-    the clock starts before the build, which cannot be stopped.  For k = 3
-    the built table grows as N^2 bits, 13.3 MiB of ints at N = 4000.  With
-    max_seconds=0.01 on 2 cores, (2,6) at N = 1132 returned after about
-    0.07 s and (2,7) at N = 2000 after 0.33 s.  A multi-worker search resumes
+    the clock starts before the build, which cannot be stopped.  With
+    max_seconds=0.01 on 2 cores, at 1 or 2 workers, (2,6) at N = 1132
+    returned after 0.011-0.030 s and (2,7) at N = 2000 after 0.08-0.12 s,
+    most of it copying the k - 2 AP levels of each state, 417 KB there, and
+    the 8 ms and 32 ms the kernel's tables took.  A multi-worker search resumes
     the serial pass on the pool, and each running job charges the shared
     count every 256 nodes, so it can run up to threads * (256 + N)
     assignments past max_nodes before every worker sees the budget spent.
@@ -263,348 +266,52 @@ def verify_certificate(coloring: Coloring, k: int) -> bool:
     return find_mono_ap(coloring, k) is None
 
 
-def _ap_index(N: int, k: int):
-    """Index every k-AP in [1, N]: (through, members, levels).
-
-    through[p] masks the indices of the APs through position p, members[i]
-    is the position mask of AP i, and levels = k - 2 unary counter levels
-    per color.  AP (a, d) has index base_d + a - 1, one block per d, and
-    members pattern_d << a.  AP (a + 1, d) holds p where AP (a, d) holds
-    p - 1, so through[p] is through[p - 1] shifted up one index, less what
-    crosses into a block's a = 1 slot or past the last AP (keep), plus the
-    a = 1 slot of each d with p = 1 + j * d, j < k (adds[p]).
-    """
-    members: list[int] = []
-    adds = [0] * (N + 1)
-    for d in range(1, (N - 1) // (k - 1) + 1):
-        slot = 1 << len(members)
-        pattern = sum(1 << j * d for j in range(k))
-        members += [pattern << a for a in range(1, N - (k - 1) * d + 1)]
-        for p in range(1, 2 + (k - 1) * d, d):
-            adds[p] |= slot
-    keep = ((1 << len(members)) - 1) & ~adds[1]  # adds[1]: every a = 1 slot
-    through = [0]
-    for p in range(1, N + 1):
-        through.append((through[-1] << 1) & keep | adds[p])
-    return tuple(through), tuple(members), k - 2
-
-
-def _shift_table(N: int) -> tuple:
-    """k = 3 only: (sig, dilate, reflect, halve) for each position q.
-
-    A class mask holds, besides bit v of each member v, three copies of the
-    class in segments above bit N: bit D + 2v (dilated), bit T - v
-    (reflected) and bit H + (v >> 1) (halved, H = O for odd v, E for even).
-    sig sets the four bits of q.  For q outside the class, the members v
-    threaten 2v - q, 2q - v and, when v and q have the same parity,
-    (q + v) / 2: bits 1..N of the mask shifted right by dilate = D + q, by
-    reflect = T - 2q and by halve = H - (q >> 1) - (q & 1), H for q's
-    parity.  The gaps between segments are wide enough that no shift moves
-    a bit of another segment into 1..N.
-    """
-    D = N - 1  # dilated: bits N + 1 .. 3N - 1
-    O = 3 * N + (N + 1) // 2  # odd halves: O .. O + (N - 1) // 2
-    E = O + N  # even halves: E + 1 .. E + N // 2
-    T = E + 2 * N + N // 2  # reflected: T - N .. T - 1
-    table = [None]
-    for q in range(1, N + 1):
-        H = O if q & 1 else E
-        sig = 1 << q | 1 << (D + 2 * q) | 1 << (T - q) | 1 << (H + (q >> 1))
-        table.append((sig, D + q, T - 2 * q, H - (q >> 1) - (q & 1)))
-    return tuple(table)
-
-
-def _tables(N: int, k: int):
-    """What the kernel reads: (N, ap_index, shift_table).  k = 3 reads its
-    threats from the shift table, k > 3 from the AP index; only one is built."""
-    if k == 3:
-        return N, None, _shift_table(N)
-    return N, _ap_index(N, k), None
-
-
-def _branch_position(un: int, N: int) -> int:
-    """The unassigned position nearest (N + 1) / 2, ties left: the highest
-    unassigned bit of the left half or the lowest of the right half."""
-    mid = (N + 1) >> 1
-    left = (un & ((2 << mid) - 1)).bit_length() - 1  # -1 if none is left
-    right = un >> (mid + 1)
-    if not right:
-        return left
-    right = (right & -right).bit_length() + mid
-    # distances N + 1 - 2 * left and 2 * right - N - 1; ties go left
-    return left if left + right > N else right
-
-
-@cache
-def _other_colors(r: int) -> tuple:
-    """For each color c of 0..r-1, the other colors in ascending order."""
-    return tuple(tuple(c2 for c2 in range(r) if c2 != c) for c in range(r))
-
-
-def _assign_prop(cm, al, cnt, un, p, c, aps, shifts):
-    """Assign color c to position p, then propagate forced positions.
-
-    Mutates cm (class masks), al (allowed masks) and cnt (AP counters).
-    Returns (ok, un, count) where count is the number of assignments
-    made; ok is False on conflict (a position with no color allowed, or c
-    not allowed at p).  p must be unassigned.  A position is pushed only
-    when one color is left there, and only an assignment of that color can
-    threaten it, which leaves it dead and fails the branch first; so each
-    position is pushed once, and is still unassigned when popped.  For
-    k = 3 (shifts given) the threats are three shifts of the class mask,
-    laid out by _shift_table; for k > 3 cnt holds, for
-    each color, k - 2 levels of a unary count of that color's members in
-    every indexed AP (level j: the APs with more than j), and the carry out
-    of the top level, the APs whose count reaches k - 1, threatens their
-    last members.  The walk over that carry skips the APs in level 0 of
-    another color: their last member holds that color, so they threaten
-    nothing.  The filter comes after the level loop, which must count
-    every AP through the position.  No count reaches k: a position is
-    never given a color its allowed mask lacks.  Only unassigned positions
-    are read from an allowed mask, so a color is taken from it only at
-    unassigned positions, and an assigned position keeps whatever bits it
-    had.
-
-    The positions an assignment of qc threatens have just lost qc, so the
-    count of the colors still allowed there and the scan for the positions
-    it forces read only the other r - 1 colors (_other_colors).
-    """
-    if shifts is None:
-        through, members, levels = aps
-    others = _other_colors(len(al))
-    pending = [(p, c)]
-    count = 0
-    while pending:
-        q, qc = pending.pop()
-        bit = 1 << q
-        if not al[qc] & bit:
-            return False, un, count
-        un ^= bit  # q is unassigned here
-        count += 1
-        cmq = cm[qc]
-        if shifts is not None:
-            sig, dilate, reflect, halve = shifts[q]
-            hit = cmq >> dilate | cmq >> reflect | cmq >> halve
-            cm[qc] = cmq | sig
-        else:
-            cm[qc] = cmq | bit
-            # add one to the unary count of every AP through q; what carries
-            # out of the top level is the APs that now hold k - 1 members
-            base = qc * levels
-            carry = through[q]
-            for j in range(base, base + levels):
-                lv = cnt[j]
-                cnt[j] = lv | carry
-                carry &= lv
-                if not carry:
-                    break
-            if carry:
-                # an AP with a member of another color has no free member
-                # left, so its walk would add nothing to hit
-                dead = 0
-                for c2 in others[qc]:
-                    dead |= cnt[c2 * levels]
-                carry ^= carry & dead
-            hit = 0
-            while carry:
-                i = carry.bit_length() - 1
-                carry ^= 1 << i
-                hit |= members[i]
-        hit &= un & al[qc]  # only these positions can change status
-        if not hit:
-            continue
-        al[qc] ^= hit
-        # count the other colors still allowed at each hit position,
-        # saturating at two; qc is allowed at none of them now
-        rest = others[qc]
-        one = two = 0
-        for c2 in rest:
-            free = hit & al[c2]
-            two |= one & free
-            one |= free
-        if hit ^ one:
-            return False, un, count  # a position with no color allowed
-        forced = one ^ two
-        if not forced:
-            continue
-        for c2 in rest:
-            mine = forced & al[c2]
-            while mine:
-                low = mine & -mine
-                mine ^= low
-                pending.append((low.bit_length() - 1, c2))
-    return True, un, count
-
-
-def _root(r, tables):
-    """The root branch: color 0, the first in canonical order, at the middle.
-    Its state's tie has no labels yet and starts at pair 0, or at the
-    centre, pair -1, when N is odd (see _mirror_check)."""
-    N, aps, _ = tables
-    unassigned = ((1 << N) - 1) << 1  # positions 1..N
-    counters = [0] * (r * aps[2]) if aps is not None else []
-    tie = (-(N & 1), (-1,) * r, (-1,) * r, 0)
-    state = ([0] * r, [unassigned] * r, counters, unassigned, 0, tie)
-    return _branch_position(unassigned, N), 0, state
-
-
-def _mirror_check(cm, un, N, tie):
-    """Carry the reversal lex-leader comparison over the complete mirror pairs.
-
-    Read middle out, position a = N // 2 - i and its mirror N + 1 - a form
-    pair i; when N is odd, pair -1 is the centre, read twice.  The sequence
-    of a coloring x is its colors in that order, and its mirror's sequence
-    is the same with each pair swapped, that of p -> x(N + 1 - p).  Both are
-    normalised by relabelling colors in order of first appearance.  The tie
-    (i, xmap, mmap, labels) holds the next pair to compare, the labels given
-    so far to each color in the two sequences (-1 for none) and how many
-    labels each has given: equal prefixes give the same number.
-
-    Compares the pairs from i on while both of their positions are assigned
-    (not in un).  Returns None once the prefix is smaller than its mirror's,
-    so every coloring below passes; False when it is larger, so none does;
-    otherwise the tie after the last complete pair.
-    """
-    i, xmap, mmap, labels = tie
-    xmap, mmap = list(xmap), list(mmap)
-    while i < N >> 1:
-        a = (N >> 1) - i
-        b = N + 1 - a
-        if (un >> a | un >> b) & 1:
-            break
-        ca = next(c for c, mask in enumerate(cm) if mask >> a & 1)
-        cb = next(c for c, mask in enumerate(cm) if mask >> b & 1)
-        for cx, cy in ((ca, cb), (cb, ca)):  # x reads a, b; its mirror b, a
-            lx = xmap[cx] if xmap[cx] >= 0 else labels
-            ly = mmap[cy] if mmap[cy] >= 0 else labels
-            if lx != ly:
-                return None if lx < ly else False
-            if lx == labels:
-                xmap[cx] = mmap[cy] = labels
-                labels += 1
-        i += 1
-    return i, tuple(xmap), tuple(mmap), labels
-
-
-def _expand(r, tables, branch):
-    """Make one branch: the only code that does.
-
-    A branch (p, c, state) gives color c to position p in the state
-    (cm, al, cnt, un, depth, tie) of the node it leaves, one tuple shared by
-    its siblings.  Its lists cm, al and cnt are those the node's own
-    _expand built and propagated; a branch copies them before it assigns,
-    so siblings, and the pool jobs _split makes of them, never see a state
-    change.  Returns (status, made, children), made being the
-    assignments made.  Status "SAT" means every position is assigned, and
-    children is then the class masks.  Status "leaf" means a conflict, or a
-    node whose pairs read larger than its mirror image's, and children is
-    empty.  Otherwise status is "branch" and children lists the branches of
-    the next position, in descending color order, so a stack makes the
-    least color first.  The reversal check runs only while tie is not None:
-    once a node's pairs read smaller than its mirror image's, tie is None in
-    its whole subtree.  The children take the canonical colors allowed at
-    their position: every color up to one past the highest color whose
-    class is not empty, capped at r - 1.
-    """
-    N, aps, shifts = tables
-    p, c, (cm, al, cnt, un, depth, tie) = branch
-    cm, al, cnt = list(cm), list(al), list(cnt)
-    ok, un, made = _assign_prop(cm, al, cnt, un, p, c, aps, shifts)
-    if not ok:
-        return "leaf", made, ()
-    if un == 0:
-        return "SAT", made, cm
-    if tie is not None:
-        tie = _mirror_check(cm, un, N, tie)
-        if tie is False:
-            return "leaf", made, ()  # the mirror image's colorings are searched instead
-    q = _branch_position(un, N)
-    bit = 1 << q
-    top = r - 1
-    while not cm[top]:
-        top -= 1
-    state = (cm, al, cnt, un, depth + 1, tie)
-    children = []
-    for c in range(min(top + 1, r - 1), -1, -1):  # canonical: at most one new color
-        if al[c] & bit:
-            children.append((q, c, state))
-    return "branch", made, children
-
-
-def _walk(r, tables, stack, max_nodes):
-    """Backtrack depth first from a stack of unmade branches for up to
-    max_nodes nodes.
-
-    Each branch popped is made by _expand, and the branches it lists are
-    pushed.  The stack, mutated in place, holds exactly the branches not
-    yet made.  The cap is checked just before each branch: a walk stopped
-    on it leaves them all in the stack for a later walk.
-
-    Returns (status, class_masks_or_None, nodes) with status in
-    {"SAT", "UNSAT", "TIMEOUT"}; UNSAT means the stack ran out.
-    """
+def _run_tree(kernel, stack, max_nodes, deadline, spent=None):
+    """Walk the stack depth first, in runs of _POLL_NODES nodes, until it is
+    decided, max_nodes nodes are made or the deadline, read after each run,
+    passes.  A pool job passes the shared node count `spent`, a
+    multiprocessing.RawValue: each run is added to it, and the job stops
+    once it reaches max_nodes, also before its first run.  The count takes
+    no lock: a job adds to it with one atomic add in C (_native.charge), so
+    an interrupt can leave no lock held that the other jobs and the parent
+    would wait on forever.  The stack, a list of branches, is left holding
+    exactly the branches not yet made.  Returns (status, colors_or_None,
+    nodes) with status in {"SAT", "UNSAT", "TIMEOUT"}; UNSAT means the stack
+    ran out."""
+    walk = _native.Walk(kernel, stack)
     nodes = 0
-    while stack:
-        if nodes >= max_nodes:
-            return "TIMEOUT", None, nodes
-        status, made, children = _expand(r, tables, stack.pop())
-        nodes += made
-        if status == "SAT":
-            return status, children, nodes
-        stack += children
-    return "UNSAT", None, nodes
-
-
-def _run_tree(r, tables, stack, max_nodes, deadline, spent=None):
-    """_walk the stack in runs of _POLL_NODES nodes until it is decided,
-    max_nodes nodes are made or the deadline, read after each run, passes.
-    A pool job passes the shared node count `spent`: each run is added to
-    it, and the job stops once it reaches max_nodes, also before its first
-    run.  Returns what _walk returns, with the nodes of every run."""
-    nodes = 0
-    while spent is None or spent.value < max_nodes:
-        status, masks, made = _walk(r, tables, stack, min(_POLL_NODES, max_nodes - nodes))
-        nodes += made
-        if spent is not None:
-            with spent.get_lock():
-                spent.value += made
-        if status != "TIMEOUT":
-            return status, masks, nodes
-        if nodes >= max_nodes or time.monotonic() >= deadline:
-            break
-    return "TIMEOUT", None, nodes
-
-
-def _masks_to_coloring(masks, N, r) -> Coloring:
-    colors = []
-    for p in range(1, N + 1):
-        bit = 1 << p
-        for c in range(r):
-            if masks[c] & bit:
-                colors.append(c)
+    try:
+        while spent is None or spent.value < max_nodes:
+            status, colors, made = walk.walk(min(_POLL_NODES, max_nodes - nodes))
+            nodes += made
+            if spent is not None:
+                _native.charge(spent, made)
+            if status != "TIMEOUT":
+                return status, colors, nodes
+            if nodes >= max_nodes or time.monotonic() >= deadline:
                 break
-        else:
-            raise IntegrityError(f"certificate leaves position {p} uncolored")
-    return Coloring(N=N, r=r, colors=tuple(colors))
+        return "TIMEOUT", None, nodes
+    finally:
+        stack[:] = walk.branches()
 
 
-def _split(r, tables, stack, target, nodes, max_nodes):
+def _split(kernel, stack, target, nodes, max_nodes):
     """Cut the branches a stopped serial pass left in `stack` into pool jobs.
 
     The stack is sorted by depth from the bottom.  Its shallowest level is
-    made in place with _expand, each branch replaced by its children, until
-    that depth is 24 or holds `target` nodes that still have branches (nodes
-    the pass exhausted do not count).  A job is one node's branches; the top
-    node's go out with the rest of the pass's path.  `nodes` is the count so
-    far.
+    made in place with Kernel.expand, each branch replaced by its children,
+    until that depth is 24 or holds `target` nodes that still have branches
+    (nodes the pass exhausted do not count).  A job is one node's branches;
+    the top node's go out with the rest of the pass's path.  `nodes` is the
+    count so far.
 
     Returns ("jobs", stacks, nodes) with the stacks in depth-first order, or
-    (status, masks_or_None, nodes) when the levels find a coloring, run out
+    (status, colors_or_None, nodes) when the levels find a coloring, run out
     of branches or spend the budget.
     """
     while True:
-        depth = stack[0][2][4]
-        top = sum(branch[2][4] == depth for branch in stack)
+        depth = _native.depth(stack[0][2])
+        top = sum(_native.depth(branch[2]) == depth for branch in stack)
         # a node's branches share its state and lie together in the stack
         groups = [list(g) for _, g in groupby(stack[:top], key=lambda branch: id(branch[2]))]
         if len(groups) >= target or depth >= 24:
@@ -613,7 +320,7 @@ def _split(r, tables, stack, target, nodes, max_nodes):
         for branch in stack[:top]:
             if nodes >= max_nodes:
                 return "TIMEOUT", None, nodes
-            status, made, children = _expand(r, tables, branch)
+            status, made, children = kernel.expand(branch)
             nodes += made
             if status == "SAT":
                 return status, children, nodes
@@ -627,38 +334,38 @@ def _split(r, tables, stack, target, nodes, max_nodes):
 # desk-tier proof fits (the largest, (3,3) at N = 27, takes 1,766)
 _SERIAL_NODES = 4096
 
-# what every job of a worker shares: (spent, r, tables)
+# what every job of a worker shares: (spent, kernel)
 _POOL = None
 
 
-def _parallel_init(*shared):
+def _parallel_init(spent, N, r, k):
     global _POOL
-    _POOL = shared
+    _POOL = spent, _native.Kernel(N, r, k)
 
 
 def _parallel_worker(args):
     # deadline is absolute CLOCK_MONOTONIC time, which every process shares
     stack, max_nodes, deadline = args
-    spent, r, tables = _POOL
-    return _run_tree(r, tables, stack, max_nodes, deadline, spent)
+    spent, kernel = _POOL
+    return _run_tree(kernel, stack, max_nodes, deadline, spent)
 
 
-def _search(r, tables, threads, max_nodes, deadline):
+def _search(kernel, threads, max_nodes, deadline):
     """Search serially, for up to _SERIAL_NODES nodes when more than one
     worker can run (threads capped at the CPU count), then fan the branches
-    the serial pass left out over a process pool of that many workers, which
-    receive the tables once, at start-up; SAT short-circuits, UNSAT needs
-    every job exhausted.  However the pool loop ends, by an answer, a job's
-    error or an interrupt, it spends the shared count and cancels the queued
-    jobs on the way out, so no job runs on."""
+    the serial pass left out over a process pool of that many workers, each
+    of which builds the kernel's tables once, at start-up; SAT
+    short-circuits, UNSAT needs every job exhausted.  However the pool loop
+    ends, by an answer, a job's error or an interrupt, it spends the shared
+    count and cancels the queued jobs on the way out, so no job runs on."""
     workers = min(threads, os.cpu_count() or 1)
-    stack = [_root(r, tables)]
+    stack = [kernel.root()]
     serial_budget = min(max_nodes, _SERIAL_NODES) if workers > 1 else max_nodes
-    status, masks, nodes = _run_tree(r, tables, stack, serial_budget, deadline)
+    status, colors, nodes = _run_tree(kernel, stack, serial_budget, deadline)
     # decided, out of time, or out of the caller's nodes: no pool
     if status != "TIMEOUT" or nodes < serial_budget or nodes >= max_nodes:
-        return status, masks, nodes
-    status, jobs, nodes = _split(r, tables, stack, 8 * workers, nodes, max_nodes)
+        return status, colors, nodes
+    status, jobs, nodes = _split(kernel, stack, 8 * workers, nodes, max_nodes)
     if status != "jobs":
         return status, jobs, nodes
     if nodes >= max_nodes:
@@ -666,9 +373,11 @@ def _search(r, tables, threads, max_nodes, deadline):
     # the shared count is a signed 64-bit int that wraps silently, and jobs
     # charge past the budget before they stop; no search nears 2**62 nodes
     max_nodes = min(max_nodes, 2**62)
-    spent = multiprocessing.Value("q", nodes)
+    spent = multiprocessing.RawValue("q", nodes)
     with ProcessPoolExecutor(
-        max_workers=min(workers, len(jobs)), initializer=_parallel_init, initargs=(spent, r, tables)
+        max_workers=min(workers, len(jobs)),
+        initializer=_parallel_init,
+        initargs=(spent, kernel.N, kernel.r, kernel.k),
     ) as pool:
         try:
             futures = [pool.submit(_parallel_worker, (job, max_nodes, deadline)) for job in jobs]
@@ -683,9 +392,9 @@ def _search(r, tables, threads, max_nodes, deadline):
     # re-raises a job's error, now that no job runs on
     results = [fut.result() for fut in futures if not fut.cancelled()]
     nodes += sum(made for _, _, made in results)
-    for status, masks, _ in results:
+    for status, colors, _ in results:
         if status == "SAT":
-            return "SAT", masks, nodes
+            return "SAT", colors, nodes
     # a job is cancelled only after another has answered SAT or TIMEOUT
     if all(status == "UNSAT" for status, _, _ in results):
         return "UNSAT", None, nodes
@@ -693,12 +402,13 @@ def _search(r, tables, threads, max_nodes, deadline):
 
 
 def _decide(N, inst, threads, max_nodes, deadline):
-    """Build the tables for [1, N] and search them: (status, the verified
-    certificate or None, nodes)."""
-    status, masks, nodes = _search(inst.r, _tables(N, inst.k), threads, max_nodes, deadline)
+    """Build the kernel's tables for [1, N] and search them: (status, the
+    verified certificate or None, nodes)."""
+    kernel = _native.Kernel(N, inst.r, inst.k)
+    status, colors, nodes = _search(kernel, threads, max_nodes, deadline)
     if status != "SAT":
         return SearchStatus(status), None, nodes
-    certificate = _masks_to_coloring(masks, N, inst.r)
+    certificate = Coloring(N=N, r=inst.r, colors=colors)
     if not verify_certificate(certificate, inst.k):
         raise IntegrityError("search produced a certificate that fails verification")
     return SearchStatus.SAT, certificate, nodes
@@ -718,7 +428,8 @@ def decide_colorability(
     positions from the middle out (nearest (N + 1) / 2 first, ties left
     first), colors ascending in canonical order, forced positions
     propagated, mirror images pruned.  The tables are built for this call
-    alone and freed when it returns.
+    alone and freed when it returns.  KernelError if the C kernel cannot be
+    built.
     """
     require_int(N, 1, "N must be a positive integer")
     require_int(threads, 1, "threads must be a positive integer", ConfigError)

@@ -21,6 +21,20 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def search_kernel():
+    """Build the C search kernel once, before the first test, if it is not
+    cached: a cold build takes gcc about 0.3 s, which would otherwise land
+    in whichever timed search runs first.  Without gcc each search test
+    fails on its own KernelError."""
+    from waerden import KernelError, _native
+
+    try:
+        _native.library()
+    except KernelError:
+        pass
+
+
 @pytest.fixture(autouse=True)
 def no_process_left_running():
     """Fail a test that leaves a child process running, such as a pool

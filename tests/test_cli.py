@@ -685,10 +685,10 @@ class TestConfigAndUsage:
     def test_out_of_memory_exits_one(self, capsys, monkeypatch):
         # the k = 3 tables of this N would take far more memory than there
         # is; the mock raises as their build does, and allocates nothing
-        def out_of_memory(N, k):
+        def out_of_memory(N, r, k):
             raise MemoryError
 
-        monkeypatch.setattr(waerden.search, "_tables", out_of_memory)
+        monkeypatch.setattr(waerden._native, "Kernel", out_of_memory)
         argv = ("search", "--r", "2", "--k", "3", "--n-max", "99999999999", "--max-nodes", "1")
         assert run(capsys, *argv) == (1, "", "error: out of memory\n")
 

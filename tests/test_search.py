@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import oracles
 import waerden
-from waerden import search
+from waerden import _native, search
 from waerden import (
     Budget,
     BudgetExhausted,
@@ -149,8 +149,8 @@ class TestDecideColorability:
 
     @pytest.mark.extended
     def test_monotone_unsat_w43(self):
-        # the proof at N=76 does not yet finish in 600 s (see README); this
-        # records the outcome and its node count rather than being skipped
+        # each proof takes about 40 s at 2 workers (see README); a miss
+        # reports its node count and time
         budget = Budget(max_nodes=10**10, max_seconds=600)
         for n in (76, 77):
             outcome = decide_colorability(n, VdwInstance(4, 3), budget, threads=2)
@@ -217,8 +217,9 @@ class TestDecideColorability:
     def test_honours_wall_time_budget(self, threads):
         # the (4,3) proof at N=76 runs far past 0.2 s; the clock is read
         # every _POLL_NODES nodes, by the serial pass and by every pool job,
-        # so the search stops on time long before its node budget
-        max_nodes = 2_000_000
+        # so the search stops on time long before its node budget, which two
+        # workers would take about 6 s to spend
+        max_nodes = 100_000_000
         started = time.monotonic()
         out = decide_colorability(
             76, VdwInstance(4, 3), Budget(max_nodes=max_nodes, max_seconds=0.2), threads=threads
@@ -271,9 +272,18 @@ class TestDecideColorability:
 
 
 def _unpruned():
-    """The kernel with the reversal prune switched off: every node's pairs
-    read as smaller than its mirror image's, so no subtree is cut."""
-    return mock.patch.object(search, "_mirror_check", lambda cm, un, N, tie: None)
+    """The tree oracle with the reversal prune switched off: every node's
+    pairs read as smaller than its mirror image's, so no subtree is cut.
+    The C kernel has no such switch."""
+    return mock.patch.object(oracles, "_mirror_check", lambda cm, un, N, tie: None)
+
+
+def _c_tree(n, r, k, max_nodes=10**18):
+    """The C kernel's search of [1, n] at one worker, as the oracle's tree
+    reports it: (status, assignments, branches made, colors or None)."""
+    kernel = _native.Kernel(n, r, k)
+    status, colors, nodes = search._run_tree(kernel, [kernel.root()], max_nodes, math.inf)
+    return status, nodes, kernel.decisions, colors
 
 
 # the nodes and branches the reversal prune leaves of the pinned trees it
@@ -294,15 +304,17 @@ _REVERSAL = {(2, 4, 35): (708, 161), (2, 4, 34): (610, 153), (3, 3, 27): (1_766,
 )
 def test_one_worker_node_counts(r, k, n, status, nodes):
     """The search tree of each kernel path is pinned, so a kernel change
-    that walks a different tree shows up here.  `nodes` is the tree with
-    the reversal prune switched off, so a change to the rest of the kernel
-    shows up apart from a change to the prune; _REVERSAL holds what the
-    prune leaves of it."""
+    that walks a different tree shows up here.  `nodes` is the oracle's tree
+    with the reversal prune switched off, so a change to the rest of the
+    kernel shows up apart from a change to the prune; _REVERSAL holds what
+    the prune leaves of it, which the C kernel must walk too."""
     pruned = _REVERSAL.get((r, k, n), (nodes,))[0]
     for switch, want in ((_unpruned, nodes), (contextlib.nullcontext, pruned)):
         with switch():
-            out = decide_colorability(n, VdwInstance(r, k))
-        assert (out.status, out.stats.nodes) == (status, want)
+            got = oracles.tree(n, r, k)
+        assert (got[0], got[1]) == (status.value, want)
+    out = decide_colorability(n, VdwInstance(r, k))
+    assert (out.status, out.stats.nodes) == (status, pruned)
 
 
 @pytest.mark.parametrize(
@@ -318,17 +330,23 @@ def test_one_worker_node_counts(r, k, n, status, nodes):
 )
 def test_one_worker_trees(r, k, n, status, decisions, certificate):
     """The tree itself is pinned, not only its size: the branches made (calls
-    of _assign_prop) and the SHA-256 of the certificate's colors.  Node
-    counts may move when a failing branch's forced assignments are made in
-    another order; these may not.  `decisions` counts the tree with the
-    reversal prune switched off, and _REVERSAL what the prune leaves of it;
-    the certificate is the same either way."""
+    of the oracle's _assign_prop) and the SHA-256 of the certificate's
+    colors.  Node counts may move when a failing branch's forced assignments
+    are made in another order; these may not.  `decisions` counts the
+    oracle's tree with the reversal prune switched off, and _REVERSAL what
+    the prune leaves of it, which the C kernel must make too; the
+    certificate is the same either way."""
     pruned = _REVERSAL.get((r, k, n), (None, decisions))[1]
     for switch, want in ((_unpruned, decisions), (contextlib.nullcontext, pruned)):
-        with switch(), mock.patch.object(search, "_assign_prop", wraps=search._assign_prop) as prop:
-            out = decide_colorability(n, VdwInstance(r, k))
-        digest = out.certificate and hashlib.sha256(bytes(out.certificate.colors)).hexdigest()
-        assert (out.status, prop.call_count, digest) == (status, want, certificate)
+        with switch(), mock.patch.object(oracles, "_assign_prop", wraps=oracles._assign_prop) as prop:
+            got, _, branches, colors = oracles.tree(n, r, k)
+        digest = colors and hashlib.sha256(bytes(colors)).hexdigest()
+        assert (got, prop.call_count, branches, digest) == (status.value, want, want, certificate)
+    got, _, branches, colors = _c_tree(n, r, k)
+    out = decide_colorability(n, VdwInstance(r, k))
+    digest = out.certificate and hashlib.sha256(bytes(out.certificate.colors)).hexdigest()
+    assert (got, branches, colors and hashlib.sha256(bytes(colors)).hexdigest()) == (status.value, pruned, certificate)
+    assert (out.status, digest) == (status, certificate)
 
 
 @pytest.mark.parametrize(
@@ -371,16 +389,16 @@ class TestMiddleOutOrder:
         assume(un)
         order = sorted(range(1, n + 1), key=lambda p: (abs(2 * p - n - 1), p))
         want = next(p for p in order if un >> p & 1)
-        assert search._branch_position(un, n) == want
+        assert oracles._branch_position(un, n) == want
 
 
 class TestApIndex:
-    """The k > 3 kernel reads every AP from _ap_index, built by shifts."""
+    """The oracle's k > 3 kernel reads every AP from _ap_index, built by shifts."""
 
     @pytest.mark.parametrize("k", range(3, 8))
     def test_matches_the_naive_aps(self, k):
         for n in range(1, 61):  # n < k included: no AP at all
-            through, members, levels = search._ap_index(n, k)
+            through, members, levels = oracles._ap_index(n, k)
             aps = sorted(oracles.naive_all_aps(n, k), key=lambda ap: (ap[1] - ap[0], ap[0]))
             assert members == tuple(sum(1 << p for p in ap) for ap in aps), n
             assert len(through) == n + 1 and through[0] == 0, n
@@ -407,14 +425,14 @@ def _class_and_outsider(n, data):
 
 
 class TestShiftRule:
-    """For k = 3 a class mask carries shifted copies of the class above bit
-    N, and the threats of assigning q are three right shifts of it."""
+    """For k = 3 an oracle class mask carries shifted copies of the class
+    above bit N, and the threats of assigning q are three right shifts of it."""
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 64), data=st.data())
     def test_shifts_give_the_third_members(self, n, data):
         q, members = _class_and_outsider(n, data)
-        table = search._shift_table(n)
+        table = oracles._shift_table(n)
         cm = 0
         for v in members:
             cm |= table[v][0]
@@ -431,20 +449,20 @@ class TestShiftRule:
         # kernel makes one assignment and takes color 0 from the allowed
         # mask at exactly the free third members
         q, members = _class_and_outsider(n, data)
-        table = search._shift_table(n)
+        table = oracles._shift_table(n)
         cm = [0, 0, 0]
         for v in members:
             cm[0] |= table[v][0]
         un = (((1 << n) - 1) << 1) & ~sum(1 << v for v in members)
         al = [un] * 3
-        ok, left, made = search._assign_prop(cm, al, [], un, q, 0, None, table)
+        ok, left, made = oracles._assign_prop(cm, al, [], un, q, 0, None, table)
         free = _third_members(n, members, q) - members
         assert (ok, made, left) == (True, 1, un & ~(1 << q))
         assert al == [un ^ sum(1 << t for t in free), un, un]
 
 
 class TestAllowedMasks:
-    """After every assignment the kernel accepts, each unassigned position
+    """After every assignment the oracle's kernel accepts, each unassigned position
     allows exactly the colors that complete no monochromatic k-AP there, on
     both kernel paths (k = 3 shifts, k > 3 AP counters)."""
 
@@ -452,15 +470,15 @@ class TestAllowedMasks:
     # k = 6 is the first k with more unary levels (k - 2) than binary ones
     @given(n=st.integers(1, 30), r=st.integers(2, 4), k=st.integers(3, 6), data=st.data())
     def test_allowed_iff_no_ap_is_completed(self, n, r, k, data):
-        _, aps, shifts = tables = search._tables(n, k)
-        _, _, (cm, al, cnt, un, _, _) = search._root(r, tables)
+        _, aps, shifts = tables = oracles._tables(n, k)
+        _, _, (cm, al, cnt, un, _, _) = oracles._root(r, tables)
         cm, al, cnt = list(cm), list(al), list(cnt)
         every = sorted(oracles.naive_all_aps(n, k), key=lambda ap: (ap[1] - ap[0], ap[0]))
         through = {p: [ap for ap in every if p in ap] for p in range(1, n + 1)}
         while un:
             p = data.draw(st.sampled_from([p for p in range(1, n + 1) if un >> p & 1]))
             c = data.draw(st.integers(0, r - 1))
-            ok, un, _ = search._assign_prop(cm, al, cnt, un, p, c, aps, shifts)
+            ok, un, _ = oracles._assign_prop(cm, al, cnt, un, p, c, aps, shifts)
             if not ok:
                 break
             if shifts is None:
@@ -493,8 +511,8 @@ class TestAllowedMasks:
         # classes it leaves hold an unassigned position where every color
         # completes a monochromatic k-AP, and never assigns one itself
         rng = random.Random(seed)
-        _, aps, shifts = tables = search._tables(n, k)
-        _, _, (cm, al, cnt, un, _, _) = search._root(r, tables)
+        _, aps, shifts = tables = oracles._tables(n, k)
+        _, _, (cm, al, cnt, un, _, _) = oracles._root(r, tables)
         cm, al, cnt = list(cm), list(al), list(cnt)
         every = oracles.naive_all_aps(n, k)
         through = {p: [ap for ap in every if p in ap] for p in range(1, n + 1)}
@@ -517,7 +535,7 @@ class TestAllowedMasks:
             assert all(free.values())  # an accepted assignment leaves no dead position
             p = rng.choice(sorted(free))
             c = rng.choice(free[p])
-            ok, un, _ = search._assign_prop(cm, al, cnt, un, p, c, aps, shifts)
+            ok, un, _ = oracles._assign_prop(cm, al, cnt, un, p, c, aps, shifts)
         assert ok == all(free_colors().values())
 
 
@@ -536,7 +554,7 @@ class _ReadLog(tuple):
 
 
 class TestLiveApWalk:
-    """For k > 3 the kernel reads the members of an AP only when the AP can
+    """For k > 3 the oracle's kernel reads the members of an AP only when the AP can
     threaten: it holds k - 1 members of one color, none of another, and one
     unassigned member."""
 
@@ -551,15 +569,15 @@ class TestLiveApWalk:
         # from the root, assign random allowed colors at random positions, as
         # the search does, and check every AP read at the moment of its read
         rng = random.Random(seed)
-        _, (through, members, levels), _ = tables = search._tables(n, k)
-        _, _, (cm, al, cnt, un, _, _) = search._root(r, tables)
+        _, (through, members, levels), _ = tables = oracles._tables(n, k)
+        _, _, (cm, al, cnt, un, _, _) = oracles._root(r, tables)
         cm, al, cnt = list(cm), list(al), list(cnt)
         log = _ReadLog(members, cm)
         ok = True
         while ok and un:
             p = rng.choice([q for q in range(1, n + 1) if un >> q & 1])
             c = rng.choice([c2 for c2 in range(r) if al[c2] >> p & 1])
-            ok, un, _ = search._assign_prop(cm, al, cnt, un, p, c, (through, log, levels), None)
+            ok, un, _ = oracles._assign_prop(cm, al, cnt, un, p, c, (through, log, levels), None)
         for i, masks in log.reads:
             ap = members[i]
             held = [c2 for c2 in range(r) if ap & masks[c2]]
@@ -577,18 +595,18 @@ def _walk(n, r, k, picks):
     at r - 1, in descending order, sharing one state that making them leaves
     unchanged.  Returns the number of nodes whose highest color neither the
     branch made nor the node before held: one that forcing introduced."""
-    tables = search._tables(n, k)
+    tables = oracles._tables(n, k)
     aps = oracles.naive_all_aps(n, k)
-    branch = search._root(r, tables)
+    branch = oracles._root(r, tables)
     introduced, high = 0, -1
     for i in range(n + 1):  # each branch assigns a position
-        status, _, children = search._expand(r, tables, branch)
+        status, _, children = oracles._expand(r, tables, branch)
         if status != "branch":
             return introduced
         cm, un = children[0][2][0], children[0][2][3]
         colors = {p: c for c in range(r) for p in range(1, n + 1) if cm[c] >> p & 1}
         assert un == sum(1 << p for p in range(1, n + 1) if p not in colors)
-        q = search._branch_position(un, n)
+        q = oracles._branch_position(un, n)
         top = max(colors.values())
         allowed = [
             c for c in range(min(r - 1, top + 1), -1, -1)
@@ -600,7 +618,7 @@ def _walk(n, r, k, picks):
         # order must leave the state as it was made
         snapshot = copy.deepcopy(children[0][2])
         for child in reversed(children):
-            search._expand(r, tables, child)
+            oracles._expand(r, tables, child)
         assert children[0][2] == snapshot
         # a color not yet used is allowed at every unassigned position, so a
         # position is forced only once at most one color is unused: forcing
@@ -615,8 +633,8 @@ def _walk(n, r, k, picks):
 
 
 class TestExpand:
-    """_expand is the one node step: the search and the split make every
-    branch through it."""
+    """_expand is the oracle's one node step, and Kernel.expand the C
+    kernel's, through which the split makes every branch."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -634,26 +652,31 @@ class TestExpand:
 
     @pytest.mark.parametrize("r, k, n", [(2, 4, 35), (3, 3, 27), (3, 4, 100)])
     def test_no_search_writes_a_state(self, r, k, n):
-        # every state a whole search makes, at one worker and through the
-        # split and the jobs of a thread pool, is unchanged at its end
+        # every state the split makes, and every state the serial pass
+        # leaves to it, is unchanged at the end of a search whose jobs run
+        # on a thread pool: the jobs copy them into the C kernel's arrays
         states = []
-        expand = search._expand
+        expand, split = _native.Kernel.expand, search._split
 
-        def spy(*args):
-            out = expand(*args)
+        def spy(self, branch):
+            out = expand(self, branch)
             if out[0] == "branch":
                 states.append((out[2][0][2], copy.deepcopy(out[2][0][2])))
             return out
 
-        with mock.patch.object(search, "_expand", spy):
-            one = decide_colorability(n, VdwInstance(r, k))
-        with mock.patch.object(search, "_expand", spy), \
+        def split_spy(kernel, stack, *rest):
+            states.extend((branch[2], copy.deepcopy(branch[2])) for branch in stack)
+            return split(kernel, stack, *rest)
+
+        one = decide_colorability(n, VdwInstance(r, k))
+        with mock.patch.object(_native.Kernel, "expand", spy), \
+                mock.patch.object(search, "_split", split_spy), \
                 mock.patch.object(search, "ProcessPoolExecutor", _thread_pool([], [])), \
                 mock.patch.object(search, "_SERIAL_NODES", 50), \
                 mock.patch.object(search, "_POOL", None):
             two = decide_colorability(n, VdwInstance(r, k), threads=2)
-        assert one.status is two.status and len(states) > 80
-        assert all(state == snapshot for state, snapshot in states)
+        assert one.status is two.status and len(states) > 20
+        assert all(isinstance(state, bytes) and state == snapshot for state, snapshot in states)
 
 
 class TestCertificateSymmetry:
@@ -679,7 +702,7 @@ def _verdict(tie):
 
 
 class TestReversalPrune:
-    """The kernel prunes a node once its complete mirror pairs, read middle
+    """The oracle's kernel, and the C kernel that walks its trees, prune a node once its complete mirror pairs, read middle
     out and color-normalised, are larger than its mirror image's.  No tree
     of N <= 12 prunes, so brute force alone cannot catch a wrong predicate."""
 
@@ -711,14 +734,14 @@ class TestReversalPrune:
         cm = [sum(1 << p for p in x if x[p] == c and not un >> p & 1) for c in range(r)]
         # the first call sees the pairs before `cut` only, the second the rest
         before = un | sum(1 << p for p in x if n // 2 - min(p, n + 1 - p) >= cut)
-        tie = search._root(r, search._tables(n, 3))[2][5]
-        first = search._mirror_check(cm, before, n, tie)
+        tie = oracles._root(r, oracles._tables(n, 3))[2][5]
+        first = oracles._mirror_check(cm, before, n, tie)
         visible = {p: c for p, c in x.items() if not before >> p & 1}
         assert _verdict(first) == oracles.reversal_verdict(visible, n)
         assigned = {p: c for p, c in x.items() if not un >> p & 1}
         want = oracles.reversal_verdict(assigned, n)
         if isinstance(first, tuple):
-            assert _verdict(search._mirror_check(cm, un, n, first)) == want
+            assert _verdict(oracles._mirror_check(cm, un, n, first)) == want
         else:
             assert _verdict(first) == want  # a decided prefix stays decided
 
@@ -729,16 +752,19 @@ class TestReversalPrune:
         sat, _ = oracles.dpll_satisfiable(formula.clauses, formula.variable_count)
         want = SearchStatus.SAT if sat else SearchStatus.UNSAT
         verdicts = []
-        check = search._mirror_check
+        check = oracles._mirror_check
 
         def spy(*args):
             tie = check(*args)
             verdicts.append(_verdict(tie))
             return tie
 
-        with mock.patch.object(search, "_mirror_check", spy):
-            one = decide_colorability(n, inst)
-        assert one.status is want and "prune" in verdicts
+        with mock.patch.object(oracles, "_mirror_check", spy):
+            status, nodes, _, _ = oracles.tree(n, r, k)
+        assert status == want.value and "prune" in verdicts
+        # the C kernel prunes the same tree
+        one = decide_colorability(n, inst)
+        assert (one.status, one.stats.nodes) == (want, nodes)
         # a serial pass of 100 nodes leaves the rest of the tree to the pool
         with mock.patch.object(search, "_SERIAL_NODES", 100):
             two = decide_colorability(n, inst, threads=2)
@@ -795,16 +821,16 @@ class TestPoolPath:
         # from the root, and 1,766 nodes in all, so each budget leaves fewer
         # of them; at 1,500 the split makes the last branches itself
         n, r, k = 27, 3, 3
-        tables = search._tables(n, k)
+        kernel = _native.Kernel(n, r, k)
         deadline = time.monotonic() + 60
 
         def split(budget):
-            stack = [search._root(r, tables)]
+            stack = [kernel.root()]
             nodes = 0
             if budget:
-                status, _, nodes = search._run_tree(r, tables, stack, budget, deadline)
+                status, _, nodes = search._run_tree(kernel, stack, budget, deadline)
                 assert status == "TIMEOUT"
-            status, jobs, nodes = search._split(r, tables, stack, 20, nodes, 10**9)
+            status, jobs, nodes = search._split(kernel, stack, 20, nodes, 10**9)
             return status, stack, jobs, nodes
 
         status, _, jobs, _ = split(0)
@@ -815,7 +841,8 @@ class TestPoolPath:
         if status == "jobs":
             assert len(leaves) == 39 and 20 <= len(jobs) < 39
             # the node the pass stopped inside and the leaves after it, in
-            # depth-first order; a branch's state is its [2]
+            # depth-first order; a branch's state is its [2], bytes that
+            # compare equal for the same node
             assert [job[0][2] for job in jobs] == leaves[-len(jobs):]
             # the jobs partition the stack: the first job's branches are the
             # first made, and each job after it is the branches of one node,
@@ -824,7 +851,7 @@ class TestPoolPath:
             assert all(len({id(branch[2]) for branch in job}) == 1 for job in jobs[1:])
             # run to the end, the jobs make every branch not yet made, once
             for job in jobs:
-                status, _, made = search._run_tree(r, tables, job, 10**9, deadline)
+                status, _, made = search._run_tree(kernel, job, 10**9, deadline)
                 assert status == "UNSAT"
                 nodes += made
         else:
@@ -869,8 +896,8 @@ class TestPoolPath:
         sizes, jobs = [], []
         split = search._split
 
-        def split_at(r, tables, stack, target, *rest):
-            return split(r, tables, stack, cut or target, *rest)
+        def split_at(kernel, stack, target, *rest):
+            return split(kernel, stack, cut or target, *rest)
 
         with mock.patch.object(search, "ProcessPoolExecutor", _thread_pool(sizes, jobs)), \
                 mock.patch.object(search, "_split", split_at), \
@@ -987,8 +1014,8 @@ class TestPoolPath:
         assert sizes == [2] and len(jobs) == 28
 
     def test_pool_tables_are_linear_in_n(self):
-        # the k = 3 shift table holds a few ints per position, where the
-        # pair table it replaced held N * N of them
+        # a worker builds the kernel's tables itself, so the pool sends it
+        # (N, r, k) and the shared count
         captured = []
 
         def pool(*args, **kwargs):
@@ -998,17 +1025,17 @@ class TestPoolPath:
         with mock.patch.object(search, "ProcessPoolExecutor", pool):
             out = decide_colorability(76, VdwInstance(4, 3), Budget(max_nodes=20_000), threads=2)
         assert out.status is SearchStatus.TIMEOUT and len(captured) == 1
-        _, *shared = captured[0]  # the shared node count, then (r, tables)
+        _, *shared = captured[0]  # the shared node count, then (N, r, k)
         assert len(pickle.dumps(shared)) < 16 * 1024
 
     def test_spent_count_stops_a_job_before_its_first_assignment(self):
         # once a job answers, the parent spends the shared count, so a job
         # queued behind the answer returns without making a branch
-        tables = search._tables(8, 3)
-        stack = [search._root(2, tables)]
+        kernel = _native.Kernel(8, 2, 3)
+        stack = [kernel.root()]
         deadline = time.monotonic() + 60
-        spent = multiprocessing.Value("q", 100)
-        with mock.patch.object(search, "_POOL", (spent, 2, tables)):
+        spent = multiprocessing.RawValue("q", 100)
+        with mock.patch.object(search, "_POOL", (spent, kernel)):
             assert search._parallel_worker((stack, 100, deadline)) == ("TIMEOUT", None, 0)
             assert len(stack) == 1
             spent.value = 99  # one node left: the same job runs and finds (2,3) at N = 8 SAT
@@ -1069,7 +1096,7 @@ class TestComputeW:
 
     def test_spent_time_builds_no_tables(self):
         inst = VdwInstance(2, 4)
-        with mock.patch.object(search, "_tables", wraps=search._tables) as tables:
+        with mock.patch.object(_native, "Kernel", wraps=_native.Kernel) as tables:
             with pytest.raises(BudgetExhausted) as info:
                 compute_W(inst, Budget(max_seconds=1e-9))
         assert (info.value.lower_bound, info.value.nodes) == (inst.k, 0)
