@@ -20,13 +20,15 @@
  * a branch is popped every branch above it is gone and slot + 1 is free.
  *
  * Built as a shared library and called through ctypes; every function that
- * writes takes its buffers from the caller, and the tables are read only
- * once made, so calls on one kernel may run in parallel.
+ * writes takes its buffers from the caller, the tables are read only once
+ * made, and the counts that calls share are added to atomically, so calls
+ * on one kernel may run in parallel threads.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 typedef uint64_t word;
 
@@ -48,6 +50,7 @@ typedef struct {
     int32_t *w_at;
     word *w_bits;
     int32_t *ap_a, *ap_d; /* AP i is ap_a[i] + j * ap_d[i], j < k */
+    int64_t decisions;    /* the branches made, added to atomically */
 } kernel;
 
 /* the header: int32 fields, then xmap and mmap */
@@ -147,6 +150,8 @@ kernel *wd_new(int32_t N, int32_t r, int32_t k)
 }
 
 int64_t wd_state_words(const kernel *K) { return K->size; }
+
+int64_t wd_decisions(const kernel *K) { return __atomic_load_n(&K->decisions, __ATOMIC_RELAXED); }
 
 /* The unassigned position nearest (N + 1) / 2, ties left: the highest
  * unassigned bit of the left half or the lowest of the right half. */
@@ -440,13 +445,14 @@ static int expand(const kernel *K, const word *parent, int32_t p, int32_t c, wor
 
 /* One branch, for the caller's own walks: returns what expand returns, with
  * the coloring in colors on SAT. */
-int wd_expand(const kernel *K, const word *parent, int32_t p, int32_t c, word *child,
+int wd_expand(kernel *K, const word *parent, int32_t p, int32_t c, word *child,
               int32_t *out, int64_t *made, int32_t *colors)
 {
     scratch t;
     if (!scratch_new(K, &t))
         return NOMEM;
     *made = 0;
+    __atomic_add_fetch(&K->decisions, 1, __ATOMIC_RELAXED);
     const int status = expand(K, parent, p, c, child, out, made, &t);
     if (status == SAT)
         colors_of(K, child, colors);
@@ -454,17 +460,32 @@ int wd_expand(const kernel *K, const word *parent, int32_t p, int32_t c, word *c
     return status;
 }
 
+static double now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
 /* Backtrack depth first from a stack of *sp unmade branches, three int32s
  * each (position, color, slot), over `slots` states, for up to max_nodes
- * assignments.  The cap is checked before each branch, so a walk stopped
- * on it leaves the unmade branches in the stack for the next call.
- * Returns UNSAT when the stack runs out, SAT with the coloring in colors,
- * TIMEOUT on the cap, or GROW before a branch that needs a slot or stack
- * room past `slots` or `cap` entries.  counts[0] gets the assignments made
- * and counts[1] the branches. */
-int wd_walk(const kernel *K, int32_t *stack, int64_t *sp, int64_t cap, word *states, int64_t slots,
-            int64_t max_nodes, int64_t *counts, int32_t *colors)
+ * assignments, checked before each branch, so a stopped walk leaves the
+ * unmade branches in the stack for the next call.  *spent is the node
+ * count the walks of one search share.  The walk stops before its first
+ * branch if *spent has reached budget or `seconds` is not positive, and
+ * every `poll` nodes it adds its new nodes to *spent and stops if that
+ * reaches budget or `seconds` have passed.  Returns UNSAT when the stack
+ * runs out, SAT with the coloring in colors, TIMEOUT on a limit, or GROW
+ * before a branch that needs a slot or stack room past `slots` or `cap`
+ * entries.  *made gets the assignments made, all of them added to *spent,
+ * and the branches are added to the kernel's decisions. */
+int wd_walk(kernel *K, int32_t *stack, int64_t *sp, int64_t cap, word *states, int64_t slots,
+            int64_t max_nodes, int64_t *spent, int64_t budget, int64_t poll, double seconds,
+            int64_t *made, int32_t *colors)
 {
+    *made = 0;
+    if (seconds <= 0 || __atomic_load_n(spent, __ATOMIC_RELAXED) >= budget)
+        return TIMEOUT;
     scratch t;
     if (!scratch_new(K, &t))
         return NOMEM;
@@ -473,12 +494,21 @@ int wd_walk(const kernel *K, int32_t *stack, int64_t *sp, int64_t cap, word *sta
         scratch_free(&t);
         return NOMEM;
     }
-    int64_t nodes = 0, branches = 0;
+    const double stop = now() + seconds;
+    int64_t nodes = 0, charged = 0, branches = 0;
     int status = UNSAT;
     while (*sp > 0) {
         if (nodes >= max_nodes) {
             status = TIMEOUT;
             break;
+        }
+        if (nodes - charged >= poll) {
+            const int64_t total = __atomic_add_fetch(spent, nodes - charged, __ATOMIC_RELAXED);
+            charged = nodes;
+            if (total >= budget || now() >= stop) {
+                status = TIMEOUT;
+                break;
+            }
         }
         const int32_t *e = stack + 3 * (*sp - 1);
         const int32_t p = e[0], c = e[1], slot = e[2];
@@ -501,16 +531,10 @@ int wd_walk(const kernel *K, int32_t *stack, int64_t *sp, int64_t cap, word *sta
                 f[0] = out[0], f[1] = out[2 + n], f[2] = slot + 1;
             }
     }
-    counts[0] = nodes, counts[1] = branches;
+    __atomic_add_fetch(spent, nodes - charged, __ATOMIC_RELAXED);
+    __atomic_add_fetch(&K->decisions, branches, __ATOMIC_RELAXED);
+    *made = nodes;
     free(out);
     scratch_free(&t);
     return status;
-}
-
-/* Add made to the node count that the jobs of a pool share, in memory that
- * every process maps, and return the new count.  An atomic add takes no
- * lock, so an interrupt cannot leave one held. */
-int64_t wd_charge(int64_t *count, int64_t made)
-{
-    return __atomic_add_fetch(count, made, __ATOMIC_RELAXED);
 }

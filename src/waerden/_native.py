@@ -14,8 +14,11 @@ Kernel binds the library to the tables of one (N, r, k).  A branch is a
 tuple (position, color, state), the state being the bytes of the node the
 branch leaves, shared by its siblings; the layout of a state is described
 in _kernel.c, and its first four bytes are its depth.  Walk packs a stack
-of such branches into C arrays, walks it depth first in runs, and unpacks
-what is left.
+of such branches into C arrays, walks it depth first, and unpacks what is
+left when asked.  A ctypes call releases the GIL, and the kernel's tables
+are read only once made, so walks of one Kernel may run in parallel
+threads: each has its own arrays, and the node count they share and the
+kernel's decision count are added to atomically in C.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import ctypes
 import hashlib
 import os
 import struct
+import time
 
 from .errors import KernelError
 
@@ -87,12 +91,12 @@ def _bind(lib):
         ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int32, ctypes.c_int32, _word_p,
         _int32_p, _int64_p, _int32_p,
     ]
-    lib.wd_charge.restype = ctypes.c_int64
-    lib.wd_charge.argtypes = [_int64_p, ctypes.c_int64]
+    lib.wd_decisions.restype = ctypes.c_int64
+    lib.wd_decisions.argtypes = [ctypes.c_void_p]
     lib.wd_walk.restype = ctypes.c_int
     lib.wd_walk.argtypes = [
         ctypes.c_void_p, _int32_p, _int64_p, ctypes.c_int64, _word_p, ctypes.c_int64,
-        ctypes.c_int64, _int64_p, _int32_p,
+        ctypes.c_int64, _int64_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, _int64_p, _int32_p,
     ]
     return lib
 
@@ -144,23 +148,13 @@ def library():
     return _LIB
 
 
-def charge(count, made: int) -> int:
-    """Add `made` to a shared count, a c_int64 in memory that processes
-    share (multiprocessing.RawValue("q")), by one atomic add; returns the
-    new count."""
-    return library().wd_charge(ctypes.byref(count), made)
-
-
 def depth(state: bytes) -> int:
     """The depth of the node a state belongs to; the root's is 0."""
     return int.from_bytes(state[:4], "little")
 
 
 class Kernel:
-    """The kernel's tables for [1, N], r colors and k-APs, freed with it.
-
-    `decisions` counts the branches its walks have made, the calls of
-    _assign_prop in the Python kernel the C one was written from."""
+    """The kernel's tables for [1, N], r colors and k-APs, freed with it."""
 
     def __init__(self, N: int, r: int, k: int):
         self._ctx = None
@@ -175,12 +169,16 @@ class Kernel:
         if not self._ctx:
             raise MemoryError(f"the search tables of N={N}, r={r}, k={k} do not fit in memory")
         self.words = lib.wd_state_words(self._ctx)
-        self.decisions = 0
 
     def __del__(self):
         if self._ctx:
             self._lib.wd_free(self._ctx)
             self._ctx = None
+
+    @property
+    def decisions(self) -> int:
+        """The branches made on it, as many as the oracle's _assign_prop calls."""
+        return self._lib.wd_decisions(self._ctx)
 
     def root(self):
         """The root branch: color 0, the first in canonical order, at the middle."""
@@ -215,10 +213,13 @@ class Walk:
     """A stack of branches packed for wd_walk: three int32s per branch
     (position, color, slot) and one state per slot.  The states are
     numbered in stack order from the bottom, siblings sharing theirs, so a
-    branch's child always goes to the slot after its own."""
+    branch's child always goes to the slot after its own.  `spent` is the
+    node count, a ctypes.c_int64, that the walks of one search share; a walk
+    given none counts alone."""
 
-    def __init__(self, kernel: Kernel, stack):
+    def __init__(self, kernel: Kernel, stack, spent=None):
         self.kernel = kernel
+        self.spent = ctypes.c_int64() if spent is None else spent
         states, entries = [], []
         for p, c, state in stack:
             if not states or states[-1] is not state:
@@ -232,7 +233,7 @@ class Walk:
         size = 8 * kernel.words
         for slot, state in enumerate(states):
             ctypes.memmove(ctypes.addressof(self.states) + slot * size, state, size)
-        self.counts = (ctypes.c_int64 * 2)()
+        self.made = ctypes.c_int64()
         self.colors = (ctypes.c_int32 * kernel.N)()
 
     def _grow(self) -> None:
@@ -246,18 +247,18 @@ class Walk:
         ctypes.memmove(stack, self.stack, ctypes.sizeof(self.stack))
         self.states, self.stack = states, stack
 
-    def walk(self, max_nodes: int):
-        """Walk for up to max_nodes assignments: (status, colors or None,
-        nodes), status being "SAT", "UNSAT" (the stack ran out) or
-        "TIMEOUT"; colors are those of positions 1..N."""
+    def walk(self, max_nodes: int, budget: int, poll: int, deadline: float):
+        """wd_walk, given the seconds left to the time.monotonic() deadline:
+        (status, colors of positions 1..N or None, nodes), status being
+        "SAT", "UNSAT" (the stack ran out) or "TIMEOUT"."""
         kernel, nodes = self.kernel, 0
         while True:
             status = kernel._lib.wd_walk(
                 kernel._ctx, self.stack, ctypes.byref(self.sp), self.cap, self.states, self.slots,
-                max_nodes - nodes, self.counts, self.colors,
+                max_nodes - nodes, ctypes.byref(self.spent), budget, poll,
+                deadline - time.monotonic(), ctypes.byref(self.made), self.colors,
             )
-            nodes += self.counts[0]
-            kernel.decisions += self.counts[1]
+            nodes += self.made.value
             if status == _NOMEM:
                 raise MemoryError("the search kernel ran out of memory")
             if status != _GROW:

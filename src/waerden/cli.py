@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 domain/config error (including invalid
 certificates, malformed certificate files, bad flag values, results too
-large to print, running out of memory, a search worker process that dies
-and a search kernel that gcc cannot build), 2 search timeout or unknown
-solver outcome, 3 registry integrity error, 64 usage error, which includes
-a flag that the command does not take, 130 interrupted (Ctrl-C), once
-every search worker and solver process has stopped.
+large to print, running out of memory and a search kernel that gcc cannot
+build), 2 search timeout or unknown solver outcome, 3 registry integrity
+error, 64 usage error, which includes a flag that the command does not
+take, 130 interrupted (Ctrl-C), once every search worker thread and solver
+process has stopped.
 Output on stdout is deterministic for identical inputs at one worker,
 except `stats.seconds` in the JSON of search and compute-w, the one field
 that varies; with more workers a certificate, and the node count of a SAT
@@ -16,7 +16,7 @@ go to stderr.
 Settings are flags, and each command takes only those it reads: --format
 text|json on every command (table-a also csv|markdown), --precision on
 delta (default 6, the precision of `numerics.delta`), --threads (search
-worker processes, default 1), --max-nodes and --max-seconds (the
+worker threads, default 1), --max-nodes and --max-seconds (the
 `search.Budget()` limits, 10^9 nodes / 600 s) on search and compute-w,
 and --max-seconds alone on cnf, as the time limit of --solver.  search
 and compute-w take any instance and stop on their answer or their budget,
@@ -33,7 +33,6 @@ import json
 import math
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import bounds, cnf, numerics, registry, search
@@ -66,7 +65,7 @@ def build_parser() -> _Parser:
         "--max-seconds", type=float, default=search.Budget.max_seconds, help="wall-time limit; inf is none"
     )
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--threads", type=int, default=1, help="worker processes for search")
+    budget.add_argument("--threads", type=int, default=1, help="worker threads for search")
     budget.add_argument("--max-nodes", type=int, default=search.Budget.max_nodes, help="search node budget")
     parser = _Parser(prog="waerden", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -350,10 +349,6 @@ def main(argv=None) -> int:
     except MemoryError:
         # e.g. the search tables of a huge --n-max, whose size grows with N^2
         print("error: out of memory", file=sys.stderr)
-        return 1
-    except BrokenProcessPool as exc:
-        # a --threads worker killed from outside, e.g. by the OOM killer
-        print(f"error: a search worker process died: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

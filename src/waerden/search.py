@@ -67,23 +67,24 @@ its last member.  For k = 3 a class member v and a new member q threaten
 The search state is one stack of unmade branches.  A branch is (position,
 color, state), the state being the bytes of the node the branch leaves,
 shared by its siblings and never written once made.  _run_tree walks a
-stack in C, in runs of _POLL_NODES nodes, and leaves the unmade branches
-in it; Kernel.expand makes one branch, and the prefix split is a loop over
-it.  The C walk copies each state into a slot before it assigns, one
-state per depth, so no state it was given is written.
+stack packed into C arrays (_native.Walk), which is left holding the
+unmade branches; Kernel.expand makes one branch, and the prefix split is a
+loop over it.  The C walk copies each state into a slot before it assigns,
+one state per depth, so no state it was given is written.
 With more than one worker (threads, capped at the CPU count) a search
 first runs serially for up to _SERIAL_NODES nodes, so a small tree is
 decided as at one worker, without a pool; with one, as on one CPU, it
-stays serial.  A larger tree goes to a process pool of multiprocessing's
-default context: the
-shallowest branches the serial pass left are made level by level, each
-node's branches become one job, and the pass's path goes out with the top
-node's, so no assignment is made twice and an UNSAT proof counts the same
-nodes at any worker count.  SAT short-circuits the
-rest: it spends the shared node count, so every job stops after its
-current run of _POLL_NODES nodes, and cancels the jobs not yet started; a
-job's error and an interrupt (KeyboardInterrupt) take the same path
-before they are re-raised.  UNSAT requires every job to be exhausted.  The
+stays serial.  A larger tree goes to a pool of threads that walk the one
+Kernel, as a ctypes call releases the GIL: the branches the serial pass
+left are unpacked, the shallowest are made level by level, each node's
+branches become one job, and the pass's path goes out with the top node's,
+so no assignment is made twice and an UNSAT proof counts the same nodes
+and decisions at any worker count.  The walks of a search charge one node
+count in C.  SAT short-circuits the rest: it spends that count, so every
+job stops within _POLL_NODES + N nodes, and cancels the jobs not yet
+started; a job's error and an interrupt (KeyboardInterrupt, which the
+calling thread takes while it waits on the jobs) take the same path before
+they are re-raised.  UNSAT requires every job to be exhausted.  The
 SAT/UNSAT answer is identical across worker counts; certificates may
 differ but always verify.
 
@@ -101,10 +102,9 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count, groupby
@@ -120,12 +120,15 @@ from .errors import (
     require_int,
 )
 
-# _run_tree walks in runs of _POLL_NODES nodes; after each run it reads the
-# clock, and a pool job also adds the run to the shared node count and reads
-# it, so a search stops within _POLL_NODES + N nodes of its deadline or of a
-# decision elsewhere (the parent spends the count when a job answers or
-# fails, or on an interrupt)
+# every _POLL_NODES nodes the C walk adds what it has made to the shared
+# node count, reads it and reads its clock, so a search stops within
+# _POLL_NODES + N nodes of its deadline or of a decision elsewhere (the
+# caller spends the count when a job answers or fails, or on an interrupt)
 _POLL_NODES = 256
+
+# the longest a C walk runs before it returns to Python, where the main
+# thread takes a KeyboardInterrupt
+_RUN_SECONDS = 0.05
 
 
 class SearchStatus(Enum):
@@ -140,17 +143,17 @@ class Budget(Record):
 
     The node budget is checked before each branch, so one worker stops
     within one branch (at most N assignments) of max_nodes; a branch that
-    decides the tree reports its answer.  Every worker reads the clock
-    every _POLL_NODES (256) nodes, so it makes at most 256 + N assignments
-    after max_seconds has passed, counted from the end of the table build:
-    the clock starts before the build, which cannot be stopped.  With
-    max_seconds=0.01 on 2 cores, at 1 or 2 workers, (2,6) at N = 1132
-    returned after 0.011-0.030 s and (2,7) at N = 2000 after 0.08-0.12 s,
-    most of it copying the k - 2 AP levels of each state, 417 KB there, and
-    the 8 ms and 32 ms the kernel's tables took.  A multi-worker search resumes
-    the serial pass on the pool, and each running job charges the shared
-    count every 256 nodes, so it can run up to threads * (256 + N)
-    assignments past max_nodes before every worker sees the budget spent.
+    decides the tree reports its answer.  Every walk reads its clock in C
+    when it starts and every _POLL_NODES (256) nodes, so a worker makes at
+    most 256 + N assignments after max_seconds has passed.  The clock starts
+    before the table build, which cannot be stopped, and a walk that starts
+    past the deadline makes none.  With max_seconds=0.01 on 2 cores, at 1 or
+    2 workers, (2,6) at N = 1132 returned after 0.011-0.015 s and (2,7) at
+    N = 2000 after 0.014-0.026 s, with no node made: its tables took 16-19
+    ms.  A multi-worker search resumes the serial pass on the pool, and each
+    running job charges the shared count every 256 nodes, so it can run up
+    to threads * (256 + N) assignments past max_nodes before every worker
+    sees the budget spent.
     The power-residue scan that compute_W runs first is charged to
     max_seconds, not to max_nodes: it uses no nodes, reads the clock before
     each prime and so stops at most one prime's work past the deadline.  On
@@ -266,33 +269,23 @@ def verify_certificate(coloring: Coloring, k: int) -> bool:
     return find_mono_ap(coloring, k) is None
 
 
-def _run_tree(kernel, stack, max_nodes, deadline, spent=None):
-    """Walk the stack depth first, in runs of _POLL_NODES nodes, until it is
-    decided, max_nodes nodes are made or the deadline, read after each run,
-    passes.  A pool job passes the shared node count `spent`, a
-    multiprocessing.RawValue: each run is added to it, and the job stops
-    once it reaches max_nodes, also before its first run.  The count takes
-    no lock: a job adds to it with one atomic add in C (_native.charge), so
-    an interrupt can leave no lock held that the other jobs and the parent
-    would wait on forever.  The stack, a list of branches, is left holding
-    exactly the branches not yet made.  Returns (status, colors_or_None,
-    nodes) with status in {"SAT", "UNSAT", "TIMEOUT"}; UNSAT means the stack
-    ran out."""
-    walk = _native.Walk(kernel, stack)
+def _run_tree(walk, max_nodes, deadline):
+    """Walk a packed stack (_native.Walk) until it is decided, max_nodes
+    nodes are made, the node count the search's walks share reaches
+    max_nodes or the deadline passes; the limits are tested in C.  The C
+    walk returns every _RUN_SECONDS, so the calling thread can take an
+    interrupt, and leaves the walk holding the branches not yet made.
+    Returns (status, colors_or_None, nodes) with status in {"SAT", "UNSAT",
+    "TIMEOUT"}; UNSAT means the stack ran out."""
     nodes = 0
-    try:
-        while spent is None or spent.value < max_nodes:
-            status, colors, made = walk.walk(min(_POLL_NODES, max_nodes - nodes))
-            nodes += made
-            if spent is not None:
-                _native.charge(spent, made)
-            if status != "TIMEOUT":
-                return status, colors, nodes
-            if nodes >= max_nodes or time.monotonic() >= deadline:
-                break
-        return "TIMEOUT", None, nodes
-    finally:
-        stack[:] = walk.branches()
+    while True:
+        pause = min(deadline, time.monotonic() + _RUN_SECONDS)
+        status, colors, made = walk.walk(max_nodes - nodes, max_nodes, _POLL_NODES, pause)
+        nodes += made
+        # only a walk that stopped at its pause goes on
+        spent = max(nodes, walk.spent.value) >= max_nodes
+        if status != "TIMEOUT" or spent or time.monotonic() >= deadline:
+            return status, colors, nodes
 
 
 def _split(kernel, stack, target, nodes, max_nodes):
@@ -334,59 +327,45 @@ def _split(kernel, stack, target, nodes, max_nodes):
 # desk-tier proof fits (the largest, (3,3) at N = 27, takes 1,766)
 _SERIAL_NODES = 4096
 
-# what every job of a worker shares: (spent, kernel)
-_POOL = None
-
-
-def _parallel_init(spent, N, r, k):
-    global _POOL
-    _POOL = spent, _native.Kernel(N, r, k)
-
-
-def _parallel_worker(args):
-    # deadline is absolute CLOCK_MONOTONIC time, which every process shares
-    stack, max_nodes, deadline = args
-    spent, kernel = _POOL
-    return _run_tree(kernel, stack, max_nodes, deadline, spent)
-
 
 def _search(kernel, threads, max_nodes, deadline):
     """Search serially, for up to _SERIAL_NODES nodes when more than one
     worker can run (threads capped at the CPU count), then fan the branches
-    the serial pass left out over a process pool of that many workers, each
-    of which builds the kernel's tables once, at start-up; SAT
-    short-circuits, UNSAT needs every job exhausted.  However the pool loop
-    ends, by an answer, a job's error or an interrupt, it spends the shared
-    count and cancels the queued jobs on the way out, so no job runs on."""
+    the serial pass left out over a pool of that many threads, whose jobs
+    walk the one kernel; SAT short-circuits, UNSAT needs every job
+    exhausted.  However the pool loop ends, by an answer, a job's error or
+    an interrupt, it spends the shared count and cancels the queued jobs on
+    the way out, so no job runs on."""
     workers = min(threads, os.cpu_count() or 1)
-    stack = [kernel.root()]
+    # the shared count is a signed 64-bit int, and jobs charge past the
+    # budget before they stop; no search nears 2**62 nodes
+    max_nodes = min(max_nodes, 2**62)
+    walk = _native.Walk(kernel, [kernel.root()])
     serial_budget = min(max_nodes, _SERIAL_NODES) if workers > 1 else max_nodes
-    status, colors, nodes = _run_tree(kernel, stack, serial_budget, deadline)
+    status, colors, nodes = _run_tree(walk, serial_budget, deadline)
     # decided, out of time, or out of the caller's nodes: no pool
     if status != "TIMEOUT" or nodes < serial_budget or nodes >= max_nodes:
         return status, colors, nodes
-    status, jobs, nodes = _split(kernel, stack, 8 * workers, nodes, max_nodes)
+    status, jobs, nodes = _split(kernel, walk.branches(), 8 * workers, nodes, max_nodes)
     if status != "jobs":
         return status, jobs, nodes
     if nodes >= max_nodes:
         return "TIMEOUT", None, nodes
-    # the shared count is a signed 64-bit int that wraps silently, and jobs
-    # charge past the budget before they stop; no search nears 2**62 nodes
-    max_nodes = min(max_nodes, 2**62)
-    spent = multiprocessing.RawValue("q", nodes)
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(jobs)),
-        initializer=_parallel_init,
-        initargs=(spent, kernel.N, kernel.r, kernel.k),
-    ) as pool:
+    spent = walk.spent
+    spent.value = nodes  # the split's nodes too
+
+    def job(stack):
+        return _run_tree(_native.Walk(kernel, stack, spent), max_nodes, deadline)
+
+    with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         try:
-            futures = [pool.submit(_parallel_worker, (job, max_nodes, deadline)) for job in jobs]
+            futures = [pool.submit(job, stack) for stack in jobs]
             for fut in as_completed(futures):
                 if fut.exception() is not None or fut.result()[0] in ("SAT", "TIMEOUT"):
                     break
         finally:
-            # a running job stops after its current run, one already sent
-            # to a worker returns at once, and the queued jobs never start
+            # a running job stops within _POLL_NODES + N nodes, one not yet
+            # started returns at once, and the queued jobs never start
             spent.value = max_nodes
             pool.shutdown(cancel_futures=True)
     # re-raises a job's error, now that no job runs on

@@ -1,4 +1,5 @@
 import multiprocessing
+import threading
 
 import pytest
 
@@ -37,12 +38,17 @@ def search_kernel():
 
 @pytest.fixture(autouse=True)
 def no_process_left_running():
-    """Fail a test that leaves a child process running, such as a pool
-    worker its search did not shut down; the children are stopped first, so
-    the next test starts with none."""
+    """Fail a test that leaves a child process or a thread running, such as
+    a pool worker its search did not shut down.  Child processes are stopped
+    and threads are given a few seconds to end first, so the next test
+    starts with neither."""
     yield
-    left = multiprocessing.active_children()
-    for child in left:
+    children = multiprocessing.active_children()
+    for child in children:
         child.terminate()
         child.join()
-    assert not left, f"the test left child processes running: {left}"
+    threads = [thread for thread in threading.enumerate() if thread is not threading.main_thread()]
+    for thread in threads:
+        thread.join(5)
+    assert not children, f"the test left child processes running: {children}"
+    assert not threads, f"the test left threads running: {threads}"

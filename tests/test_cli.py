@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import multiprocessing
 import os
 import re
 import shlex
@@ -46,14 +45,14 @@ def test_loads_rejects_non_finite_numbers():
 
 def test_imports_only_the_stdlib():
     # everything runs on the standard library: importing the package and its
-    # CLI loads no other top-level module but waerden itself and the alias
-    # multiprocessing gives the main module
+    # CLI loads no other top-level module but waerden itself, and no
+    # multiprocessing, as the search's pool runs threads
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import waerden, waerden.cli\n"
         "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
-        "print(*sorted(new - set(sys.stdlib_module_names) - {'waerden', '__mp_main__'}))\n"
+        "print(*sorted(new - set(sys.stdlib_module_names) - {'waerden'} | {'multiprocessing'} & new))\n"
     )
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -691,26 +690,6 @@ class TestConfigAndUsage:
         monkeypatch.setattr(waerden._native, "Kernel", out_of_memory)
         argv = ("search", "--r", "2", "--k", "3", "--n-max", "99999999999", "--max-nodes", "1")
         assert run(capsys, *argv) == (1, "", "error: out of memory\n")
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="a spawned worker imports the search module afresh and never sees the patch",
-    )
-    def test_dead_worker_exits_one(self, capsys, monkeypatch):
-        # the worker dies as one killed from outside would; the job is sent
-        # by reference to waerden.search._parallel_worker, which a forked
-        # worker resolves to this function
-        def _parallel_worker(args):
-            os._exit(9)
-
-        _parallel_worker.__module__ = "waerden.search"
-        _parallel_worker.__qualname__ = "_parallel_worker"
-        monkeypatch.setattr(waerden.search, "_parallel_worker", _parallel_worker)
-        # (4,3) at N = 76 outlasts the serial pass, so it reaches the pool
-        argv = ("search", "--r", "4", "--k", "3", "--n-max", "76", "--threads", "2")
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: a search worker process died: ") and err.count("\n") == 1
 
     def test_bad_env_threads(self, capsys, monkeypatch):
         # WAERDEN_THREADS is not read, not even by a command that takes --threads

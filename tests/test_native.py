@@ -20,7 +20,7 @@ def _c_tree(n, r, k, max_nodes=10**18):
     """The C kernel's search of [1, n] at one worker, as the oracle's tree
     reports it: (status, assignments, branches made, colors or None)."""
     kernel = _native.Kernel(n, r, k)
-    status, colors, nodes = search._run_tree(kernel, [kernel.root()], max_nodes, math.inf)
+    status, colors, nodes = search._run_tree(_native.Walk(kernel, [kernel.root()]), max_nodes, math.inf)
     return status, nodes, kernel.decisions, colors
 
 
@@ -57,7 +57,9 @@ class TestOracleTrees:
         kernel = _native.Kernel(61, 4, 3)
         stack, nodes = [kernel.root()], 0
         for _ in range(10):
-            status, colors, made = search._run_tree(kernel, stack, 5_000, math.inf)
+            walk = _native.Walk(kernel, stack)
+            status, colors, made = search._run_tree(walk, 5_000, math.inf)
+            stack = walk.branches()
             nodes += made
             if status != "TIMEOUT":
                 break

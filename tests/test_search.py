@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import ctypes
 import hashlib
 import math
-import multiprocessing
-import os
-import pickle
 import random
-import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from itertools import permutations, product
 from unittest import mock
@@ -176,8 +173,8 @@ class TestDecideColorability:
             (2, 3, 8), (2, 3, 9), (3, 3, 26), (3, 3, 27),
             (2, 4, 35), (3, 4, 12), (4, 3, 12),
             # trees that outgrow the serial first pass and run on the pool:
-            # 33,286 and 41,175 nodes (SAT) at one worker; the last sends
-            # AP counters to the workers
+            # 33,286 and 41,175 nodes (SAT) at one worker; the last hands
+            # AP counters to the jobs
             (4, 3, 61), (2, 6, 180),
         )
         for r, k, n in cases:
@@ -229,34 +226,6 @@ class TestDecideColorability:
         assert out.certificate is None and 0 < out.stats.nodes < max_nodes
         assert elapsed < 3, elapsed
 
-    def test_pool_runs_under_spawn(self, tmp_path):
-        # the pool uses multiprocessing's default context, so it must also
-        # work where that context spawns rather than forks
-        script = tmp_path / "spawn_search.py"
-        script.write_text(
-            "import multiprocessing\n"
-            "from waerden import VdwInstance, decide_colorability, search\n"
-            "\n"
-            "if __name__ == '__main__':\n"
-            "    multiprocessing.set_start_method('spawn')\n"
-            "    search._SERIAL_NODES = 1000\n"
-            "    out = decide_colorability(27, VdwInstance(3, 3), threads=2)\n"
-            "    print(out.status.value, out.stats.nodes)\n"
-        )
-        src = os.path.dirname(os.path.dirname(waerden.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, str(script)], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path}, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        # the tree outgrows the 1,000-node serial pass, and the pool resumes
-        # it without repeating an assignment, so the UNSAT proof counts the
-        # same 1,766 nodes as at one worker whatever the start method
-        one = decide_colorability(27, VdwInstance(3, 3))
-        assert (one.status, one.stats.nodes) == (SearchStatus.UNSAT, 1_766)
-        assert proc.stdout.split() == ["UNSAT", "1766"]
-
     def test_domain_and_config_errors(self):
         with pytest.raises(DomainError):
             decide_colorability(0, VdwInstance(2, 3))
@@ -282,7 +251,7 @@ def _c_tree(n, r, k, max_nodes=10**18):
     """The C kernel's search of [1, n] at one worker, as the oracle's tree
     reports it: (status, assignments, branches made, colors or None)."""
     kernel = _native.Kernel(n, r, k)
-    status, colors, nodes = search._run_tree(kernel, [kernel.root()], max_nodes, math.inf)
+    status, colors, nodes = search._run_tree(_native.Walk(kernel, [kernel.root()]), max_nodes, math.inf)
     return status, nodes, kernel.decisions, colors
 
 
@@ -654,7 +623,7 @@ class TestExpand:
     def test_no_search_writes_a_state(self, r, k, n):
         # every state the split makes, and every state the serial pass
         # leaves to it, is unchanged at the end of a search whose jobs run
-        # on a thread pool: the jobs copy them into the C kernel's arrays
+        # on the pool's threads: the jobs copy them into the C kernel's arrays
         states = []
         expand, split = _native.Kernel.expand, search._split
 
@@ -671,9 +640,7 @@ class TestExpand:
         one = decide_colorability(n, VdwInstance(r, k))
         with mock.patch.object(_native.Kernel, "expand", spy), \
                 mock.patch.object(search, "_split", split_spy), \
-                mock.patch.object(search, "ProcessPoolExecutor", _thread_pool([], [])), \
-                mock.patch.object(search, "_SERIAL_NODES", 50), \
-                mock.patch.object(search, "_POOL", None):
+                mock.patch.object(search, "_SERIAL_NODES", 50):
             two = decide_colorability(n, VdwInstance(r, k), threads=2)
         assert one.status is two.status and len(states) > 20
         assert all(isinstance(state, bytes) and state == snapshot for state, snapshot in states)
@@ -773,18 +740,26 @@ class TestReversalPrune:
             assert two.stats.nodes == one.stats.nodes
 
 
-def _thread_pool(sizes, jobs, threads=1):
-    """A fake process pool that records its size in `sizes` and each job's
-    arguments in `jobs`, and runs the jobs in order on `threads` threads."""
+def _thread_pool(sizes, jobs, threads=1, wrap=lambda job: job):
+    """A pool in place of the search's that records its size in `sizes` and
+    each job's stack in `jobs`, and runs the jobs, each passed through
+    `wrap`, in order on `threads` threads."""
 
-    def pool(max_workers, initializer, initargs):
+    def pool(max_workers):
         sizes.append(max_workers)
-        executor = ThreadPoolExecutor(threads, initializer=initializer, initargs=initargs)
+        executor = ThreadPoolExecutor(threads)
         submit = executor.submit
-        executor.submit = lambda fn, job_args: jobs.append(job_args) or submit(fn, job_args)
+        executor.submit = lambda job, stack: jobs.append(stack) or submit(wrap(job), stack)
         return executor
 
     return pool
+
+
+def _kernels():
+    """A patch of _native.Kernel that keeps every kernel built, and the list
+    it keeps them in."""
+    built, make = [], _native.Kernel
+    return built, mock.patch.object(_native, "Kernel", lambda *args: built.append(make(*args)) or built[-1])
 
 
 class TestPoolPath:
@@ -825,11 +800,12 @@ class TestPoolPath:
         deadline = time.monotonic() + 60
 
         def split(budget):
-            stack = [kernel.root()]
+            walk = _native.Walk(kernel, [kernel.root()])
             nodes = 0
             if budget:
-                status, _, nodes = search._run_tree(kernel, stack, budget, deadline)
+                status, _, nodes = search._run_tree(walk, budget, deadline)
                 assert status == "TIMEOUT"
+            stack = walk.branches()
             status, jobs, nodes = search._split(kernel, stack, 20, nodes, 10**9)
             return status, stack, jobs, nodes
 
@@ -851,7 +827,7 @@ class TestPoolPath:
             assert all(len({id(branch[2]) for branch in job}) == 1 for job in jobs[1:])
             # run to the end, the jobs make every branch not yet made, once
             for job in jobs:
-                status, _, made = search._run_tree(kernel, job, 10**9, deadline)
+                status, _, made = search._run_tree(_native.Walk(kernel, job), 10**9, deadline)
                 assert status == "UNSAT"
                 nodes += made
         else:
@@ -865,23 +841,12 @@ class TestPoolPath:
     def test_pool_jobs(self, r, k, n, jobs, branches, first):
         # the split of the default serial pass at 2 workers, counted in
         # unmade branches per job; the first job holds the pass's path
-        captured = []
-
-        def pool(*args, **kwargs):
-            executor = ProcessPoolExecutor(*args, **kwargs)
-            submit = executor.submit
-
-            def capture(fn, job_args):
-                captured.append(len(job_args[0]))
-                return submit(fn, job_args)
-
-            executor.submit = capture
-            return executor
-
-        with mock.patch.object(search, "ProcessPoolExecutor", pool), \
+        stacks = []
+        with mock.patch.object(search, "ThreadPoolExecutor", _thread_pool([], stacks, threads=2)), \
                 mock.patch.object(search.os, "cpu_count", return_value=2):
             out = decide_colorability(n, VdwInstance(r, k), threads=2)
         assert out.status is SearchStatus.SAT
+        captured = [len(stack) for stack in stacks]
         assert (len(captured), sum(captured), captured[0]) == (jobs, branches, first)
 
     @pytest.mark.parametrize(
@@ -899,9 +864,8 @@ class TestPoolPath:
         def split_at(kernel, stack, target, *rest):
             return split(kernel, stack, cut or target, *rest)
 
-        with mock.patch.object(search, "ProcessPoolExecutor", _thread_pool(sizes, jobs)), \
+        with mock.patch.object(search, "ThreadPoolExecutor", _thread_pool(sizes, jobs)), \
                 mock.patch.object(search, "_split", split_at), \
-                mock.patch.object(search, "_POOL", None), \
                 mock.patch.object(search.os, "cpu_count", return_value=cpus):
             out = decide_colorability(60, VdwInstance(4, 3), threads=threads)
         assert out.status is SearchStatus.SAT and verify_certificate(out.certificate, 3)
@@ -915,17 +879,17 @@ class TestPoolPath:
         # answer does, before it reaches the caller; (4,3) at N = 76 splits
         # into 28 jobs at 2 workers, none of which ends within the budget
         jobs, started = [], []
-        worker = search._parallel_worker
 
-        def failing(args):
-            started.append(args)
-            if len(started) == 1:
-                raise MemoryError
-            return worker(args)
+        def failing(job):
+            def run(stack):
+                started.append(stack)
+                if len(started) == 1:
+                    raise MemoryError
+                return job(stack)
 
-        with mock.patch.object(search, "ProcessPoolExecutor", _thread_pool([], jobs)), \
-                mock.patch.object(search, "_parallel_worker", failing), \
-                mock.patch.object(search, "_POOL", None), \
+            return run
+
+        with mock.patch.object(search, "ThreadPoolExecutor", _thread_pool([], jobs, wrap=failing)), \
                 mock.patch.object(search.os, "cpu_count", return_value=2), \
                 pytest.raises(MemoryError):
             decide_colorability(76, VdwInstance(4, 3), Budget(max_nodes=100_000), threads=2)
@@ -938,21 +902,21 @@ class TestPoolPath:
         # on to its deadline
         jobs, started = [], []
         second = threading.Event()
-        worker = search._parallel_worker
 
-        def failing(args):
-            started.append(args)
-            if args is jobs[0]:
-                assert second.wait(60)
-                raise MemoryError
-            second.set()
-            return worker(args)
+        def failing(job):
+            def run(stack):
+                started.append(stack)
+                if stack is jobs[0]:
+                    assert second.wait(60)
+                    raise MemoryError
+                second.set()
+                return job(stack)
+
+            return run
 
         budget = Budget(max_nodes=2**64, max_seconds=10)
         clock = time.monotonic()
-        with mock.patch.object(search, "ProcessPoolExecutor", _thread_pool([], jobs, threads=2)), \
-                mock.patch.object(search, "_parallel_worker", failing), \
-                mock.patch.object(search, "_POOL", None), \
+        with mock.patch.object(search, "ThreadPoolExecutor", _thread_pool([], jobs, 2, failing)), \
                 mock.patch.object(search.os, "cpu_count", return_value=2), \
                 pytest.raises(MemoryError):
             decide_colorability(76, VdwInstance(4, 3), budget, threads=2)
@@ -964,16 +928,12 @@ class TestPoolPath:
         # the running jobs stop after their current run and the queued ones
         # never start, where the jobs would otherwise run to the deadline
         jobs, started = [], []
-        worker = search._parallel_worker
 
-        def counted(args):
-            started.append(args)
-            return worker(args)
+        def counted(job):
+            return lambda stack: started.append(stack) or job(stack)
 
         clock = time.monotonic()
-        with mock.patch.object(search, "ProcessPoolExecutor", _thread_pool([], jobs, threads=2)), \
-                mock.patch.object(search, "_parallel_worker", counted), \
-                mock.patch.object(search, "_POOL", None), \
+        with mock.patch.object(search, "ThreadPoolExecutor", _thread_pool([], jobs, 2, counted)), \
                 mock.patch.object(search.os, "cpu_count", return_value=2), \
                 mock.patch.object(search, "as_completed", side_effect=KeyboardInterrupt), \
                 pytest.raises(KeyboardInterrupt):
@@ -991,7 +951,7 @@ class TestPoolPath:
             pass
 
         budget = Budget(max_nodes=max_nodes)
-        with mock.patch.object(search, "ProcessPoolExecutor", side_effect=PoolStarted), \
+        with mock.patch.object(search, "ThreadPoolExecutor", side_effect=PoolStarted), \
                 mock.patch.object(search.os, "cpu_count", return_value=2):
             if max_nodes > 4_140:
                 with pytest.raises(PoolStarted):
@@ -1005,42 +965,78 @@ class TestPoolPath:
         # the pool starts at most one worker per CPU, so the split asks for
         # jobs for those workers only, however many threads are asked for
         sizes, jobs = [], []
-        with mock.patch.object(search, "ProcessPoolExecutor", _thread_pool(sizes, jobs)), \
-                mock.patch.object(search, "_POOL", None), \
+        with mock.patch.object(search, "ThreadPoolExecutor", _thread_pool(sizes, jobs)), \
                 mock.patch.object(search.os, "cpu_count", return_value=2):
             budget = Budget(max_nodes=20_000)
             out = decide_colorability(76, VdwInstance(4, 3), budget, threads=threads)
         assert out.status is SearchStatus.TIMEOUT
         assert sizes == [2] and len(jobs) == 28
 
-    def test_pool_tables_are_linear_in_n(self):
-        # a worker builds the kernel's tables itself, so the pool sends it
-        # (N, r, k) and the shared count
-        captured = []
-
-        def pool(*args, **kwargs):
-            captured.append(kwargs["initargs"])
-            return ProcessPoolExecutor(*args, **kwargs)
-
-        with mock.patch.object(search, "ProcessPoolExecutor", pool):
+    def test_a_pool_builds_one_kernel(self):
+        # the jobs are threads that walk the caller's kernel, so a search
+        # that reaches the pool builds the tables once
+        sizes = []
+        built, patch = _kernels()
+        with patch, mock.patch.object(search, "ThreadPoolExecutor", _thread_pool(sizes, [], threads=2)), \
+                mock.patch.object(search.os, "cpu_count", return_value=2):
             out = decide_colorability(76, VdwInstance(4, 3), Budget(max_nodes=20_000), threads=2)
-        assert out.status is SearchStatus.TIMEOUT and len(captured) == 1
-        _, *shared = captured[0]  # the shared node count, then (N, r, k)
-        assert len(pickle.dumps(shared)) < 16 * 1024
+        assert out.status is SearchStatus.TIMEOUT and sizes == [2]
+        assert [(kernel.N, kernel.r, kernel.k) for kernel in built] == [(76, 4, 3)]
 
     def test_spent_count_stops_a_job_before_its_first_assignment(self):
-        # once a job answers, the parent spends the shared count, so a job
+        # once a job answers, the caller spends the shared count, so a job
         # queued behind the answer returns without making a branch
         kernel = _native.Kernel(8, 2, 3)
-        stack = [kernel.root()]
         deadline = time.monotonic() + 60
-        spent = multiprocessing.RawValue("q", 100)
-        with mock.patch.object(search, "_POOL", (spent, kernel)):
-            assert search._parallel_worker((stack, 100, deadline)) == ("TIMEOUT", None, 0)
-            assert len(stack) == 1
-            spent.value = 99  # one node left: the same job runs and finds (2,3) at N = 8 SAT
-            status, _, nodes = search._parallel_worker((stack, 100, deadline))
+        spent = ctypes.c_int64(100)
+        walk = _native.Walk(kernel, [kernel.root()], spent)
+        assert search._run_tree(walk, 100, deadline) == ("TIMEOUT", None, 0)
+        assert len(walk.branches()) == 1
+        spent.value = 99  # one node left: the same job runs and finds (2,3) at N = 8 SAT
+        status, _, nodes = search._run_tree(walk, 100, deadline)
         assert status == "SAT" and nodes > 0 and spent.value == 99 + nodes
+
+    @pytest.mark.parametrize("threads, serial", [(2, 1000), (8, 100)])
+    def test_decisions_are_exact_under_threads(self, threads, serial):
+        # the jobs share the kernel's decision count and the node count,
+        # which C adds to atomically, so the UNSAT proof of (3,3) at N = 27,
+        # past a short serial pass, makes the same nodes and branches on
+        # many threads as at 1 worker, the split's branches included; more
+        # threads than cores, switching often, would show a lost update
+        counts = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, threads):
+                built, patch = _kernels()
+                with patch, mock.patch.object(search, "_SERIAL_NODES", serial), \
+                        mock.patch.object(search.os, "cpu_count", return_value=threads):
+                    out = decide_colorability(27, VdwInstance(3, 3), threads=workers)
+                counts.append((out.status, out.stats.nodes, built[0].decisions))
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts[0] == counts[1] == (SearchStatus.UNSAT, 1_766, 442)
+
+    @pytest.mark.parametrize("threads, most", [(1, 0), (2, 1)])
+    def test_the_stack_is_unpacked_only_for_the_split(self, threads, most):
+        # a walk's stack leaves C only when the serial pass hands it to the
+        # split: never at 1 worker, and at most once in a 2-worker search,
+        # whose jobs drop theirs
+        branches = _native.Walk.branches
+        calls = []
+
+        def spy(walk):
+            calls.append(walk)
+            return branches(walk)
+
+        with mock.patch.object(_native.Walk, "branches", spy), \
+                mock.patch.object(search.os, "cpu_count", return_value=2):
+            for n, r, k, max_nodes in ((27, 3, 3, 10**9), (61, 4, 3, 10**9), (76, 4, 3, 20_000)):
+                calls.clear()
+                decide_colorability(n, VdwInstance(r, k), Budget(max_nodes=max_nodes), threads=threads)
+                assert len(calls) <= most, (n, r, k)
+            # the last two reach the pool at 2 workers
+            assert len(calls) == most
 
 
 class TestComputeW:
