@@ -22,7 +22,9 @@
  * Built as a shared library and called through ctypes; every function that
  * writes takes its buffers from the caller, the tables are read only once
  * made, and the counts that calls share are added to atomically, so calls
- * on one kernel may run in parallel threads.
+ * on one kernel may run in parallel threads.  The library also holds
+ * wd_scan, at the end of this file, the DIMACS clause scanner of
+ * waerden.cnf.read_dimacs.
  */
 
 #include <stdint.h>
@@ -537,4 +539,67 @@ int wd_walk(kernel *K, int32_t *stack, int64_t *sp, int64_t cap, word *states, i
     free(out);
     scratch_free(&t);
     return status;
+}
+
+/* The DIMACS clause scanner of cnf.read_dimacs, which shares nothing with
+ * the search above.  It reads text[start:end] line by line while each line
+ * is a whole clause in the usual layout: literals -?[1-9][0-9]* of at most
+ * 18 digits and 1 <= |lit| <= V, then a 0 and '\n', spaces and tabs
+ * around the tokens.  The literals go to lits, and each run of clauses of
+ * one length to runs as (length, count); made[0] and made[1] get the
+ * literals and runs written.  Returns the bytes read, which end in front
+ * of the first line that is anything else (a comment, a header, a blank
+ * line, a lone 0, a split clause, a literal past V, any other character)
+ * or that does not fit in lit_cap literals and run_cap runs, or at end. */
+int64_t wd_scan(const char *text, int64_t start, int64_t end, int64_t V, int64_t *lits,
+                int64_t lit_cap, int64_t *runs, int64_t run_cap, int64_t *made)
+{
+    int64_t p = start, nl = 0, nr = 0;
+    while (p < end) {
+        int64_t q = p, n = nl;
+        for (;;) { /* one token a pass, up to the 0 that ends the line */
+            while (q < end && (text[q] == ' ' || text[q] == '\t'))
+                q++;
+            if (q == end)
+                goto stop;
+            const int neg = text[q] == '-';
+            q += neg;
+            if (q == end || text[q] < '0' || text[q] > '9')
+                goto stop;
+            if (text[q] == '0') {
+                if (neg || n == nl)
+                    goto stop; /* -0, or a line with no literal */
+                q++;
+                while (q < end && (text[q] == ' ' || text[q] == '\t'))
+                    q++;
+                if (q == end || text[q] != '\n')
+                    goto stop; /* 00, 0x or a token after the 0 */
+                break;
+            }
+            int64_t v = 0;
+            int digits = 0;
+            for (; q < end && text[q] >= '0' && text[q] <= '9'; q++) {
+                if (++digits > 18)
+                    goto stop;
+                v = 10 * v + (text[q] - '0');
+            }
+            if (v > V || q == end || (text[q] != ' ' && text[q] != '\t') || n == lit_cap)
+                goto stop;
+            lits[n++] = neg ? -v : v;
+        }
+        const int64_t length = n - nl;
+        if (nr > 0 && runs[2 * nr - 2] == length) {
+            runs[2 * nr - 1]++;
+        } else {
+            if (nr == run_cap)
+                goto stop;
+            runs[2 * nr] = length, runs[2 * nr + 1] = 1;
+            nr++;
+        }
+        nl = n;
+        p = q + 1;
+    }
+stop:
+    made[0] = nl, made[1] = nr;
+    return p - start;
 }

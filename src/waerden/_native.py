@@ -1,14 +1,15 @@
-"""The C search kernel (_kernel.c): built once by gcc, loaded through ctypes.
+"""The C search kernel and DIMACS clause scanner (_kernel.c): built once
+by gcc, loaded through ctypes.
 
-The first search of a process that finds no cached library compiles
-_kernel.c with _COMPILE into $XDG_CACHE_HOME/waerden, else ~/.cache/waerden,
-under a name keyed by the SHA-256 of the source and the command.  gcc writes
-to a temporary file there, which is then renamed into place, so a process
-that loads the library always loads a whole one, even when several build it
-at once.  A cached library that is cut short or fails to load is rebuilt
-once.  Importing this module builds and loads nothing, and a process
-that finds the library cached starts no child process.  A missing gcc or a
-failed build raises KernelError.
+The first search or read_dimacs of a process that finds no cached library
+compiles _kernel.c with _COMPILE into $XDG_CACHE_HOME/waerden, else
+~/.cache/waerden, under a name keyed by the SHA-256 of the source and the
+command.  gcc writes to a temporary file there, which is then renamed into
+place, so a process that loads the library always loads a whole one, even
+when several build it at once.  A cached library that is cut short or
+fails to load is rebuilt once.  Importing this module builds and loads
+nothing, and a process that finds the library cached starts no child
+process.  A missing gcc or a failed build raises KernelError.
 
 Kernel binds the library to the tables of one (N, r, k).  A branch is a
 tuple (position, color, state), the state being the bytes of the node the
@@ -19,6 +20,9 @@ left when asked.  A ctypes call releases the GIL, and the kernel's tables
 are read only once made, so walks of one Kernel may run in parallel
 threads: each has its own arrays, and the node count they share and the
 kernel's decision count are added to atomically in C.
+
+Scanner holds the buffers of wd_scan, which reads the clause lines of
+DIMACS text for cnf.read_dimacs.
 """
 
 from __future__ import annotations
@@ -97,6 +101,11 @@ def _bind(lib):
     lib.wd_walk.argtypes = [
         ctypes.c_void_p, _int32_p, _int64_p, ctypes.c_int64, _word_p, ctypes.c_int64,
         ctypes.c_int64, _int64_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, _int64_p, _int32_p,
+    ]
+    lib.wd_scan.restype = ctypes.c_int64
+    lib.wd_scan.argtypes = [
+        ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _int64_p, ctypes.c_int64,
+        _int64_p, ctypes.c_int64, _int64_p,
     ]
     return lib
 
@@ -278,3 +287,32 @@ class Walk:
                 states[slot] = ctypes.string_at(base + slot * size, size)
             out.append((p, c, states[slot]))
         return out
+
+
+class Scanner:
+    """Buffers for wd_scan, the DIMACS clause scanner, sized for texts of
+    about `size` characters: a literal of a clause line takes two of them
+    or more, four in a typical file, and clauses come in runs of one
+    length.  A text that fills them is read in several calls."""
+
+    def __init__(self, size: int):
+        self._scan = library().wd_scan
+        self._lits = (ctypes.c_int64 * (size // 4 + 1))()
+        self._runs = (ctypes.c_int64 * (2 * (size // 64 + 1)))()
+        self._made = (ctypes.c_int64 * 2)()
+        self.lits = memoryview(self._lits).cast("B").cast("q")
+        self.runs = memoryview(self._runs).cast("B").cast("q")
+
+    def scan(self, data: bytes, start: int, variable_count: int):
+        """(bytes read, literals, runs) for the whole clause lines that
+        data[start:] begins with, as wd_scan reads them over variables
+        1..variable_count: the literals in one memoryview, and a
+        memoryview of the (length, count) runs of equal-length clauses,
+        flat.  Both views are overwritten by the next call."""
+        if not 0 <= start <= len(data):
+            raise IndexError(f"start {start} is outside a text of {len(data)} bytes")
+        used = self._scan(
+            data, start, len(data), max(0, min(variable_count, 10**18)), self._lits,
+            len(self._lits), self._runs, len(self._runs) // 2, self._made,
+        )
+        return used, self.lits[: self._made[0]], self.runs[: 2 * self._made[1]]

@@ -23,10 +23,11 @@ import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Sequence
 
+from . import _native
 from ._record import Record
 from .bounds import VdwInstance
 from .errors import DecodeError, DomainError, TriviallySatisfiableError, require_int
@@ -40,7 +41,8 @@ class CnfFormula(Record):
     """Clauses over variables 1..variable_count; negative literal = negation.
 
     Comment lines (without the leading "c ") ride along for DIMACS output but
-    do not take part in equality.
+    do not take part in equality; one that holds a line break is rejected,
+    as it would not read back as one comment.
     """
 
     variable_count: int
@@ -52,6 +54,9 @@ class CnfFormula(Record):
         clauses = tuple(map(tuple, self.clauses))
         object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "comments", tuple(self.comments))
+        for line in self.comments:
+            if "\n" in str(line) or "\r" in str(line):
+                raise DomainError(f"comment {line!r} holds a line break")
         # every literal is tested at C speed; only a formula that fails (or
         # holds an int subclass) walks the loop below for its first error
         flat = list(chain.from_iterable(clauses))
@@ -178,12 +183,53 @@ def write_dimacs(formula: CnfFormula, sink: IO[str] | str | Path) -> None:
         sink.write(" 0\n".join(lines) + " 0\n")
 
 
+# a read asks for _PIECE characters, as many as a text file decodes at a
+# time when its lines are iterated; _BLOCK is about the characters in a block
+_PIECE = 8192
+_BLOCK = 32 * _PIECE
+
+
+def _blocks(source: IO[str]):
+    """The text of source in blocks of whole lines, about _BLOCK characters
+    each unless one line is longer; only the last may end without a newline.
+
+    A read that fails (an I/O error, or a text file that does not decode)
+    fails where iterating the lines would have: the whole lines before it
+    come first.
+    """
+    pieces, size = [], 0
+    while True:
+        try:
+            piece = source.read(_PIECE)
+        except (OSError, ValueError):
+            text = "".join(pieces)
+            yield text[: text.rfind("\n") + 1]
+            raise
+        if not piece:
+            break
+        size += len(piece)
+        cut = piece.rfind("\n") + 1 if size >= _BLOCK else 0
+        if cut:
+            block = "".join([*pieces, piece[:cut]])
+            pieces, size = [piece[cut:]], len(piece) - cut
+            yield block
+        else:
+            pieces.append(piece)
+    yield "".join(pieces)
+
+
 def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
     """Parse DIMACS CNF text back into a formula; comments are preserved.
 
     Malformed text (a bad, repeated or late header, a non-integer token, an
     unterminated last clause, a clause count that disagrees with the header)
     raises DomainError.
+
+    After the header, and while no clause is half read, the C scanner
+    (_native.Scanner) reads the clause lines of the usual layout; every
+    other line, split at its newline, goes through the line loop below.
+    The library is built or loaded as for a search, and KernelError says
+    it could not be.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii") as handle:
@@ -193,43 +239,59 @@ def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
     comments: list[str] = []
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
+    # int objects are shared, whether parsed from a token or given by the scanner
     parse = _Memo(int).__getitem__
-    for raw in source:
-        line = raw.strip()
-        if not line:
-            continue
-        if line[0] == "c":
-            comments.append(line[2:] if line.startswith("c ") else line[1:])
-            continue
-        if line[0] == "p":
-            if variable_count is not None:
-                raise DomainError(f"second problem line: {line!r}")
-            if clauses or current:
-                raise DomainError(f"problem line after clauses: {line!r}")
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise DomainError(f"malformed problem line: {line!r}")
+    scanner = None
+    for block in _blocks(source):
+        data = block.encode("ascii", "replace")  # one byte per character
+        pos, size = 0, len(block)
+        while pos < size:
+            if variable_count is not None and not current:
+                scanner = scanner or _native.Scanner(min(size, _BLOCK))
+                used, literals, runs = scanner.scan(data, pos, variable_count)
+                if used:
+                    pos += used
+                    it = map(parse, literals)
+                    for length, count in zip(runs[::2], runs[1::2]):
+                        clauses += islice(zip(*[it] * length), count)
+                    continue
+            end = block.find("\n", pos) + 1 or size
+            line = block[pos:end].strip()
+            pos = end
+            if not line:
+                continue
+            if line[0] == "c":
+                comments.append(line[2:] if line.startswith("c ") else line[1:])
+                continue
+            if line[0] == "p":
+                if variable_count is not None:
+                    raise DomainError(f"second problem line: {line!r}")
+                if clauses or current:
+                    raise DomainError(f"problem line after clauses: {line!r}")
+                parts = line.split()
+                if len(parts) != 4 or parts[1] != "cnf":
+                    raise DomainError(f"malformed problem line: {line!r}")
+                try:
+                    variable_count = int(parts[2])
+                    declared_clauses = int(parts[3])
+                except ValueError:
+                    raise DomainError(f"non-integer count in problem line: {line!r}") from None
+                continue
             try:
-                variable_count = int(parts[2])
-                declared_clauses = int(parts[3])
+                lits = tuple(map(parse, line.split()))
             except ValueError:
-                raise DomainError(f"non-integer count in problem line: {line!r}") from None
-            continue
-        try:
-            lits = tuple(map(parse, line.split()))
-        except ValueError:
-            raise DomainError(f"non-integer token in clause line: {line!r}") from None
-        clause = lits[:-1]
-        if lits[-1] == 0 and clause and not current and 0 not in clause:
-            clauses.append(clause)  # the usual layout: one clause per line
-            continue
-        for lit in lits:
-            if lit == 0:
-                if current:
-                    clauses.append(tuple(current))
-                    current = []
-            else:
-                current.append(lit)
+                raise DomainError(f"non-integer token in clause line: {line!r}") from None
+            clause = lits[:-1]
+            if lits[-1] == 0 and clause and not current and 0 not in clause:
+                clauses.append(clause)  # the usual layout: one clause per line
+                continue
+            for lit in lits:
+                if lit == 0:
+                    if current:
+                        clauses.append(tuple(current))
+                        current = []
+                else:
+                    current.append(lit)
     if current:
         raise DomainError("last clause is not 0-terminated")
     if variable_count is None:

@@ -32,7 +32,13 @@ from waerden import (
     verify_certificate,
     write_dimacs,
 )
+from waerden import cnf
 from waerden.cnf import expected_clause_count
+
+# 60,001 clause lines over 9 variables once one is added at _MIDDLE, a
+# line start: 420 kB of text
+_LONG = "p cnf 9 60001\n" + "1 -2 0\n" * 30000 + "-1 2 0\n" * 30000
+_MIDDLE = _LONG.index("\n", len(_LONG) // 2) + 1
 
 
 class TestEncode:
@@ -101,6 +107,10 @@ class TestEncode:
             CnfFormula(2, ((3,),))
         with pytest.raises(DomainError):
             CnfFormula(2, ((),))
+        # write_dimacs would write it as two lines, the second a clause
+        with pytest.raises(DomainError) as info:
+            CnfFormula(1, ((1,),), ("a\n1 0",))
+        assert str(info.value) == "comment 'a\\n1 0' holds a line break"
 
     @pytest.mark.parametrize(
         "clauses, message",
@@ -216,12 +226,66 @@ class TestDimacs:
             ("1 2 0\np cnf 2 1\n", "problem line after clauses: 'p cnf 2 1'"),
             # a partial clause before the header counts too
             ("1\np cnf 2 1\n2 0\n", "problem line after clauses: 'p cnf 2 1'"),
+            # clause lines of the usual layout before the header
+            ("1 -1 0\nc x\n-1 0\np cnf 1 2\n", "problem line after clauses: 'p cnf 1 2'"),
+            # a literal past the variable count in the middle of a file of
+            # several blocks, then one that is past 18 digits, or that
+            # int() reads with its underscore
+            pytest.param(
+                _LONG[:_MIDDLE] + "3 10 0\n" + _LONG[_MIDDLE:], "literal 10 references a variable beyond 9",
+                id="a literal past V in the middle of a long file",
+            ),
+            ("p cnf 2 1\n12345678901234567890 0\n", "literal 12345678901234567890 references a variable beyond 2"),
+            ("p cnf 9 1\n1_0 0\n", "literal 10 references a variable beyond 9"),
+            # a lone CR splits no line of a StringIO, but would split the
+            # comment once written to a file
+            ("p cnf 1 1\nc a\rb\n1 0\n", "comment 'a\\rb' holds a line break"),
         ],
     )
     def test_parse_error_messages(self, text, message):
         with pytest.raises(DomainError) as info:
             read_dimacs(io.StringIO(text))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, clauses, comments",
+        [
+            # tokens the scanner leaves to int()
+            ("p cnf 10 2\n+3 -02 0\n1_0 0\n", ((3, -2), (10,)), ()),
+            ("p cnf 2 2\n1\v2 0\n-1\f0\n", ((1, 2), (-1,)), ()),
+            # a comment between the two lines of a split clause
+            ("p cnf 3 2\n1 -2\nc between\n3 0\n2 0\n", ((1, -2, 3), (2,)), ("between",)),
+            # a non-ASCII comment among the clause lines, a blank line, a lone 0
+            ("p cnf 2 3\n1 0\nc \u00e9t\u00e9\n-2 0\n\n0\n1 2 0\n", ((1,), (-2,), (1, 2)), ("\u00e9t\u00e9",)),
+            # no newline after the last clause
+            ("p cnf 2 2\n1 0\n-2 1 0", ((1,), (-2, 1)), ()),
+        ],
+    )
+    def test_odd_lines_read_as_the_line_reader_reads_them(self, text, clauses, comments):
+        f = read_dimacs(io.StringIO(text))
+        assert (f.clauses, f.comments) == (clauses, comments)
+
+    def test_a_file_of_several_blocks_round_trips(self, tmp_path):
+        f = encode(600, VdwInstance(2, 6))
+        buf = io.StringIO()
+        write_dimacs(f, buf)
+        text = buf.getvalue()
+        # a read of _BLOCK characters ends inside a line
+        assert len(text) > 3 * cnf._BLOCK and text[cnf._BLOCK - 1] != "\n"
+        g = read_dimacs(io.StringIO(text))
+        assert (g.variable_count, g.clauses, g.comments) == (f.variable_count, f.clauses, f.comments)
+        path = tmp_path / "instance.cnf"
+        write_dimacs(f, path)
+        assert read_dimacs(path).clauses == f.clauses
+
+    def test_a_crlf_file(self, tmp_path):
+        f = encode(30, VdwInstance(3, 3))
+        buf = io.StringIO()
+        write_dimacs(f, buf)
+        path = tmp_path / "crlf.cnf"
+        path.write_bytes(buf.getvalue().replace("\n", "\r\n").encode("ascii"))
+        g = read_dimacs(path)
+        assert (g.clauses, g.comments) == (f.clauses, f.comments)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -1,7 +1,9 @@
-"""The C search kernel: its trees against the oracle's, and its build."""
+"""The C search kernel: its trees against the oracle's, and its build; and
+the DIMACS clause scanner of the same library."""
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import subprocess
@@ -78,6 +80,42 @@ def _env(**changes):
     src = os.path.dirname(os.path.dirname(waerden.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return {**os.environ, "PYTHONPATH": path, **changes}
+
+
+class TestScanner:
+    def test_clause_lines_and_runs(self):
+        text = b"1 -2 0\n 3\t-4 0 \n5 0\n-6 0\nc x\n1 0\n"
+        used, lits, runs = _native.Scanner(64).scan(text, 0, 6)
+        assert text[used:] == b"c x\n1 0\n"
+        assert lits.tolist() == [1, -2, 3, -4, 5, -6]
+        assert runs.tolist() == [2, 2, 1, 2]
+        used, lits, runs = _native.Scanner(64).scan(text, len(text) - 4, 6)
+        assert (used, lits.tolist(), runs.tolist()) == (4, [1], [1, 1])
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"c x\n", b"p cnf 1 1\n", b"\n", b"  \n", b"0\n", b"1 2\n", b"1 0 2 0\n", b"7 0\n",
+            b"-7 0\n", b"1234567890123456789 0\n", b"1_0 0\n", b"1\v2 0\n", b"? 0\n", b"+1 0\n",
+            b"01 0\n", b"-0 1 0\n", b"1 00\n", b"1 0\r\n", b"1 0",
+        ],
+    )
+    def test_it_stops_in_front_of(self, line):
+        text = b"1 0\n" + line + b"2 0\n"
+        used, lits, runs = _native.Scanner(64).scan(text, 0, 6)
+        assert (used, lits.tolist(), runs.tolist()) == (4, [1], [1, 1])
+
+    def test_eighteen_digits(self):
+        text = b"-999999999999999999 0\n"
+        used, lits, _ = _native.Scanner(64).scan(text, 0, 10**30)
+        assert (used, lits.tolist()) == (len(text), [-(10**18 - 1)])
+
+    def test_full_buffers_stop_it(self):
+        # buffers for 8 characters: 3 literals and 1 run
+        scanner, text = _native.Scanner(8), b"1 0\n2 3 0\n4 0\n"
+        assert scanner.scan(text, 0, 9)[0] == 4
+        used, lits, runs = scanner.scan(text, 4, 9)
+        assert (used, lits.tolist(), runs.tolist()) == (6, [2, 3], [2, 1])
 
 
 class TestBuild:
@@ -157,6 +195,11 @@ class TestBuild:
         assert [proc.returncode for proc in procs] == [0, 0], results
         assert [out for out, _ in results] == ["UNSAT 1766\n"] * 2
         assert [name.startswith("kernel-") for name in os.listdir(tmp_path / "waerden")] == [True]
+
+    def test_read_dimacs_without_gcc(self, cold_cache, monkeypatch, tmp_path):
+        monkeypatch.setenv("PATH", str(tmp_path))
+        with pytest.raises(KernelError, match="gcc not found"):
+            waerden.read_dimacs(io.StringIO("p cnf 1 1\n1 0\n"))
 
     def test_the_cli_exits_one_without_gcc(self, tmp_path):
         proc = subprocess.run(
