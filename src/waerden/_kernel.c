@@ -1,7 +1,9 @@
 /* The search kernel of waerden.search: one node step and the depth-first
- * walk over it.  search.py holds the tree's rules in its module docstring;
- * this file implements them exactly, so every tree, node count and
- * certificate is the one those rules give.
+ * walk over it, wd_walk, which is the search's one entry point; a walk of
+ * one branch, stopped after one node, makes that branch alone.  search.py
+ * holds the tree's rules in its module docstring; this file implements
+ * them exactly, so every tree, node count and certificate is the one those
+ * rules give.
  *
  * Positions 1..N are bits of masks of W = (N + 64) / 64 words, bit p being
  * position p.  A state is, in 64-bit words:
@@ -411,7 +413,17 @@ static void colors_of(const kernel *K, word *s, int32_t *colors)
  * assigned, else BRANCH with out[0] the next position, out[1] the number
  * of its colors and out[2..] those colors, descending, so a stack makes the
  * least first: every color allowed there up to one past the highest color
- * in use, capped at r - 1. */
+ * in use, capped at r - 1.
+ *
+ * Out of line and 64-byte aligned for speed, measured at 1 worker with
+ * gcc -O2 on x86-64.  wd_walk is its one caller, and gcc inlines it there:
+ * the k > 3 walk then ran 10-16% slower ((2,5) N = 178 at 400k nodes in
+ * 75 against 68 ms, the (3,4) N = 125 SAT probe in 23 against 20 ms).  Out
+ * of line but unaligned, at offset 0x1250 against 0x1380, the same code
+ * still ran 3-6% slower; aligned, the walk runs as fast as at 0x1380, and
+ * the alignment no longer depends on the code above it.  k = 3 did not
+ * move. */
+__attribute__((noinline, aligned(64)))
 static int expand(const kernel *K, const word *parent, int32_t p, int32_t c, word *child,
                   int32_t *out, int64_t *made, scratch *t)
 {
@@ -443,23 +455,6 @@ static int expand(const kernel *K, const word *parent, int32_t p, int32_t c, wor
         if (BIT(al + (int64_t)c2 * K->W, q))
             out[2 + out[1]++] = c2;
     return BRANCH;
-}
-
-/* One branch, for the caller's own walks: returns what expand returns, with
- * the coloring in colors on SAT. */
-int wd_expand(kernel *K, const word *parent, int32_t p, int32_t c, word *child,
-              int32_t *out, int64_t *made, int32_t *colors)
-{
-    scratch t;
-    if (!scratch_new(K, &t))
-        return NOMEM;
-    *made = 0;
-    __atomic_add_fetch(&K->decisions, 1, __ATOMIC_RELAXED);
-    const int status = expand(K, parent, p, c, child, out, made, &t);
-    if (status == SAT)
-        colors_of(K, child, colors);
-    scratch_free(&t);
-    return status;
 }
 
 static double now(void)

@@ -15,11 +15,13 @@ Kernel binds the library to the tables of one (N, r, k).  A branch is a
 tuple (position, color, state), the state being the bytes of the node the
 branch leaves, shared by its siblings; the layout of a state is described
 in _kernel.c, and its first four bytes are its depth.  Walk packs a stack
-of such branches into C arrays, walks it depth first, and unpacks what is
-left when asked.  A ctypes call releases the GIL, and the kernel's tables
-are read only once made, so walks of one Kernel may run in parallel
-threads: each has its own arrays, and the node count they share and the
-kernel's decision count are added to atomically in C.
+of such branches into C arrays, walks it depth first with wd_walk, the
+one way into the search, and unpacks what is left when asked; a walk of
+one branch stopped after one node makes that branch alone.  A ctypes call
+releases the GIL, and the kernel's tables are read only once made, so
+walks of one Kernel may run in parallel threads: each has its own arrays,
+and the node count they share and the kernel's decision count are added
+to atomically in C.
 
 Scanner holds the buffers of wd_scan, which reads the clause lines of
 DIMACS text for cnf.read_dimacs.
@@ -43,9 +45,19 @@ _COMPILE = ("gcc", "-O2", "-shared", "-fPIC")
 # the loaded library, once a search has needed it
 _LIB = None
 
-# return codes of wd_expand and wd_walk; wd_expand returns 4 for a branch
+# return codes of wd_walk
 _UNSAT, _SAT, _TIMEOUT, _GROW, _NOMEM = 0, 1, 2, 3, -1
 _STATUS = {_UNSAT: "UNSAT", _SAT: "SAT", _TIMEOUT: "TIMEOUT"}
+
+# every _POLL_NODES nodes wd_walk adds what it has made to the shared node
+# count, reads it and reads its clock, so a search stops within
+# _POLL_NODES + N nodes of its deadline or of a decision elsewhere (the
+# caller spends the count when a job answers or fails, or on an interrupt)
+_POLL_NODES = 256
+
+# the longest a wd_walk call runs before it returns to Python, where the
+# main thread takes a KeyboardInterrupt
+_RUN_SECONDS = 0.05
 
 _word_p = ctypes.POINTER(ctypes.c_uint64)
 _int32_p = ctypes.POINTER(ctypes.c_int32)
@@ -63,18 +75,18 @@ def _build(path: str) -> None:
         fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so", dir=directory)
         os.close(fd)
     except OSError as exc:
-        raise KernelError(f"cannot write the search kernel to {directory}: {exc}") from exc
+        raise KernelError(f"cannot write the C library (_kernel.c) to {directory}: {exc}") from exc
     try:
         try:
             done = subprocess.run([*_COMPILE, "-o", tmp, _SOURCE], capture_output=True, text=True)
         except FileNotFoundError as exc:
-            raise KernelError(f"cannot build the search kernel: {_COMPILE[0]} not found") from exc
+            raise KernelError(f"cannot build the C library (_kernel.c): {_COMPILE[0]} not found") from exc
         except OSError as exc:
-            raise KernelError(f"cannot build the search kernel: {_COMPILE[0]}: {exc}") from exc
+            raise KernelError(f"cannot build the C library (_kernel.c): {_COMPILE[0]}: {exc}") from exc
         if done.returncode != 0:
             lines = done.stderr.splitlines() or [f"exit {done.returncode}"]
             detail = next((line for line in lines if "error" in line), lines[-1])
-            raise KernelError(f"cannot build the search kernel: {' '.join(_COMPILE)}: {detail}")
+            raise KernelError(f"cannot build the C library (_kernel.c): {' '.join(_COMPILE)}: {detail}")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -90,11 +102,6 @@ def _bind(lib):
     lib.wd_state_words.argtypes = [ctypes.c_void_p]
     lib.wd_root.restype = ctypes.c_int32
     lib.wd_root.argtypes = [ctypes.c_void_p, _word_p]
-    lib.wd_expand.restype = ctypes.c_int
-    lib.wd_expand.argtypes = [
-        ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int32, ctypes.c_int32, _word_p,
-        _int32_p, _int64_p, _int32_p,
-    ]
     lib.wd_decisions.restype = ctypes.c_int64
     lib.wd_decisions.argtypes = [ctypes.c_void_p]
     lib.wd_walk.restype = ctypes.c_int
@@ -152,7 +159,7 @@ def library():
             try:
                 lib = ctypes.CDLL(path)
             except OSError as exc:
-                raise KernelError(f"cannot load the search kernel {path}: {exc}") from exc
+                raise KernelError(f"cannot load the C library (_kernel.c) {path}: {exc}") from exc
         _LIB = _bind(lib)
     return _LIB
 
@@ -195,28 +202,6 @@ class Kernel:
         p = self._lib.wd_root(self._ctx, state)
         return p, 0, bytes(state)
 
-    def expand(self, branch):
-        """Make one branch: (status, made, children), made being the
-        assignments made.  Status "SAT" means every position is assigned,
-        and children is then the colors of positions 1..N; "leaf" means a
-        conflict or a mirror-image prune, with no children; "branch" lists
-        the branches of the next position in descending color order, which
-        share the new state."""
-        p, c, state = branch
-        child = (ctypes.c_uint64 * self.words)()
-        out = (ctypes.c_int32 * (self.r + 2))()
-        made = ctypes.c_int64()
-        colors = (ctypes.c_int32 * self.N)()
-        status = self._lib.wd_expand(self._ctx, state, p, c, child, out, ctypes.byref(made), colors)
-        if status == _NOMEM:
-            raise MemoryError("the search kernel ran out of memory")
-        if status == _SAT:
-            return "SAT", made.value, tuple(colors)
-        if status == _UNSAT:
-            return "leaf", made.value, ()
-        state = bytes(child)
-        return "branch", made.value, [(out[0], out[2 + i], state) for i in range(out[1])]
-
 
 class Walk:
     """A stack of branches packed for wd_walk: three int32s per branch
@@ -256,24 +241,31 @@ class Walk:
         ctypes.memmove(stack, self.stack, ctypes.sizeof(self.stack))
         self.states, self.stack = states, stack
 
-    def walk(self, max_nodes: int, budget: int, poll: int, deadline: float):
-        """wd_walk, given the seconds left to the time.monotonic() deadline:
-        (status, colors of positions 1..N or None, nodes), status being
-        "SAT", "UNSAT" (the stack ran out) or "TIMEOUT"."""
+    def run(self, max_nodes: int, deadline: float):
+        """Walk the stack until it is decided, max_nodes nodes are made, the
+        node count the walks of the search share reaches max_nodes or the
+        time.monotonic() deadline passes; wd_walk tests the limits.  It
+        returns to Python every _RUN_SECONDS, so the calling thread can take
+        an interrupt, and a stopped walk leaves the unmade branches in the
+        stack.  Returns (status, colors of positions 1..N or None, nodes),
+        status being "SAT", "UNSAT" (the stack ran out) or "TIMEOUT"."""
         kernel, nodes = self.kernel, 0
         while True:
             status = kernel._lib.wd_walk(
                 kernel._ctx, self.stack, ctypes.byref(self.sp), self.cap, self.states, self.slots,
-                max_nodes - nodes, ctypes.byref(self.spent), budget, poll,
-                deadline - time.monotonic(), ctypes.byref(self.made), self.colors,
+                max_nodes - nodes, ctypes.byref(self.spent), max_nodes, _POLL_NODES,
+                min(deadline - time.monotonic(), _RUN_SECONDS), ctypes.byref(self.made), self.colors,
             )
             nodes += self.made.value
             if status == _NOMEM:
                 raise MemoryError("the search kernel ran out of memory")
-            if status != _GROW:
-                break
-            self._grow()
-        return _STATUS[status], tuple(self.colors) if status == _SAT else None, nodes
+            if status == _GROW:
+                self._grow()
+                continue
+            # only a walk that stopped at its pause goes on
+            spent = max(nodes, self.spent.value) >= max_nodes
+            if status != _TIMEOUT or spent or time.monotonic() >= deadline:
+                return _STATUS[status], tuple(self.colors) if status == _SAT else None, nodes
 
     def branches(self) -> list:
         """The unmade branches, bottom first, as (position, color, state)."""

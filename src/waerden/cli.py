@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 domain/config error (including invalid
 certificates, malformed certificate files, bad flag values, results too
-large to print, running out of memory and a search kernel that gcc cannot
-build), 2 search timeout or unknown solver outcome, 3 registry integrity
+large to print, running out of memory and a C library (_kernel.c) that gcc
+cannot build), 2 search timeout or unknown solver outcome, 3 registry integrity
 error, 64 usage error, which includes a flag that the command does not
 take, 130 interrupted (Ctrl-C), once every search worker thread and solver
 process has stopped.

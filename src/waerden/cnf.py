@@ -281,10 +281,6 @@ def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
                 lits = tuple(map(parse, line.split()))
             except ValueError:
                 raise DomainError(f"non-integer token in clause line: {line!r}") from None
-            clause = lits[:-1]
-            if lits[-1] == 0 and clause and not current and 0 not in clause:
-                clauses.append(clause)  # the usual layout: one clause per line
-                continue
             for lit in lits:
                 if lit == 0:
                     if current:

@@ -1,8 +1,8 @@
 """Exception taxonomy shared by every waerden module.
 
-The CLI maps these onto exit codes: domain/config/decode problems and a
-search kernel that cannot be built exit 1, exhausted search budgets exit 2,
-registry integrity violations exit 3.
+The CLI maps these onto exit codes: domain/config/decode problems and a C
+library (_kernel.c) that cannot be built exit 1, exhausted search budgets
+exit 2, registry integrity violations exit 3.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ class IntegrityError(WaerdenError, RuntimeError):
 
 
 class KernelError(WaerdenError, RuntimeError):
-    """The C search kernel cannot be built or loaded: no gcc, or a failed build."""
+    """The C library (_kernel.c), the search kernel and the DIMACS clause
+    scanner, cannot be built or loaded: no gcc, or a failed build."""
 
 
 class InfeasibleRangeError(DomainError):

@@ -66,11 +66,12 @@ its last member.  For k = 3 a class member v and a new member q threaten
 
 The search state is one stack of unmade branches.  A branch is (position,
 color, state), the state being the bytes of the node the branch leaves,
-shared by its siblings and never written once made.  _run_tree walks a
-stack packed into C arrays (_native.Walk), which is left holding the
-unmade branches; Kernel.expand makes one branch, and the prefix split is a
-loop over it.  The C walk copies each state into a slot before it assigns,
-one state per depth, so no state it was given is written.
+shared by its siblings and never written once made.  Every branch is made
+by the C walk (wd_walk), which Walk.run calls on a stack packed into C
+arrays (_native.Walk) and leaves holding the unmade branches; the prefix
+split makes each branch as a walk of one branch and reads its children
+off that walk's stack.  The C walk copies each state into a slot before it
+assigns, one state per depth, so no state it was given is written.
 With more than one worker (threads, capped at the CPU count) a search
 first runs serially for up to _SERIAL_NODES nodes, so a small tree is
 decided as at one worker, without a pool; with one, as on one CPU, it
@@ -81,7 +82,7 @@ branches become one job, and the pass's path goes out with the top node's,
 so no assignment is made twice and an UNSAT proof counts the same nodes
 and decisions at any worker count.  The walks of a search charge one node
 count in C.  SAT short-circuits the rest: it spends that count, so every
-job stops within _POLL_NODES + N nodes, and cancels the jobs not yet
+job stops within _native._POLL_NODES + N nodes, and cancels the jobs not yet
 started; a job's error and an interrupt (KeyboardInterrupt, which the
 calling thread takes while it waits on the jobs) take the same path before
 they are re-raised.  UNSAT requires every job to be exhausted.  The
@@ -120,17 +121,6 @@ from .errors import (
     require_int,
 )
 
-# every _POLL_NODES nodes the C walk adds what it has made to the shared
-# node count, reads it and reads its clock, so a search stops within
-# _POLL_NODES + N nodes of its deadline or of a decision elsewhere (the
-# caller spends the count when a job answers or fails, or on an interrupt)
-_POLL_NODES = 256
-
-# the longest a C walk runs before it returns to Python, where the main
-# thread takes a KeyboardInterrupt
-_RUN_SECONDS = 0.05
-
-
 class SearchStatus(Enum):
     SAT = "SAT"
     UNSAT = "UNSAT"
@@ -144,8 +134,8 @@ class Budget(Record):
     The node budget is checked before each branch, so one worker stops
     within one branch (at most N assignments) of max_nodes; a branch that
     decides the tree reports its answer.  Every walk reads its clock in C
-    when it starts and every _POLL_NODES (256) nodes, so a worker makes at
-    most 256 + N assignments after max_seconds has passed.  The clock starts
+    when it starts and every _native._POLL_NODES (256) nodes, so a worker
+    makes at most 256 + N assignments after max_seconds has passed.  The clock starts
     before the table build, which cannot be stopped, and a walk that starts
     past the deadline makes none.  With max_seconds=0.01 on 2 cores, at 1 or
     2 workers, (2,6) at N = 1132 returned after 0.011-0.015 s and (2,7) at
@@ -269,30 +259,12 @@ def verify_certificate(coloring: Coloring, k: int) -> bool:
     return find_mono_ap(coloring, k) is None
 
 
-def _run_tree(walk, max_nodes, deadline):
-    """Walk a packed stack (_native.Walk) until it is decided, max_nodes
-    nodes are made, the node count the search's walks share reaches
-    max_nodes or the deadline passes; the limits are tested in C.  The C
-    walk returns every _RUN_SECONDS, so the calling thread can take an
-    interrupt, and leaves the walk holding the branches not yet made.
-    Returns (status, colors_or_None, nodes) with status in {"SAT", "UNSAT",
-    "TIMEOUT"}; UNSAT means the stack ran out."""
-    nodes = 0
-    while True:
-        pause = min(deadline, time.monotonic() + _RUN_SECONDS)
-        status, colors, made = walk.walk(max_nodes - nodes, max_nodes, _POLL_NODES, pause)
-        nodes += made
-        # only a walk that stopped at its pause goes on
-        spent = max(nodes, walk.spent.value) >= max_nodes
-        if status != "TIMEOUT" or spent or time.monotonic() >= deadline:
-            return status, colors, nodes
-
-
 def _split(kernel, stack, target, nodes, max_nodes):
     """Cut the branches a stopped serial pass left in `stack` into pool jobs.
 
     The stack is sorted by depth from the bottom.  Its shallowest level is
-    made in place with Kernel.expand, each branch replaced by its children,
+    made in place, each branch by a walk of one branch (Walk.run(1, ...)),
+    which leaves its children in the walk's stack, and replaced by them,
     until that depth is 24 or holds `target` nodes that still have branches
     (nodes the pass exhausted do not count).  A job is one node's branches;
     the top node's go out with the rest of the pass's path.  `nodes` is the
@@ -313,11 +285,13 @@ def _split(kernel, stack, target, nodes, max_nodes):
         for branch in stack[:top]:
             if nodes >= max_nodes:
                 return "TIMEOUT", None, nodes
-            status, made, children = kernel.expand(branch)
+            # one branch: a leaf leaves no children, a node its branches
+            walk = _native.Walk(kernel, [branch])
+            status, colors, made = walk.run(1, math.inf)
             nodes += made
             if status == "SAT":
-                return status, children, nodes
-            level += children
+                return status, colors, nodes
+            level += walk.branches()
         stack[:top] = level
         if not stack:
             return "UNSAT", None, nodes
@@ -342,7 +316,7 @@ def _search(kernel, threads, max_nodes, deadline):
     max_nodes = min(max_nodes, 2**62)
     walk = _native.Walk(kernel, [kernel.root()])
     serial_budget = min(max_nodes, _SERIAL_NODES) if workers > 1 else max_nodes
-    status, colors, nodes = _run_tree(walk, serial_budget, deadline)
+    status, colors, nodes = walk.run(serial_budget, deadline)
     # decided, out of time, or out of the caller's nodes: no pool
     if status != "TIMEOUT" or nodes < serial_budget or nodes >= max_nodes:
         return status, colors, nodes
@@ -355,7 +329,7 @@ def _search(kernel, threads, max_nodes, deadline):
     spent.value = nodes  # the split's nodes too
 
     def job(stack):
-        return _run_tree(_native.Walk(kernel, stack, spent), max_nodes, deadline)
+        return _native.Walk(kernel, stack, spent).run(max_nodes, deadline)
 
     with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         try:
@@ -364,7 +338,7 @@ def _search(kernel, threads, max_nodes, deadline):
                 if fut.exception() is not None or fut.result()[0] in ("SAT", "TIMEOUT"):
                     break
         finally:
-            # a running job stops within _POLL_NODES + N nodes, one not yet
+            # a running job stops within _native._POLL_NODES + N nodes, one not yet
             # started returns at once, and the queued jobs never start
             spent.value = max_nodes
             pool.shutdown(cancel_futures=True)

@@ -6,8 +6,10 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,7 @@ def _c_tree(n, r, k, max_nodes=10**18):
     """The C kernel's search of [1, n] at one worker, as the oracle's tree
     reports it: (status, assignments, branches made, colors or None)."""
     kernel = _native.Kernel(n, r, k)
-    status, colors, nodes = search._run_tree(_native.Walk(kernel, [kernel.root()]), max_nodes, math.inf)
+    status, colors, nodes = _native.Walk(kernel, [kernel.root()]).run(max_nodes, math.inf)
     return status, nodes, kernel.decisions, colors
 
 
@@ -60,7 +62,7 @@ class TestOracleTrees:
         stack, nodes = [kernel.root()], 0
         for _ in range(10):
             walk = _native.Walk(kernel, stack)
-            status, colors, made = search._run_tree(walk, 5_000, math.inf)
+            status, colors, made = walk.run(5_000, math.inf)
             stack = walk.branches()
             nodes += made
             if status != "TIMEOUT":
@@ -118,7 +120,28 @@ class TestScanner:
         assert (used, lits.tolist(), runs.tolist()) == (6, [2, 3], [2, 1])
 
 
+class _Recorder:
+    """A stand-in library that records the names asked of it."""
+
+    def __init__(self):
+        self.names = set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return types.SimpleNamespace()
+
+
 class TestBuild:
+    def test_the_library_exports_only_what_is_bound(self):
+        # the wd_* functions _kernel.c exports and those _bind binds are the
+        # same: a dead export, or a binding to a function that is gone,
+        # fails here instead of at the first call
+        with open(_native._SOURCE) as f:
+            exported = set(re.findall(r"^(?!static\b)\w[\w *]*?\b(wd_\w+)\(", f.read(), re.MULTILINE))
+        lib = _Recorder()
+        _native._bind(lib)
+        assert exported == lib.names and "wd_walk" in exported
+
     def test_import_builds_nothing(self, cold_cache):
         proc = subprocess.run(
             [sys.executable, "-c", "import waerden; print(waerden.bracket_exponent(100, 2).n)"],
@@ -208,4 +231,4 @@ class TestBuild:
             timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == "error: cannot build the search kernel: gcc not found\n"
+        assert proc.stderr == "error: cannot build the C library (_kernel.c): gcc not found\n"

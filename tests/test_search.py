@@ -207,7 +207,7 @@ class TestDecideColorability:
         for n, inst, max_nodes in cases:
             out = decide_colorability(n, inst, Budget(max_nodes=max_nodes), threads=threads)
             assert out.status is SearchStatus.TIMEOUT, (n, inst)
-            bound = max_nodes + threads * (search._POLL_NODES + n)
+            bound = max_nodes + threads * (_native._POLL_NODES + n)
             assert max_nodes <= out.stats.nodes <= bound, (n, inst)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -251,7 +251,7 @@ def _c_tree(n, r, k, max_nodes=10**18):
     """The C kernel's search of [1, n] at one worker, as the oracle's tree
     reports it: (status, assignments, branches made, colors or None)."""
     kernel = _native.Kernel(n, r, k)
-    status, colors, nodes = search._run_tree(_native.Walk(kernel, [kernel.root()]), max_nodes, math.inf)
+    status, colors, nodes = _native.Walk(kernel, [kernel.root()]).run(max_nodes, math.inf)
     return status, nodes, kernel.decisions, colors
 
 
@@ -601,9 +601,15 @@ def _walk(n, r, k, picks):
     raise AssertionError("a walk outlived its positions")
 
 
+# the oracle's _expand status of a branch, and the status of the C walk
+# of that branch alone stopped after one node
+_STEP_STATUS = {"SAT": "SAT", "leaf": "UNSAT", "branch": "TIMEOUT"}
+
+
 class TestExpand:
-    """_expand is the oracle's one node step, and Kernel.expand the C
-    kernel's, through which the split makes every branch."""
+    """_expand is the oracle's one node step; the split makes every branch
+    with the C walk, as a walk of that branch alone stopped after one node
+    (Walk.run(1, ...)), and reads the children off its stack."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -612,6 +618,39 @@ class TestExpand:
     )
     def test_children_follow_the_canonical_rule(self, n, r, k, picks):
         _walk(n, r, k, picks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 30), r=st.integers(2, 4), k=st.integers(3, 5),
+        picks=st.lists(st.integers(0, 3), max_size=30),
+    )
+    def test_the_split_steps_as_the_oracle_does(self, n, r, k, picks):
+        # one path down from the root, each node made both by the oracle's
+        # _expand and by a C walk of that branch alone, as the split makes it:
+        # the same status, assignments, children in stack order and coloring
+        tables = oracles._tables(n, k)
+        kernel = _native.Kernel(n, r, k)
+        want, got = oracles._root(r, tables), kernel.root()
+        assert got[:2] == want[:2]
+        for i in range(n + 1):  # each branch assigns a position
+            status, made, children = oracles._expand(r, tables, want)
+            walk = _native.Walk(kernel, [got])
+            c_status, colors, c_made = walk.run(1, math.inf)
+            c_children = walk.branches()
+            assert (c_status, c_made) == (_STEP_STATUS[status], made)
+            if status == "SAT":
+                assert colors == tuple(
+                    next(c for c in range(r) if children[c] >> p & 1) for p in range(1, n + 1)
+                )
+            if status != "branch":
+                assert c_children == []
+                return
+            assert [(p, c) for p, c, _ in c_children] == [(p, c) for p, c, _ in children]
+            assert len({id(state) for _, _, state in c_children}) == 1  # siblings share one state
+            assert _native.depth(c_children[0][2]) == children[0][2][4]
+            j = (picks[i] if i < len(picks) else 0) % len(children)
+            want, got = children[j], c_children[j]
+        raise AssertionError("a walk outlived its positions")
 
     @pytest.mark.parametrize(
         "n, r, k, picks", [(5, 2, 3, [1]), (8, 3, 3, [0, 1, 2, 1]), (10, 4, 3, [3, 2, 1, 0, 1, 3, 1])]
@@ -622,24 +661,19 @@ class TestExpand:
     @pytest.mark.parametrize("r, k, n", [(2, 4, 35), (3, 3, 27), (3, 4, 100)])
     def test_no_search_writes_a_state(self, r, k, n):
         # every state the split makes, and every state the serial pass
-        # leaves to it, is unchanged at the end of a search whose jobs run
-        # on the pool's threads: the jobs copy them into the C kernel's arrays
+        # leaves to it, both read off a walk's stack, is unchanged at the end
+        # of a search whose jobs run on the pool's threads: the jobs copy
+        # them into the C kernel's arrays
         states = []
-        expand, split = _native.Kernel.expand, search._split
+        branches = _native.Walk.branches
 
-        def spy(self, branch):
-            out = expand(self, branch)
-            if out[0] == "branch":
-                states.append((out[2][0][2], copy.deepcopy(out[2][0][2])))
+        def spy(walk):
+            out = branches(walk)
+            states.extend((branch[2], copy.deepcopy(branch[2])) for branch in out)
             return out
 
-        def split_spy(kernel, stack, *rest):
-            states.extend((branch[2], copy.deepcopy(branch[2])) for branch in stack)
-            return split(kernel, stack, *rest)
-
         one = decide_colorability(n, VdwInstance(r, k))
-        with mock.patch.object(_native.Kernel, "expand", spy), \
-                mock.patch.object(search, "_split", split_spy), \
+        with mock.patch.object(_native.Walk, "branches", spy), \
                 mock.patch.object(search, "_SERIAL_NODES", 50):
             two = decide_colorability(n, VdwInstance(r, k), threads=2)
         assert one.status is two.status and len(states) > 20
@@ -803,7 +837,7 @@ class TestPoolPath:
             walk = _native.Walk(kernel, [kernel.root()])
             nodes = 0
             if budget:
-                status, _, nodes = search._run_tree(walk, budget, deadline)
+                status, _, nodes = walk.run(budget, deadline)
                 assert status == "TIMEOUT"
             stack = walk.branches()
             status, jobs, nodes = search._split(kernel, stack, 20, nodes, 10**9)
@@ -827,7 +861,7 @@ class TestPoolPath:
             assert all(len({id(branch[2]) for branch in job}) == 1 for job in jobs[1:])
             # run to the end, the jobs make every branch not yet made, once
             for job in jobs:
-                status, _, made = search._run_tree(_native.Walk(kernel, job), 10**9, deadline)
+                status, _, made = _native.Walk(kernel, job).run(10**9, deadline)
                 assert status == "UNSAT"
                 nodes += made
         else:
@@ -990,10 +1024,10 @@ class TestPoolPath:
         deadline = time.monotonic() + 60
         spent = ctypes.c_int64(100)
         walk = _native.Walk(kernel, [kernel.root()], spent)
-        assert search._run_tree(walk, 100, deadline) == ("TIMEOUT", None, 0)
+        assert walk.run(100, deadline) == ("TIMEOUT", None, 0)
         assert len(walk.branches()) == 1
         spent.value = 99  # one node left: the same job runs and finds (2,3) at N = 8 SAT
-        status, _, nodes = search._run_tree(walk, 100, deadline)
+        status, _, nodes = walk.run(100, deadline)
         assert status == "SAT" and nodes > 0 and spent.value == 99 + nodes
 
     @pytest.mark.parametrize("threads, serial", [(2, 1000), (8, 100)])
@@ -1019,24 +1053,32 @@ class TestPoolPath:
 
     @pytest.mark.parametrize("threads, most", [(1, 0), (2, 1)])
     def test_the_stack_is_unpacked_only_for_the_split(self, threads, most):
-        # a walk's stack leaves C only when the serial pass hands it to the
-        # split: never at 1 worker, and at most once in a 2-worker search,
-        # whose jobs drop theirs
-        branches = _native.Walk.branches
-        calls = []
+        # a stack of the walks that share the search's node count, its first
+        # walk's, leaves C only when the serial pass hands it to the split:
+        # never at 1 worker, and at most once in a 2-worker search, whose
+        # jobs drop theirs; the split's walks of one branch count alone
+        init, branches = _native.Walk.__init__, _native.Walk.branches
+        walks, calls = [], []
+
+        def init_spy(walk, *args, **kwargs):
+            init(walk, *args, **kwargs)
+            walks.append(walk)
 
         def spy(walk):
             calls.append(walk)
             return branches(walk)
 
-        with mock.patch.object(_native.Walk, "branches", spy), \
+        with mock.patch.object(_native.Walk, "__init__", init_spy), \
+                mock.patch.object(_native.Walk, "branches", spy), \
                 mock.patch.object(search.os, "cpu_count", return_value=2):
             for n, r, k, max_nodes in ((27, 3, 3, 10**9), (61, 4, 3, 10**9), (76, 4, 3, 20_000)):
+                walks.clear()
                 calls.clear()
                 decide_colorability(n, VdwInstance(r, k), Budget(max_nodes=max_nodes), threads=threads)
-                assert len(calls) <= most, (n, r, k)
+                shared = [walk for walk in calls if walk.spent is walks[0].spent]
+                assert len(shared) <= most, (n, r, k)
             # the last two reach the pool at 2 workers
-            assert len(calls) == most
+            assert len(shared) == most
 
 
 class TestComputeW:
