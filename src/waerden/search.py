@@ -135,12 +135,12 @@ class Budget(Record):
     within one branch (at most N assignments) of max_nodes; a branch that
     decides the tree reports its answer.  Every walk reads its clock in C
     when it starts and every _native._POLL_NODES (256) nodes, so a worker
-    makes at most 256 + N assignments after max_seconds has passed.  The clock starts
-    before the table build, which cannot be stopped, and a walk that starts
-    past the deadline makes none.  With max_seconds=0.01 on 2 cores, at 1 or
-    2 workers, (2,6) at N = 1132 returned after 0.011-0.015 s and (2,7) at
-    N = 2000 after 0.014-0.026 s, with no node made: its tables took 16-19
-    ms.  A multi-worker search resumes the serial pass on the pool, and each
+    makes at most 256 + N assignments after max_seconds has passed.  The
+    clock starts before the table build, which cannot be stopped, and a
+    walk that starts past the deadline makes none.  With max_seconds=0.01
+    on 2 cores, at 1 or 2 workers, (2,6) at N = 1132 returned after
+    0.011-0.015 s and (2,7) at N = 2000 after 0.014-0.026 s, with no node
+    made: its tables took 16-19 ms.  A multi-worker search resumes the serial pass on the pool, and each
     running job charges the shared count every 256 nodes, so it can run up
     to threads * (256 + N) assignments past max_nodes before every worker
     sees the budget spent.
@@ -338,8 +338,8 @@ def _search(kernel, threads, max_nodes, deadline):
                 if fut.exception() is not None or fut.result()[0] in ("SAT", "TIMEOUT"):
                     break
         finally:
-            # a running job stops within _native._POLL_NODES + N nodes, one not yet
-            # started returns at once, and the queued jobs never start
+            # a running job stops within _native._POLL_NODES + N nodes, one
+            # not yet started returns at once, and the queued jobs never start
             spent.value = max_nodes
             pool.shutdown(cancel_futures=True)
     # re-raises a job's error, now that no job runs on
