@@ -36,7 +36,7 @@
 
 typedef uint64_t word;
 
-enum { UNSAT = 0, SAT = 1, TIMEOUT = 2, GROW = 3, BRANCH = 4, NOMEM = -1 };
+enum { UNSAT = 0, SAT = 1, TIMEOUT = 2, GROW = 3, PAUSE = 4, BRANCH = 5, NOMEM = -1 };
 
 #define BIT(m, p) ((m)[(p) >> 6] >> ((p) & 63) & 1)
 #define SET(m, p) ((m)[(p) >> 6] |= (word)1 << ((p) & 63))
@@ -465,24 +465,24 @@ static double now(void)
 }
 
 /* Backtrack depth first from a stack of *sp unmade branches, three int32s
- * each (position, color, slot), over `slots` states, for up to max_nodes
- * assignments, checked before each branch, so a stopped walk leaves the
- * unmade branches in the stack for the next call.  *spent is the node
- * count the walks of one search share.  The walk stops before its first
- * branch if *spent has reached budget or `seconds` is not positive, and
- * every `poll` nodes it adds its new nodes to *spent and stops if that
- * reaches budget or `seconds` have passed.  Returns UNSAT when the stack
- * runs out, SAT with the coloring in colors, TIMEOUT on a limit, or GROW
- * before a branch that needs a slot or stack room past `slots` or `cap`
- * entries.  *made gets the assignments made, all of them added to *spent,
- * and the branches are added to the kernel's decisions. */
-int wd_walk(kernel *K, int32_t *stack, int64_t *sp, int64_t cap, word *states, int64_t slots,
-            int64_t max_nodes, int64_t *spent, int64_t budget, int64_t poll, double seconds,
-            int64_t *made, int32_t *colors)
+ * each (position, color, slot), over `slots` states; a stopped walk leaves
+ * the unmade branches in the stack for the next call.  The caller sizes the
+ * stack for all a walk can push: each level of a path adds at most r - 1
+ * entries.  Here alone a walk's stop is decided.  Before its first branch
+ * and every `poll` nodes after, it adds its new nodes to *spent, the count
+ * the walks of one search share, reads the sum and its clock, and stops
+ * with TIMEOUT once `seconds` have passed or PAUSE once `pause` have, so the
+ * caller's thread can take an interrupt.  Before each branch it stops with
+ * TIMEOUT once the sum it last read plus its uncharged nodes reaches budget.
+ * Returns UNSAT when the stack runs out, SAT with the coloring in colors, or
+ * GROW before a branch whose child needs a slot past `slots`.  *made gets
+ * the assignments made, all added to *spent, and the branches are added to
+ * the kernel's decisions. */
+int wd_walk(kernel *K, int32_t *stack, int64_t *sp, word *states, int64_t slots, int64_t *spent,
+            int64_t budget, int64_t poll, double seconds, double pause, int64_t *made,
+            int32_t *colors)
 {
     *made = 0;
-    if (seconds <= 0 || __atomic_load_n(spent, __ATOMIC_RELAXED) >= budget)
-        return TIMEOUT;
     scratch t;
     if (!scratch_new(K, &t))
         return NOMEM;
@@ -491,25 +491,25 @@ int wd_walk(kernel *K, int32_t *stack, int64_t *sp, int64_t cap, word *states, i
         scratch_free(&t);
         return NOMEM;
     }
-    const double stop = now() + seconds;
-    int64_t nodes = 0, charged = 0, branches = 0;
+    const double start = now();
+    int64_t nodes = 0, charged = 0, seen = 0, branches = 0;
     int status = UNSAT;
     while (*sp > 0) {
-        if (nodes >= max_nodes) {
+        if (!branches || nodes - charged >= poll) {
+            seen = __atomic_add_fetch(spent, nodes - charged, __ATOMIC_RELAXED);
+            charged = nodes;
+            const double passed = now() - start;
+            status = passed >= seconds ? TIMEOUT : passed >= pause ? PAUSE : UNSAT;
+            if (status != UNSAT)
+                break;
+        }
+        if (seen + nodes - charged >= budget) {
             status = TIMEOUT;
             break;
         }
-        if (nodes - charged >= poll) {
-            const int64_t total = __atomic_add_fetch(spent, nodes - charged, __ATOMIC_RELAXED);
-            charged = nodes;
-            if (total >= budget || now() >= stop) {
-                status = TIMEOUT;
-                break;
-            }
-        }
         const int32_t *e = stack + 3 * (*sp - 1);
         const int32_t p = e[0], c = e[1], slot = e[2];
-        if (slot + 1 >= slots || *sp - 1 + K->r > cap) {
+        if (slot + 1 >= slots) {
             status = GROW;
             break;
         }

@@ -15,8 +15,9 @@ Kernel binds the library to the tables of one (N, r, k).  A branch is a
 tuple (position, color, state), the state being the bytes of the node the
 branch leaves, shared by its siblings; the layout of a state is described
 in _kernel.c, and its first four bytes are its depth.  Walk packs a stack
-of such branches into C arrays, walks it depth first with wd_walk, the
-one way into the search, and unpacks what is left when asked; a walk of
+of such branches into C arrays sized from that stack, walks it depth
+first with wd_walk, the one way into the search and the one place that
+decides when a walk stops, and unpacks what is left when asked; a walk of
 one branch stopped after one node makes that branch alone.  A ctypes call
 releases the GIL, and the kernel's tables are read only once made, so
 walks of one Kernel may run in parallel threads: each has its own arrays,
@@ -46,17 +47,17 @@ _COMPILE = ("gcc", "-O2", "-shared", "-fPIC")
 _LIB = None
 
 # return codes of wd_walk
-_UNSAT, _SAT, _TIMEOUT, _GROW, _NOMEM = 0, 1, 2, 3, -1
+_UNSAT, _SAT, _TIMEOUT, _GROW, _PAUSE, _NOMEM = 0, 1, 2, 3, 4, -1
 _STATUS = {_UNSAT: "UNSAT", _SAT: "SAT", _TIMEOUT: "TIMEOUT"}
 
-# every _POLL_NODES nodes wd_walk adds what it has made to the shared node
-# count, reads it and reads its clock, so a search stops within
-# _POLL_NODES + N nodes of its deadline or of a decision elsewhere (the
-# caller spends the count when a job answers or fails, or on an interrupt)
+# before its first branch and every _POLL_NODES nodes after, wd_walk charges
+# the shared node count and reads it and its clock, so a search stops within
+# _POLL_NODES + N nodes of its deadline or of a decision elsewhere (the caller
+# spends the count when a job answers or fails, or on an interrupt)
 _POLL_NODES = 256
 
-# the longest a wd_walk call runs before it returns to Python, where the
-# main thread takes a KeyboardInterrupt
+# the longest a wd_walk call runs before it pauses and returns to Python,
+# where the main thread takes a KeyboardInterrupt
 _RUN_SECONDS = 0.05
 
 _word_p = ctypes.POINTER(ctypes.c_uint64)
@@ -106,8 +107,8 @@ def _bind(lib):
     lib.wd_decisions.argtypes = [ctypes.c_void_p]
     lib.wd_walk.restype = ctypes.c_int
     lib.wd_walk.argtypes = [
-        ctypes.c_void_p, _int32_p, _int64_p, ctypes.c_int64, _word_p, ctypes.c_int64,
-        ctypes.c_int64, _int64_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, _int64_p, _int32_p,
+        ctypes.c_void_p, _int32_p, _int64_p, _word_p, ctypes.c_int64, _int64_p, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_double, ctypes.c_double, _int64_p, _int32_p,
     ]
     lib.wd_scan.restype = ctypes.c_int64
     lib.wd_scan.argtypes = [
@@ -207,8 +208,11 @@ class Walk:
     """A stack of branches packed for wd_walk: three int32s per branch
     (position, color, slot) and one state per slot.  The states are
     numbered in stack order from the bottom, siblings sharing theirs, so a
-    branch's child always goes to the slot after its own.  `spent` is the
-    node count, a ctypes.c_int64, that the walks of one search share; a walk
+    branch's child always goes to the slot after its own.  The stack is
+    allocated once, with room for all a walk can push, as each level of a
+    path adds at most r - 1 branches; the states get one slot past those
+    given, doubled in place as the walk goes deeper.  `spent` is the node
+    count, a ctypes.c_int64, that the walks of one search share; a walk
     given none counts alone."""
 
     def __init__(self, kernel: Kernel, stack, spent=None):
@@ -220,9 +224,8 @@ class Walk:
                 states.append(state)
             entries += (p, c, len(states) - 1)
         self.sp = ctypes.c_int64(len(stack))
-        self.cap = len(stack) + (kernel.N + 2) * kernel.r
-        self.stack = (ctypes.c_int32 * (3 * self.cap))(*entries)
-        self.slots = len(states) + 32
+        self.stack = (ctypes.c_int32 * (3 * (len(stack) + (kernel.N + 2) * kernel.r)))(*entries)
+        self.slots = len(states) + 1
         self.states = (ctypes.c_uint64 * (self.slots * kernel.words))()
         size = 8 * kernel.words
         for slot, state in enumerate(states):
@@ -230,41 +233,29 @@ class Walk:
         self.made = ctypes.c_int64()
         self.colors = (ctypes.c_int32 * kernel.N)()
 
-    def _grow(self) -> None:
-        """Double the slots and the stack room."""
-        kernel = self.kernel
-        self.slots *= 2
-        states = (ctypes.c_uint64 * (self.slots * kernel.words))()
-        ctypes.memmove(states, self.states, ctypes.sizeof(self.states))
-        self.cap *= 2
-        stack = (ctypes.c_int32 * (3 * self.cap))()
-        ctypes.memmove(stack, self.stack, ctypes.sizeof(self.stack))
-        self.states, self.stack = states, stack
-
-    def run(self, max_nodes: int, deadline: float):
-        """Walk the stack until it is decided, max_nodes nodes are made, the
-        node count the walks of the search share reaches max_nodes or the
-        time.monotonic() deadline passes; wd_walk tests the limits.  It
-        returns to Python every _RUN_SECONDS, so the calling thread can take
-        an interrupt, and a stopped walk leaves the unmade branches in the
-        stack.  Returns (status, colors of positions 1..N or None, nodes),
-        status being "SAT", "UNSAT" (the stack ran out) or "TIMEOUT"."""
+    def run(self, budget: int, deadline: float):
+        """Walk the stack until it is decided, the shared node count reaches
+        budget or the time.monotonic() deadline passes, as wd_walk alone
+        decides; a stopped walk leaves the unmade branches in the stack.  It
+        re-enters wd_walk only to grow the states or after a pause, every
+        _RUN_SECONDS, where the calling thread can take an interrupt.
+        Returns (status, colors of positions 1..N or None, nodes), status
+        being "SAT", "UNSAT" (the stack ran out) or "TIMEOUT"."""
         kernel, nodes = self.kernel, 0
         while True:
             status = kernel._lib.wd_walk(
-                kernel._ctx, self.stack, ctypes.byref(self.sp), self.cap, self.states, self.slots,
-                max_nodes - nodes, ctypes.byref(self.spent), max_nodes, _POLL_NODES,
-                min(deadline - time.monotonic(), _RUN_SECONDS), ctypes.byref(self.made), self.colors,
+                kernel._ctx, self.stack, ctypes.byref(self.sp), self.states, self.slots,
+                ctypes.byref(self.spent), budget, _POLL_NODES, deadline - time.monotonic(),
+                _RUN_SECONDS, ctypes.byref(self.made), self.colors,
             )
             nodes += self.made.value
             if status == _NOMEM:
                 raise MemoryError("the search kernel ran out of memory")
             if status == _GROW:
-                self._grow()
-                continue
-            # only a walk that stopped at its pause goes on
-            spent = max(nodes, self.spent.value) >= max_nodes
-            if status != _TIMEOUT or spent or time.monotonic() >= deadline:
+                # unzeroed: a slot is written before it is read, by address
+                self.slots *= 2
+                ctypes.resize(self.states, 8 * self.slots * kernel.words)
+            elif status != _PAUSE:
                 return _STATUS[status], tuple(self.colors) if status == _SAT else None, nodes
 
     def branches(self) -> list:

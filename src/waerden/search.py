@@ -71,23 +71,26 @@ by the C walk (wd_walk), which Walk.run calls on a stack packed into C
 arrays (_native.Walk) and leaves holding the unmade branches; the prefix
 split makes each branch as a walk of one branch and reads its children
 off that walk's stack.  The C walk copies each state into a slot before it
-assigns, one state per depth, so no state it was given is written.
-With more than one worker (threads, capped at the CPU count) a search
-first runs serially for up to _SERIAL_NODES nodes, so a small tree is
-decided as at one worker, without a pool; with one, as on one CPU, it
-stays serial.  A larger tree goes to a pool of threads that walk the one
+assigns, one state per depth, so no state it was given is written; a walk
+holds the states it is given plus one, doubled as it goes deeper.  The
+walks of a search charge one node count, and wd_walk alone decides when a
+walk stops: before each branch, once the count it last read plus the
+nodes it has not charged reaches the budget.  With more than one worker
+(threads, capped at the CPU count) a search first runs serially for up to
+_SERIAL_NODES nodes, so a small tree is decided as at one worker, without
+a pool; with one, as on one CPU, it stays serial.  A larger tree goes to a pool of threads that walk the one
 Kernel, as a ctypes call releases the GIL: the branches the serial pass
 left are unpacked, the shallowest are made level by level, each node's
 branches become one job, and the pass's path goes out with the top node's,
 so no assignment is made twice and an UNSAT proof counts the same nodes
-and decisions at any worker count.  The walks of a search charge one node
-count in C.  SAT short-circuits the rest: it spends that count, so every
-job stops within _native._POLL_NODES + N nodes, and cancels the jobs not yet
-started; a job's error and an interrupt (KeyboardInterrupt, which the
-calling thread takes while it waits on the jobs) take the same path before
-they are re-raised.  UNSAT requires every job to be exhausted.  The
-SAT/UNSAT answer is identical across worker counts; certificates may
-differ but always verify.
+and decisions at any worker count.  SAT short-circuits the rest: it spends
+the shared count, so every running job stops within _native._POLL_NODES +
+N nodes, a job not yet started makes no branch, and the jobs not yet
+started are cancelled; a job's error and an interrupt (KeyboardInterrupt,
+which the calling thread takes while it waits on the jobs) take the same
+path before they are re-raised.  UNSAT requires every job to be
+exhausted.  The SAT/UNSAT answer is identical across worker counts;
+certificates may differ but always verify.
 
 compute_W searches only above a constructed coloring.  It first takes the
 longest AP-free coloring it finds among Rabung's power-residue colorings
@@ -131,19 +134,24 @@ class SearchStatus(Enum):
 class Budget(Record):
     """Node and wall-time limits for one search call.
 
-    The node budget is checked before each branch, so one worker stops
-    within one branch (at most N assignments) of max_nodes; a branch that
-    decides the tree reports its answer.  Every walk reads its clock in C
-    when it starts and every _native._POLL_NODES (256) nodes, so a worker
-    makes at most 256 + N assignments after max_seconds has passed.  The
-    clock starts before the table build, which cannot be stopped, and a
-    walk that starts past the deadline makes none.  With max_seconds=0.01
-    on 2 cores, at 1 or 2 workers, (2,6) at N = 1132 returned after
-    0.011-0.015 s and (2,7) at N = 2000 after 0.014-0.026 s, with no node
-    made: its tables took 16-19 ms.  A multi-worker search resumes the serial pass on the pool, and each
-    running job charges the shared count every 256 nodes, so it can run up
-    to threads * (256 + N) assignments past max_nodes before every worker
-    sees the budget spent.
+    The node budget is checked in C before each branch of every walk,
+    against the search's shared node count as the walk last read it plus
+    the nodes it has not yet charged, so one worker stops within one branch
+    (at most N assignments) of max_nodes; a branch that decides the tree
+    reports its answer.  Every walk reads the count and its clock before
+    its first branch and every _native._POLL_NODES (256) nodes after, so a
+    worker makes at most 256 + N assignments after max_seconds has passed.
+    The clock starts before the table build, which cannot be stopped, and
+    a walk that starts past the deadline makes none.  With
+    max_seconds=0.01 on 2 cores, at 1 or 2 workers, (2,6) at N = 1132
+    returned after 0.011 s and (2,7) at N = 2000 after 0.011-0.015 s, with
+    no node made: its tables took 13-15 ms.  A multi-worker search
+    resumes the serial pass on the pool, and a running job sees the other
+    jobs' nodes only when it reads the count, so the jobs can run up to
+    threads * (256 + N) assignments past max_nodes before every worker sees
+    the budget spent; at 2 workers (4,3) at N = 76 ran 15-270 nodes past a
+    20,000-node budget and (2,5) at N = 178 259-287 past 40,000 (ten runs
+    each on 2 cores).
     The power-residue scan that compute_W runs first is charged to
     max_seconds, not to max_nodes: it uses no nodes, reads the clock before
     each prime and so stops at most one prime's work past the deadline.  On

@@ -70,6 +70,37 @@ class TestOracleTrees:
         assert (status, nodes, kernel.decisions, colors) == oracles.tree(61, 4, 3)
 
 
+class TestPause:
+    def test_a_paused_walk_goes_on_inside_run(self, monkeypatch):
+        # a 2,000,000-node walk of (4,3) at N = 76 takes about 0.25 s, so
+        # wd_walk pauses every _RUN_SECONDS and Walk.run goes back in; the
+        # walk ends as the same tree stopped and resumed at fixed node
+        # budgets ends, and no pause reaches the caller
+        budget = 2_000_000
+
+        def walk(budgets):
+            kernel = _native.Kernel(76, 4, 3)
+            walk = _native.Walk(kernel, [kernel.root()])
+            nodes = 0
+            for at in budgets:
+                status, colors, made = walk.run(at, math.inf)
+                nodes += made
+            return status, colors, nodes, kernel.decisions, walk.branches()
+
+        wd_walk, statuses = _native.library().wd_walk, []
+
+        def spy(*args):
+            statuses.append(wd_walk(*args))
+            return statuses[-1]
+
+        monkeypatch.setattr(_native.library(), "wd_walk", spy)
+        paused = walk([budget])
+        monkeypatch.undo()
+        assert _native._PAUSE in statuses and statuses[-1] == _native._TIMEOUT
+        assert paused[:2] == ("TIMEOUT", None) and paused[2] >= budget
+        assert paused == walk(range(budget // 8, budget + 1, budget // 8))
+
+
 @pytest.fixture
 def cold_cache(tmp_path, monkeypatch):
     """An empty kernel cache, with no library loaded in this process."""

@@ -1026,9 +1026,18 @@ class TestPoolPath:
         walk = _native.Walk(kernel, [kernel.root()], spent)
         assert walk.run(100, deadline) == ("TIMEOUT", None, 0)
         assert len(walk.branches()) == 1
-        spent.value = 99  # one node left: the same job runs and finds (2,3) at N = 8 SAT
+        # one node left: the job makes the root branch, then sees the count
+        # it last read plus its own nodes reach the budget and makes no more
+        spent.value = 99
         status, _, nodes = walk.run(100, deadline)
-        assert status == "SAT" and nodes > 0 and spent.value == 99 + nodes
+        assert status == "TIMEOUT" and nodes > 0 and spent.value == 99 + nodes
+        children = walk.branches()
+        assert [_native.depth(state) for _, _, state in children] == [1] * len(children) != []
+        # with its count below the budget again, the same job goes on from
+        # the root's children and finds (2,3) at N = 8 SAT
+        spent.value = 0
+        status, _, more = walk.run(100, deadline)
+        assert status == "SAT" and more > 0 and spent.value == more
 
     @pytest.mark.parametrize("threads, serial", [(2, 1000), (8, 100)])
     def test_decisions_are_exact_under_threads(self, threads, serial):
