@@ -149,8 +149,8 @@ class Budget(Record):
     resumes the serial pass on the pool, and a running job sees the other
     jobs' nodes only when it reads the count, so the jobs can run up to
     threads * (256 + N) assignments past max_nodes before every worker sees
-    the budget spent; at 2 workers (4,3) at N = 76 ran 15-270 nodes past a
-    20,000-node budget and (2,5) at N = 178 259-287 past 40,000 (ten runs
+    the budget spent; at 2 workers (4,3) at N = 76 ran 15-272 nodes past a
+    20,000-node budget and (2,5) at N = 178 259-286 past 40,000 (ten runs
     each on 2 cores).
     The power-residue scan that compute_W runs first is charged to
     max_seconds, not to max_nodes: it uses no nodes, reads the clock before

@@ -78,7 +78,7 @@ class TestPause:
         # budgets ends, and no pause reaches the caller
         budget = 2_000_000
 
-        def walk(budgets):
+        def stopped_at(budgets):
             kernel = _native.Kernel(76, 4, 3)
             walk = _native.Walk(kernel, [kernel.root()])
             nodes = 0
@@ -94,11 +94,11 @@ class TestPause:
             return statuses[-1]
 
         monkeypatch.setattr(_native.library(), "wd_walk", spy)
-        paused = walk([budget])
+        paused = stopped_at([budget])
         monkeypatch.undo()
         assert _native._PAUSE in statuses and statuses[-1] == _native._TIMEOUT
         assert paused[:2] == ("TIMEOUT", None) and paused[2] >= budget
-        assert paused == walk(range(budget // 8, budget + 1, budget // 8))
+        assert paused == stopped_at(range(budget // 8, budget + 1, budget // 8))
 
 
 @pytest.fixture

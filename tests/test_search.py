@@ -1032,7 +1032,7 @@ class TestPoolPath:
         status, _, nodes = walk.run(100, deadline)
         assert status == "TIMEOUT" and nodes > 0 and spent.value == 99 + nodes
         children = walk.branches()
-        assert [_native.depth(state) for _, _, state in children] == [1] * len(children) != []
+        assert children and all(_native.depth(state) == 1 for _, _, state in children)
         # with its count below the budget again, the same job goes on from
         # the root's children and finds (2,3) at N = 8 SAT
         spent.value = 0
