@@ -210,30 +210,12 @@ int32_t wd_root(const kernel *K, word *s)
     return branch_position(K, un);
 }
 
-/* What one call needs besides the state: the pending stack of forced
- * assignments, (position, color) pairs, and two masks. */
+/* What a wd_walk call needs besides the states, in one block: two masks, the
+ * pending forced assignments, (position, color) pairs, and expand's list. */
 typedef struct {
-    int32_t *pend;
     word *hit, *forced;
+    int32_t *pend, *out;
 } scratch;
-
-static int scratch_new(const kernel *K, scratch *t)
-{
-    t->pend = malloc(2 * ((size_t)K->N + 2) * sizeof *t->pend);
-    t->hit = malloc(2 * (size_t)K->W * sizeof *t->hit);
-    t->forced = t->hit + K->W;
-    if (t->pend && t->hit)
-        return 1;
-    free(t->pend);
-    free(t->hit);
-    return 0;
-}
-
-static void scratch_free(scratch *t)
-{
-    free(t->pend);
-    free(t->hit);
-}
 
 /* Assign color c to position p, then propagate forced positions until a
  * fixpoint.  Returns 0 on a conflict: a position with no color allowed, or
@@ -410,10 +392,10 @@ static void colors_of(const kernel *K, word *s, int32_t *colors)
  * propagate, test for SAT, run the reversal check and list the branches of
  * the next position.  Returns UNSAT for a leaf (a conflict, or a node whose
  * pairs read larger than its mirror image's), SAT when every position is
- * assigned, else BRANCH with out[0] the next position, out[1] the number
- * of its colors and out[2..] those colors, descending, so a stack makes the
- * least first: every color allowed there up to one past the highest color
- * in use, capped at r - 1.
+ * assigned, else BRANCH with t->out[0] the next position, out[1] the
+ * number of its colors and out[2..] those colors, descending, so a stack
+ * makes the least first: every color allowed there up to one past the
+ * highest color in use, capped at r - 1.
  *
  * Out of line and 64-byte aligned for speed, measured at 1 worker with
  * gcc -O2 on x86-64.  wd_walk is its one caller, and gcc inlines it there:
@@ -425,7 +407,7 @@ static void colors_of(const kernel *K, word *s, int32_t *colors)
  * move. */
 __attribute__((noinline, aligned(64)))
 static int expand(const kernel *K, const word *parent, int32_t p, int32_t c, word *child,
-                  int32_t *out, int64_t *made, scratch *t)
+                  int64_t *made, scratch *t)
 {
     memcpy(child, parent, (size_t)K->size * sizeof *child);
     header(child)[DEPTH]++;
@@ -441,6 +423,7 @@ static int expand(const kernel *K, const word *parent, int32_t p, int32_t c, wor
         return UNSAT; /* the mirror image's colorings are searched instead */
     const int32_t q = branch_position(K, un);
     const word *cm = cm_of(K, child), *al = al_of(K, child);
+    int32_t *out = t->out;
     int32_t top = K->r - 1;
     for (;;) {
         int64_t w = 0;
@@ -483,14 +466,13 @@ int wd_walk(kernel *K, int32_t *stack, int64_t *sp, word *states, int64_t slots,
             int32_t *colors)
 {
     *made = 0;
-    scratch t;
-    if (!scratch_new(K, &t))
+    /* the masks first, for alignment; a pair per position, two fields + r colors */
+    const size_t pairs = 2 * ((size_t)K->N + 2);
+    word *block = malloc(2 * (size_t)K->W * sizeof *block + (pairs + 2 + (size_t)K->r) * sizeof(int32_t));
+    if (!block)
         return NOMEM;
-    int32_t *out = malloc((2 + (size_t)K->r) * sizeof *out);
-    if (!out) {
-        scratch_free(&t);
-        return NOMEM;
-    }
+    int32_t *pend = (int32_t *)(block + 2 * K->W);
+    scratch t = {block, block + K->W, pend, pend + pairs};
     const double start = now();
     int64_t nodes = 0, charged = 0, seen = 0, branches = 0;
     int status = UNSAT;
@@ -515,7 +497,7 @@ int wd_walk(kernel *K, int32_t *stack, int64_t *sp, word *states, int64_t slots,
         }
         --*sp;
         word *child = states + (slot + 1) * K->size;
-        const int s = expand(K, states + slot * K->size, p, c, child, out, &nodes, &t);
+        const int s = expand(K, states + slot * K->size, p, c, child, &nodes, &t);
         branches++;
         if (s == SAT) {
             colors_of(K, child, colors);
@@ -523,16 +505,15 @@ int wd_walk(kernel *K, int32_t *stack, int64_t *sp, word *states, int64_t slots,
             break;
         }
         if (s == BRANCH)
-            for (int32_t n = 0; n < out[1]; n++, ++*sp) {
+            for (int32_t n = 0; n < t.out[1]; n++, ++*sp) {
                 int32_t *f = stack + 3 * *sp;
-                f[0] = out[0], f[1] = out[2 + n], f[2] = slot + 1;
+                f[0] = t.out[0], f[1] = t.out[2 + n], f[2] = slot + 1;
             }
     }
     __atomic_add_fetch(spent, nodes - charged, __ATOMIC_RELAXED);
     __atomic_add_fetch(&K->decisions, branches, __ATOMIC_RELAXED);
     *made = nodes;
-    free(out);
-    scratch_free(&t);
+    free(block);
     return status;
 }
 

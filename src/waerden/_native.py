@@ -14,15 +14,15 @@ process.  A missing gcc or a failed build raises KernelError.
 Kernel binds the library to the tables of one (N, r, k).  A branch is a
 tuple (position, color, state), the state being the bytes of the node the
 branch leaves, shared by its siblings; the layout of a state is described
-in _kernel.c, and its first four bytes are its depth.  Walk packs a stack
-of such branches into C arrays sized from that stack, walks it depth
-first with wd_walk, the one way into the search and the one place that
-decides when a walk stops, and unpacks what is left when asked; a walk of
-one branch stopped after one node makes that branch alone.  A ctypes call
-releases the GIL, and the kernel's tables are read only once made, so
-walks of one Kernel may run in parallel threads: each has its own arrays,
-and the node count they share and the kernel's decision count are added
-to atomically in C.
+in _kernel.c, and its first four bytes are its depth.  Walk packs one
+node's branches into C arrays, walks them depth first with wd_walk, the
+one way into the search and the one place that decides when a walk stops,
+and takes its bottom node off its stack when asked; a walk of one branch
+stopped after one node makes that branch alone.  A ctypes call releases
+the GIL, and the kernel's tables are read only once made, so walks of one
+Kernel may run in parallel threads: each has its own arrays, and the node
+count they share and the kernel's decision count are added to atomically
+in C.
 
 Scanner holds the buffers of wd_scan, which reads the clause lines of
 DIMACS text for cnf.read_dimacs.
@@ -206,30 +206,23 @@ class Kernel:
 
 class Walk:
     """A stack of branches packed for wd_walk: three int32s per branch
-    (position, color, slot) and one state per slot.  The states are
-    numbered in stack order from the bottom, siblings sharing theirs, so a
-    branch's child always goes to the slot after its own.  The stack is
-    allocated once, with room for all a walk can push, as each level of a
-    path adds at most r - 1 branches; the states get one slot past those
-    given, doubled in place as the walk goes deeper.  `spent` is the node
-    count, a ctypes.c_int64, that the walks of one search share; a walk
-    given none counts alone."""
+    (position, color, slot) and one state per slot.  A walk starts from one
+    node's branches, in slot 0, and a branch's child goes to the slot after
+    its own, so the slots rise from the bottom.  The stack is allocated
+    once, with room for all a walk can push, as each level of a path adds
+    at most r - 1 branches; the states get one spare slot, doubled in place
+    as the walk goes deeper.  `spent` is the node count, a ctypes.c_int64,
+    that the walks of one search share; a walk given none counts alone."""
 
-    def __init__(self, kernel: Kernel, stack, spent=None):
+    def __init__(self, kernel: Kernel, node, spent=None):
         self.kernel = kernel
         self.spent = ctypes.c_int64() if spent is None else spent
-        states, entries = [], []
-        for p, c, state in stack:
-            if not states or states[-1] is not state:
-                states.append(state)
-            entries += (p, c, len(states) - 1)
-        self.sp = ctypes.c_int64(len(stack))
-        self.stack = (ctypes.c_int32 * (3 * (len(stack) + (kernel.N + 2) * kernel.r)))(*entries)
-        self.slots = len(states) + 1
+        entries = [x for p, c, _ in node for x in (p, c, 0)]
+        self.sp = ctypes.c_int64(len(node))
+        self.stack = (ctypes.c_int32 * (3 * (len(node) + (kernel.N + 2) * kernel.r)))(*entries)
+        self.slots = 2
         self.states = (ctypes.c_uint64 * (self.slots * kernel.words))()
-        size = 8 * kernel.words
-        for slot, state in enumerate(states):
-            ctypes.memmove(ctypes.addressof(self.states) + slot * size, state, size)
+        ctypes.memmove(self.states, node[0][2], 8 * kernel.words)
         self.made = ctypes.c_int64()
         self.colors = (ctypes.c_int32 * kernel.N)()
 
@@ -258,18 +251,29 @@ class Walk:
             elif status != _PAUSE:
                 return _STATUS[status], tuple(self.colors) if status == _SAT else None, nodes
 
-    def branches(self) -> list:
-        """The unmade branches, bottom first, as (position, color, state)."""
-        size = 8 * self.kernel.words
-        base = ctypes.addressof(self.states)
-        states: dict[int, bytes] = {}
-        out = []
-        for i in range(self.sp.value):
-            p, c, slot = self.stack[3 * i : 3 * i + 3]
-            if slot not in states:
-                states[slot] = ctypes.string_at(base + slot * size, size)
-            out.append((p, c, states[slot]))
-        return out
+    def _state(self, slot: int) -> int:
+        # by address: ctypes.resize keeps the array's type, and its length
+        return ctypes.addressof(self.states) + 8 * slot * self.kernel.words
+
+    @property
+    def depth(self) -> int | None:
+        """The depth of the bottom node, or None when the stack is empty."""
+        return ctypes.c_int32.from_address(self._state(self.stack[2])).value if self.sp.value else None
+
+    def take(self) -> list:
+        """Remove the bottom node, the branches sharing the bottom one's slot,
+        and return them bottom first as (position, color, state), sharing one
+        state, or []; the rest move down with their slots, states in place."""
+        sp = self.sp.value
+        slots = self.stack[2 : 3 * sp : 3]
+        if not slots:
+            return []
+        n = slots.count(slots[0])  # the slots rise from the bottom
+        state = ctypes.string_at(self._state(slots[0]), 8 * self.kernel.words)
+        node = [(self.stack[3 * i], self.stack[3 * i + 1], state) for i in range(n)]
+        ctypes.memmove(self.stack, ctypes.addressof(self.stack) + 12 * n, 12 * (sp - n))
+        self.sp.value = sp - n
+        return node
 
 
 class Scanner:

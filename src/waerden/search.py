@@ -67,21 +67,22 @@ its last member.  For k = 3 a class member v and a new member q threaten
 The search state is one stack of unmade branches.  A branch is (position,
 color, state), the state being the bytes of the node the branch leaves,
 shared by its siblings and never written once made.  Every branch is made
-by the C walk (wd_walk), which Walk.run calls on a stack packed into C
-arrays (_native.Walk) and leaves holding the unmade branches; the prefix
-split makes each branch as a walk of one branch and reads its children
-off that walk's stack.  The C walk copies each state into a slot before it
-assigns, one state per depth, so no state it was given is written; a walk
-holds the states it is given plus one, doubled as it goes deeper.  The
-walks of a search charge one node count, and wd_walk alone decides when a
-walk stops: before each branch, once the count it last read plus the
-nodes it has not charged reaches the budget.  With more than one worker
-(threads, capped at the CPU count) a search first runs serially for up to
-_SERIAL_NODES nodes, so a small tree is decided as at one worker, without
-a pool; with one, as on one CPU, it stays serial.  A larger tree goes to a pool of threads that walk the one
-Kernel, as a ctypes call releases the GIL: the branches the serial pass
-left are unpacked, the shallowest are made level by level, each node's
-branches become one job, and the pass's path goes out with the top node's,
+by the C walk (wd_walk), which Walk.run calls on one node's branches
+packed into C arrays (_native.Walk) and leaves holding the unmade
+branches; the prefix split makes each branch as a walk of one branch and
+takes its child node off that walk's stack.  The C walk copies each state
+into a slot before it assigns, one state per depth, so no state it was
+given is written; a walk holds its node's state plus one, doubled as it
+goes deeper.  The walks of a search charge one node count, and wd_walk
+alone decides when a walk stops: before each branch, once the count it
+last read plus the nodes it has not charged reaches the budget.  With more
+than one worker (threads, capped at the CPU count) a search first runs
+serially for up to _SERIAL_NODES nodes, so a small tree is decided as at
+one worker, without a pool; with one, as on one CPU, it stays serial.  A
+larger tree goes to a pool of threads that walk the one Kernel, as a
+ctypes call releases the GIL: the split makes the shallow nodes of the
+serial pass's path level by level, taking them off the bottom of its walk,
+each node of the last level is one job, and the walk goes on as the first,
 so no assignment is made twice and an UNSAT proof counts the same nodes
 and decisions at any worker count.  SAT short-circuits the rest: it spends
 the shared count, so every running job stops within _native._POLL_NODES +
@@ -107,11 +108,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, groupby
+from itertools import count
 
 from . import _native
 from ._record import Record
@@ -145,7 +147,9 @@ class Budget(Record):
     a walk that starts past the deadline makes none.  With
     max_seconds=0.01 on 2 cores, at 1 or 2 workers, (2,6) at N = 1132
     returned after 0.011 s and (2,7) at N = 2000 after 0.011-0.015 s, with
-    no node made: its tables took 13-15 ms.  A multi-worker search
+    no node made: its tables took 13-15 ms; with max_seconds 0.066-0.078,
+    in the split or the pool, whose walks read the same deadline, at 2
+    workers it returned 2.4-8.3 ms late (21 runs).  A multi-worker search
     resumes the serial pass on the pool, and a running job sees the other
     jobs' nodes only when it reads the count, so the jobs can run up to
     threads * (256 + N) assignments past max_nodes before every worker sees
@@ -267,42 +271,46 @@ def verify_certificate(coloring: Coloring, k: int) -> bool:
     return find_mono_ap(coloring, k) is None
 
 
-def _split(kernel, stack, target, nodes, max_nodes):
-    """Cut the branches a stopped serial pass left in `stack` into pool jobs.
+def _split(kernel, walk, target, nodes, max_nodes, deadline):
+    """Cut what a stopped serial pass left in `walk` into pool jobs.
 
-    The stack is sorted by depth from the bottom.  Its shallowest level is
-    made in place, each branch by a walk of one branch (Walk.run(1, ...)),
-    which leaves its children in the walk's stack, and replaced by them,
-    until that depth is 24 or holds `target` nodes that still have branches
-    (nodes the pass exhausted do not count).  A job is one node's branches;
-    the top node's go out with the rest of the pass's path.  `nodes` is the
-    count so far.
+    The walk's stack holds a node per depth of its path, the shallowest at
+    the bottom.  A level, the nodes at one depth with the walk's bottom node
+    when it is there, is made branch by branch, each by a walk of one branch
+    (Walk.run(1, ...)) whose child node is taken off its stack, until it is
+    at depth 24 or holds `target` nodes (nodes the pass exhausted do not
+    count); the walk keeps its bottom node there and goes on as the first
+    job, and each other node is one job.  `nodes` is the count so far.
 
-    Returns ("jobs", stacks, nodes) with the stacks in depth-first order, or
-    (status, colors_or_None, nodes) when the levels find a coloring, run out
-    of branches or spend the budget.
+    Returns ("jobs", nodes in depth-first order, nodes), or (status,
+    colors_or_None, nodes) when the levels find a coloring, run out of
+    branches, or spend the budget or the time.monotonic() deadline.
     """
+    level = []
     while True:
-        depth = _native.depth(stack[0][2])
-        top = sum(_native.depth(branch[2]) == depth for branch in stack)
-        # a node's branches share its state and lie together in the stack
-        groups = [list(g) for _, g in groupby(stack[:top], key=lambda branch: id(branch[2]))]
-        if len(groups) >= target or depth >= 24:
-            return "jobs", [groups.pop() + stack[top:], *reversed(groups)], nodes
-        level = []
-        for branch in stack[:top]:
-            if nodes >= max_nodes:
-                return "TIMEOUT", None, nodes
-            # one branch: a leaf leaves no children, a node its branches
-            walk = _native.Walk(kernel, [branch])
-            status, colors, made = walk.run(1, math.inf)
-            nodes += made
-            if status == "SAT":
-                return status, colors, nodes
-            level += walk.branches()
-        stack[:top] = level
-        if not stack:
+        depth = _native.depth(level[0][0][2]) if level else walk.depth
+        if depth is None:
             return "UNSAT", None, nodes
+        walk_node = walk.depth == depth  # the walk's bottom node is in the level
+        if len(level) + walk_node >= target or depth >= 24:
+            return "jobs", level[::-1], nodes
+        if walk_node:
+            level.append(walk.take())
+        children = []
+        for node in level:
+            for branch in node:
+                if nodes >= max_nodes:
+                    return "TIMEOUT", None, nodes
+                # one branch: a leaf leaves no children, a node its branches
+                step = _native.Walk(kernel, [branch])
+                status, colors, made = step.run(1, deadline)
+                if status == "TIMEOUT" and not made:
+                    return "TIMEOUT", None, nodes  # the deadline has passed
+                nodes += made
+                if status == "SAT":
+                    return status, colors, nodes
+                children.append(step.take())
+        level = [node for node in children if node]
 
 
 # nodes a multi-worker search runs serially before it starts a pool; every
@@ -312,12 +320,12 @@ _SERIAL_NODES = 4096
 
 def _search(kernel, threads, max_nodes, deadline):
     """Search serially, for up to _SERIAL_NODES nodes when more than one
-    worker can run (threads capped at the CPU count), then fan the branches
-    the serial pass left out over a pool of that many threads, whose jobs
-    walk the one kernel; SAT short-circuits, UNSAT needs every job
-    exhausted.  However the pool loop ends, by an answer, a job's error or
-    an interrupt, it spends the shared count and cancels the queued jobs on
-    the way out, so no job runs on."""
+    worker can run (threads capped at the CPU count), then go on over a
+    pool of that many threads, whose jobs walk the one kernel: the serial
+    pass's walk first, then each node the split made; SAT short-circuits,
+    UNSAT needs every job exhausted.  However the pool loop ends, by an
+    answer, a job's error or an interrupt, it spends the shared count and
+    cancels the queued jobs on the way out, so no job runs on."""
     workers = min(threads, os.cpu_count() or 1)
     # the shared count is a signed 64-bit int, and jobs charge past the
     # budget before they stop; no search nears 2**62 nodes
@@ -328,7 +336,7 @@ def _search(kernel, threads, max_nodes, deadline):
     # decided, out of time, or out of the caller's nodes: no pool
     if status != "TIMEOUT" or nodes < serial_budget or nodes >= max_nodes:
         return status, colors, nodes
-    status, jobs, nodes = _split(kernel, walk.branches(), 8 * workers, nodes, max_nodes)
+    status, jobs, nodes = _split(kernel, walk, 8 * workers, nodes, max_nodes, deadline)
     if status != "jobs":
         return status, jobs, nodes
     if nodes >= max_nodes:
@@ -336,19 +344,25 @@ def _search(kernel, threads, max_nodes, deadline):
     spent = walk.spent
     spent.value = nodes  # the split's nodes too
 
-    def job(stack):
-        return _native.Walk(kernel, stack, spent).run(max_nodes, deadline)
+    def job(node):
+        return _native.Walk(kernel, node, spent).run(max_nodes, deadline)
 
-    with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    # no worker walks before every job is queued: on 2 cores, two walking
+    # workers held this thread off the CPU for 1.5-5 ms as it queued them
+    queued = threading.Event()
+    with ThreadPoolExecutor(max_workers=min(workers, len(jobs) + 1), initializer=queued.wait) as pool:
         try:
-            futures = [pool.submit(job, stack) for stack in jobs]
+            futures = [pool.submit(walk.run, max_nodes, deadline)]
+            futures += [pool.submit(job, node) for node in jobs]
+            queued.set()
             for fut in as_completed(futures):
                 if fut.exception() is not None or fut.result()[0] in ("SAT", "TIMEOUT"):
                     break
         finally:
             # a running job stops within _native._POLL_NODES + N nodes, one
-            # not yet started returns at once, and the queued jobs never start
+            # not yet started returns at once, and no queued job starts
             spent.value = max_nodes
+            queued.set()
             pool.shutdown(cancel_futures=True)
     # re-raises a job's error, now that no job runs on
     results = [fut.result() for fut in futures if not fut.cancelled()]

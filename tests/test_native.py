@@ -56,18 +56,42 @@ class TestOracleTrees:
         assert _c_tree(n, r, k, max_nodes) == oracles.tree(n, r, k, max_nodes)
 
     def test_a_stopped_walk_resumes_from_its_stack(self):
-        # a walk stopped on its budget leaves its unmade branches in the
-        # stack, and a walk from that stack goes on with the same tree
+        # a walk stopped on its budget leaves its unmade branches in its
+        # stack, and run again with a larger budget it goes on in place with
+        # the same tree
         kernel = _native.Kernel(61, 4, 3)
-        stack, nodes = [kernel.root()], 0
-        for _ in range(10):
-            walk = _native.Walk(kernel, stack)
-            status, colors, made = walk.run(5_000, math.inf)
-            stack = walk.branches()
+        walk, nodes = _native.Walk(kernel, [kernel.root()]), 0
+        for budget in range(5_000, 50_001, 5_000):
+            status, colors, made = walk.run(budget, math.inf)
             nodes += made
             if status != "TIMEOUT":
                 break
         assert (status, nodes, kernel.decisions, colors) == oracles.tree(61, 4, 3)
+
+    def test_take_removes_the_bottom_node(self):
+        # a stopped walk's stack holds one node per depth of its path, the
+        # shallowest at the bottom; take() removes them in that order, each
+        # as branches that share one state, and leaves the rest in place
+        kernel = _native.Kernel(27, 3, 3)
+        walk = _native.Walk(kernel, [kernel.root()])
+        assert walk.run(200, math.inf)[0] == "TIMEOUT"
+        depths = []
+        while walk.depth is not None:
+            depth, node = walk.depth, walk.take()
+            assert node and len({id(state) for _, _, state in node}) == 1
+            assert _native.depth(node[0][2]) == depth
+            depths.append(depth)
+        assert depths == sorted(set(depths)) and len(depths) > 3
+        assert walk.take() == [] and walk.run(10**9, math.inf) == ("UNSAT", None, 0)
+
+
+def _unmade(walk):
+    """A stopped walk's unmade branches, bottom first, taken off its stack
+    node by node, which empties it."""
+    branches = []
+    while node := walk.take():
+        branches += node
+    return branches
 
 
 class TestPause:
@@ -85,7 +109,7 @@ class TestPause:
             for at in budgets:
                 status, colors, made = walk.run(at, math.inf)
                 nodes += made
-            return status, colors, nodes, kernel.decisions, walk.branches()
+            return status, colors, nodes, kernel.decisions, _unmade(walk)
 
         wd_walk, statuses = _native.library().wd_walk, []
 

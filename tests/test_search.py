@@ -636,7 +636,7 @@ class TestExpand:
             status, made, children = oracles._expand(r, tables, want)
             walk = _native.Walk(kernel, [got])
             c_status, colors, c_made = walk.run(1, math.inf)
-            c_children = walk.branches()
+            c_children = walk.take()
             assert (c_status, c_made) == (_STEP_STATUS[status], made)
             if status == "SAT":
                 assert colors == tuple(
@@ -660,20 +660,20 @@ class TestExpand:
 
     @pytest.mark.parametrize("r, k, n", [(2, 4, 35), (3, 3, 27), (3, 4, 100)])
     def test_no_search_writes_a_state(self, r, k, n):
-        # every state the split makes, and every state the serial pass
-        # leaves to it, both read off a walk's stack, is unchanged at the end
-        # of a search whose jobs run on the pool's threads: the jobs copy
+        # every state the split takes off a walk's stack, from the serial
+        # pass's walk or from its own one-branch walks, is unchanged at the
+        # end of a search whose jobs run on the pool's threads: the jobs copy
         # them into the C kernel's arrays
         states = []
-        branches = _native.Walk.branches
+        take = _native.Walk.take
 
         def spy(walk):
-            out = branches(walk)
+            out = take(walk)
             states.extend((branch[2], copy.deepcopy(branch[2])) for branch in out)
             return out
 
         one = decide_colorability(n, VdwInstance(r, k))
-        with mock.patch.object(_native.Walk, "branches", spy), \
+        with mock.patch.object(_native.Walk, "take", spy), \
                 mock.patch.object(search, "_SERIAL_NODES", 50):
             two = decide_colorability(n, VdwInstance(r, k), threads=2)
         assert one.status is two.status and len(states) > 20
@@ -774,19 +774,35 @@ class TestReversalPrune:
             assert two.stats.nodes == one.stats.nodes
 
 
+def _branches(fn, args):
+    """The unmade branches of a pool job, submitted as fn(*args): the stack
+    of the walk whose run it is, or the one node it is given."""
+    walk = getattr(fn, "__self__", None)
+    return walk.sp.value if isinstance(walk, _native.Walk) else len(args[0])
+
+
 def _thread_pool(sizes, jobs, threads=1, wrap=lambda job: job):
     """A pool in place of the search's that records its size in `sizes` and
-    each job's stack in `jobs`, and runs the jobs, each passed through
-    `wrap`, in order on `threads` threads."""
+    each job's unmade branches, when it is submitted, in `jobs`, and runs
+    the jobs, each passed through `wrap`, in order on `threads` threads."""
 
-    def pool(max_workers):
+    def pool(max_workers, initializer=None):
         sizes.append(max_workers)
-        executor = ThreadPoolExecutor(threads)
+        executor = ThreadPoolExecutor(threads, initializer=initializer)
         submit = executor.submit
-        executor.submit = lambda job, stack: jobs.append(stack) or submit(wrap(job), stack)
+        executor.submit = lambda fn, *args: jobs.append(_branches(fn, args)) or submit(wrap(fn), *args)
         return executor
 
     return pool
+
+
+def _nodes(walk):
+    """A stopped walk's nodes, bottom first, taken off its stack, which
+    empties it."""
+    nodes = []
+    while node := walk.take():
+        nodes.append(node)
+    return nodes
 
 
 def _kernels():
@@ -833,40 +849,58 @@ class TestPoolPath:
         kernel = _native.Kernel(n, r, k)
         deadline = time.monotonic() + 60
 
-        def split(budget):
+        def serial_pass(budget):
             walk = _native.Walk(kernel, [kernel.root()])
             nodes = 0
             if budget:
                 status, _, nodes = walk.run(budget, deadline)
                 assert status == "TIMEOUT"
-            stack = walk.branches()
-            status, jobs, nodes = search._split(kernel, stack, 20, nodes, 10**9)
-            return status, stack, jobs, nodes
+            return walk, nodes
 
-        status, _, jobs, _ = split(0)
-        assert status == "jobs"
-        leaves = [job[0][2] for job in jobs]
-        status, stack, jobs, nodes = split(serial)
+        walk, _ = serial_pass(0)
+        status, leaves, _ = search._split(kernel, walk, 20, 0, 10**9, deadline)
+        assert status == "jobs" and walk.depth is None
+        # the pass's stack, read off a second walk that stopped where the
+        # first does
+        stack = _nodes(serial_pass(serial)[0])
+        walk, nodes = serial_pass(serial)
+        status, jobs, nodes = search._split(kernel, walk, 20, nodes, 10**9, deadline)
         assert (status == "jobs") == (serial < 1_500)
         if status == "jobs":
-            assert len(leaves) == 39 and 20 <= len(jobs) < 39
-            # the node the pass stopped inside and the leaves after it, in
+            cut = _native.depth(jobs[0][0][2])
+            # the walk keeps the pass's path from the cut depth down, in
+            # place, and each job is the branches of one node at that depth,
+            # which share its state
+            rest = _nodes(walk)
+            assert rest == [node for node in stack if _native.depth(node[0][2]) >= cut]
+            assert all(len({id(branch[2]) for branch in job}) == 1 for job in jobs)
+            # the node the pass stopped inside, the walk's bottom node unless
+            # the split emptied the walk, and the leaves after it, in
             # depth-first order; a branch's state is its [2], bytes that
             # compare equal for the same node
-            assert [job[0][2] for job in jobs] == leaves[-len(jobs):]
-            # the jobs partition the stack: the first job's branches are the
-            # first made, and each job after it is the branches of one node,
-            # which share its state
-            assert [branch for job in reversed(jobs) for branch in job] == stack
-            assert all(len({id(branch[2]) for branch in job}) == 1 for job in jobs[1:])
-            # run to the end, the jobs make every branch not yet made, once
-            for job in jobs:
-                status, _, made = _native.Walk(kernel, job).run(10**9, deadline)
+            level = [*rest[:1], *jobs] if rest and _native.depth(rest[0][0][2]) == cut else jobs
+            assert len(leaves) == 39 and 20 <= len(level) < 39
+            assert [node[0][2] for node in level] == [node[0][2] for node in leaves[-len(level):]]
+            # run to the end, the jobs and the walk's nodes make every branch
+            # not yet made, once
+            for node in [*jobs, *reversed(rest)]:
+                status, _, made = _native.Walk(kernel, node).run(10**9, deadline)
                 assert status == "UNSAT"
                 nodes += made
         else:
-            assert status == "UNSAT" and not stack
+            assert status == "UNSAT" and walk.depth is None
         assert nodes == 1_766
+
+    def test_a_split_past_its_deadline_makes_no_node(self):
+        # the split's walks of one branch read the search's deadline, so a
+        # split that starts past it ends in TIMEOUT before it makes a node
+        kernel = _native.Kernel(27, 3, 3)
+        walk = _native.Walk(kernel, [kernel.root()])
+        status, _, nodes = walk.run(250, math.inf)
+        decisions = kernel.decisions
+        deadline = time.monotonic() - 1
+        assert search._split(kernel, walk, 20, nodes, 10**9, deadline) == ("TIMEOUT", None, nodes)
+        assert kernel.decisions == decisions
 
     @pytest.mark.parametrize(
         "r, k, n, jobs, branches, first",
@@ -874,13 +908,13 @@ class TestPoolPath:
     )
     def test_pool_jobs(self, r, k, n, jobs, branches, first):
         # the split of the default serial pass at 2 workers, counted in
-        # unmade branches per job; the first job holds the pass's path
-        stacks = []
-        with mock.patch.object(search, "ThreadPoolExecutor", _thread_pool([], stacks, threads=2)), \
+        # unmade branches per job; the first job is the pass's walk, which
+        # holds its path
+        captured = []
+        with mock.patch.object(search, "ThreadPoolExecutor", _thread_pool([], captured, threads=2)), \
                 mock.patch.object(search.os, "cpu_count", return_value=2):
             out = decide_colorability(n, VdwInstance(r, k), threads=2)
         assert out.status is SearchStatus.SAT
-        captured = [len(stack) for stack in stacks]
         assert (len(captured), sum(captured), captured[0]) == (jobs, branches, first)
 
     @pytest.mark.parametrize(
@@ -895,8 +929,8 @@ class TestPoolPath:
         sizes, jobs = [], []
         split = search._split
 
-        def split_at(kernel, stack, target, *rest):
-            return split(kernel, stack, cut or target, *rest)
+        def split_at(kernel, walk, target, *rest):
+            return split(kernel, walk, cut or target, *rest)
 
         with mock.patch.object(search, "ThreadPoolExecutor", _thread_pool(sizes, jobs)), \
                 mock.patch.object(search, "_split", split_at), \
@@ -915,11 +949,11 @@ class TestPoolPath:
         jobs, started = [], []
 
         def failing(job):
-            def run(stack):
-                started.append(stack)
+            def run(*args):
+                started.append(args)
                 if len(started) == 1:
                     raise MemoryError
-                return job(stack)
+                return job(*args)
 
             return run
 
@@ -938,13 +972,15 @@ class TestPoolPath:
         second = threading.Event()
 
         def failing(job):
-            def run(stack):
-                started.append(stack)
-                if stack is jobs[0]:
+            first = len(jobs) == 1  # the pool records a job before it wraps it
+
+            def run(*args):
+                started.append(args)
+                if first:
                     assert second.wait(60)
                     raise MemoryError
                 second.set()
-                return job(stack)
+                return job(*args)
 
             return run
 
@@ -964,7 +1000,7 @@ class TestPoolPath:
         jobs, started = [], []
 
         def counted(job):
-            return lambda stack: started.append(stack) or job(stack)
+            return lambda *args: started.append(args) or job(*args)
 
         clock = time.monotonic()
         with mock.patch.object(search, "ThreadPoolExecutor", _thread_pool([], jobs, 2, counted)), \
@@ -974,6 +1010,21 @@ class TestPoolPath:
             decide_colorability(76, VdwInstance(4, 3), Budget(max_seconds=8), threads=2)
         assert time.monotonic() - clock < 1
         assert len(jobs) == 28 and len(started) < len(jobs)
+
+    def test_no_job_walks_before_every_job_is_queued(self):
+        # the serial walk enters C at once, and on 2 cores two walking
+        # workers starved the caller's thread while it started the second
+        # worker and queued the rest, so the pool's workers wait for the queue
+        jobs, queued = [], []
+
+        def counted(job):
+            return lambda *args: queued.append(len(jobs)) or job(*args)
+
+        with mock.patch.object(search, "ThreadPoolExecutor", _thread_pool([], jobs, 2, counted)), \
+                mock.patch.object(search.os, "cpu_count", return_value=2):
+            out = decide_colorability(180, VdwInstance(2, 6), threads=2)
+        assert out.status is SearchStatus.SAT and len(jobs) == 20
+        assert queued and set(queued) == {20}
 
     @pytest.mark.parametrize("max_nodes", [4_100, 4_140, 4_141])
     def test_budget_spent_between_the_serial_pass_and_the_pool(self, max_nodes):
@@ -1025,14 +1076,15 @@ class TestPoolPath:
         spent = ctypes.c_int64(100)
         walk = _native.Walk(kernel, [kernel.root()], spent)
         assert walk.run(100, deadline) == ("TIMEOUT", None, 0)
-        assert len(walk.branches()) == 1
+        assert (walk.sp.value, walk.depth) == (1, 0)
         # one node left: the job makes the root branch, then sees the count
         # it last read plus its own nodes reach the budget and makes no more
         spent.value = 99
         status, _, nodes = walk.run(100, deadline)
         assert status == "TIMEOUT" and nodes > 0 and spent.value == 99 + nodes
-        children = walk.branches()
-        assert children and all(_native.depth(state) == 1 for _, _, state in children)
+        # its stack holds the root's children alone, so its bottom node is
+        # at depth 1
+        assert walk.sp.value and walk.depth == 1
         # with its count below the budget again, the same job goes on from
         # the root's children and finds (2,3) at N = 8 SAT
         spent.value = 0
@@ -1060,34 +1112,49 @@ class TestPoolPath:
             sys.setswitchinterval(interval)
         assert counts[0] == counts[1] == (SearchStatus.UNSAT, 1_766, 442)
 
-    @pytest.mark.parametrize("threads, most", [(1, 0), (2, 1)])
-    def test_the_stack_is_unpacked_only_for_the_split(self, threads, most):
-        # a stack of the walks that share the search's node count, its first
-        # walk's, leaves C only when the serial pass hands it to the split:
-        # never at 1 worker, and at most once in a 2-worker search, whose
-        # jobs drop theirs; the split's walks of one branch count alone
-        init, branches = _native.Walk.__init__, _native.Walk.branches
-        walks, calls = [], []
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_serial_walk_is_the_first_job(self, threads):
+        # the search's first walk, the serial pass's, goes on as the first
+        # pool job with its path in place: the split takes from it only the
+        # nodes it makes, shallower than the jobs, and at 1 worker nothing
+        init, take, split = _native.Walk.__init__, _native.Walk.take, search._split
+        walks, taken, cuts, submitted = [], [], [], []
 
         def init_spy(walk, *args, **kwargs):
             init(walk, *args, **kwargs)
             walks.append(walk)
 
-        def spy(walk):
-            calls.append(walk)
-            return branches(walk)
+        def take_spy(walk):
+            node = take(walk)
+            if walk is walks[0] and node:
+                taken.append(_native.depth(node[0][2]))
+            return node
+
+        def split_spy(*args):
+            out = split(*args)
+            cuts.append(_native.depth(out[1][0][0][2]))
+            return out
+
+        def pool(max_workers, initializer=None):
+            executor = ThreadPoolExecutor(max_workers, initializer=initializer)
+            submit = executor.submit
+            executor.submit = lambda fn, *args: submitted.append(fn) or submit(fn, *args)
+            return executor
 
         with mock.patch.object(_native.Walk, "__init__", init_spy), \
-                mock.patch.object(_native.Walk, "branches", spy), \
+                mock.patch.object(_native.Walk, "take", take_spy), \
+                mock.patch.object(search, "_split", split_spy), \
+                mock.patch.object(search, "ThreadPoolExecutor", pool), \
                 mock.patch.object(search.os, "cpu_count", return_value=2):
-            for n, r, k, max_nodes in ((27, 3, 3, 10**9), (61, 4, 3, 10**9), (76, 4, 3, 20_000)):
-                walks.clear()
-                calls.clear()
+            for n, r, k, max_nodes in ((61, 4, 3, 10**9), (76, 4, 3, 20_000), (180, 2, 6, 10**9)):
+                for log in (walks, taken, cuts, submitted):
+                    log.clear()
                 decide_colorability(n, VdwInstance(r, k), Budget(max_nodes=max_nodes), threads=threads)
-                shared = [walk for walk in calls if walk.spent is walks[0].spent]
-                assert len(shared) <= most, (n, r, k)
-            # the last two reach the pool at 2 workers
-            assert len(shared) == most
+                if threads == 1:
+                    assert taken == cuts == submitted == []
+                    continue
+                assert submitted[0] == walks[0].run and len(submitted) > 1
+                assert taken and all(depth < cuts[0] for depth in taken), (n, r, k)
 
 
 class TestComputeW:
