@@ -1082,9 +1082,10 @@ class TestPoolPath:
         spent.value = 99
         status, _, nodes = walk.run(100, deadline)
         assert status == "TIMEOUT" and nodes > 0 and spent.value == 99 + nodes
-        # its stack holds the root's children alone, so its bottom node is
-        # at depth 1
-        assert walk.sp.value and walk.depth == 1
+        # its stack holds the root's children alone: every unmade branch
+        # shares the bottom node's slot, and that node is at depth 1
+        assert walk.sp.value and set(walk.stack[2 : 3 * walk.sp.value : 3]) == {walk.stack[2]}
+        assert walk.depth == 1
         # with its count below the budget again, the same job goes on from
         # the root's children and finds (2,3) at N = 8 SAT
         spent.value = 0
