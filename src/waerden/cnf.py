@@ -23,7 +23,7 @@ import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -36,6 +36,10 @@ from .search import Coloring
 ENCODING_VERSION = "direct-onehot-1"
 
 
+def _beyond(lit: int, variable_count: int) -> DomainError:
+    return DomainError(f"literal {lit} references a variable beyond {variable_count}")
+
+
 @dataclass(frozen=True)
 class CnfFormula(Record):
     """Clauses over variables 1..variable_count; negative literal = negation.
@@ -43,6 +47,11 @@ class CnfFormula(Record):
     Comment lines (without the leading "c ") ride along for DIMACS output but
     do not take part in equality; one that holds a line break is rejected,
     as it would not read back as one comment.
+
+    The constructor checks every literal of the clauses it is given, and
+    raises DomainError for the first bad one in clause order.  encode and
+    read_dimacs check their literals where they make them and build their
+    formulas through _made, which checks only the count and the comments.
     """
 
     variable_count: int
@@ -54,16 +63,7 @@ class CnfFormula(Record):
         clauses = tuple(map(tuple, self.clauses))
         object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "comments", tuple(self.comments))
-        for line in self.comments:
-            if "\n" in str(line) or "\r" in str(line):
-                raise DomainError(f"comment {line!r} holds a line break")
-        # every literal is tested at C speed; only a formula that fails (or
-        # holds an int subclass) walks the loop below for its first error
-        flat = list(chain.from_iterable(clauses))
-        if all(clauses) and set(map(type, flat)) <= {int}:
-            distinct = set(flat)
-            if 0 not in distinct and max(map(abs, distinct), default=0) <= self.variable_count:
-                return
+        self._check_comments()
         for cl in clauses:
             if not cl:
                 raise DomainError("empty clause is not allowed at encode time")
@@ -71,9 +71,25 @@ class CnfFormula(Record):
                 if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
                     raise DomainError(f"invalid literal {lit!r}")
                 if abs(lit) > self.variable_count:
-                    raise DomainError(
-                        f"literal {lit} references a variable beyond {self.variable_count}"
-                    )
+                    raise _beyond(lit, self.variable_count)
+
+    @classmethod
+    def _made(cls, variable_count: int, clauses: tuple, comments: tuple) -> CnfFormula:
+        """The formula of clauses already checked: non-empty tuples of ints
+        with 1 <= |lit| <= variable_count.  The count and the comments are
+        checked as the constructor checks them."""
+        formula = object.__new__(cls)
+        object.__setattr__(formula, "variable_count", variable_count)
+        object.__setattr__(formula, "clauses", clauses)
+        object.__setattr__(formula, "comments", comments)
+        require_int(variable_count, 0, "variable_count must be >= 0")
+        formula._check_comments()
+        return formula
+
+    def _check_comments(self) -> None:
+        for line in self.comments:
+            if "\n" in str(line) or "\r" in str(line):
+                raise DomainError(f"comment {line!r} holds a line break")
 
     @property
     def clause_count(self) -> int:
@@ -136,7 +152,7 @@ def encode(N: int, inst: VdwInstance) -> CnfFormula:
             stop = a + k * d
             clauses.append(neg[a:stop:d])  # not all color 1
             clauses.append(pos[a:stop:d])  # not all color 0
-        return CnfFormula(variable_count, tuple(clauses), comments)
+        return CnfFormula._made(variable_count, tuple(clauses), comments)
     # one-hot: at-least-one, pairwise at-most-one, then per-(AP, color) clauses
     for i in range(1, N + 1):
         clauses.append(pos[_one_hot(i, 1, r):_one_hot(i, r, r) + 1])
@@ -149,7 +165,7 @@ def encode(N: int, inst: VdwInstance) -> CnfFormula:
         for c in range(1, r + 1):
             first = _one_hot(a, c, r)
             clauses.append(neg[first:first + k * step:step])
-    return CnfFormula(variable_count, tuple(clauses), comments)
+    return CnfFormula._made(variable_count, tuple(clauses), comments)
 
 
 def expected_clause_count(N: int, inst: VdwInstance) -> int:
@@ -165,12 +181,21 @@ def expected_clause_count(N: int, inst: VdwInstance) -> int:
     return N + N * (r * (r - 1) // 2) + ap_count * r
 
 
+def _require_ascii(formula: CnfFormula) -> None:
+    for line in formula.comments:
+        if not str(line).isascii():
+            raise DomainError(f"comment {line!r} is not ASCII, as a DIMACS file must be")
+
+
 def write_dimacs(formula: CnfFormula, sink: IO[str] | str | Path) -> None:
     """Standard DIMACS CNF: `p cnf V C` header, 0-terminated clause lines.
 
-    Metadata comments follow the header.  Write failures propagate.
+    Metadata comments follow the header.  Write failures propagate.  A file
+    is written as ASCII: a comment that is not raises DomainError before the
+    file is opened, so an existing file keeps its bytes.
     """
     if isinstance(sink, (str, Path)):
+        _require_ascii(formula)
         with open(sink, "w", encoding="ascii") as handle:
             write_dimacs(formula, handle)
         return
@@ -221,13 +246,19 @@ def _blocks(source: IO[str]):
 def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
     """Parse DIMACS CNF text back into a formula; comments are preserved.
 
-    Malformed text (a bad, repeated or late header, a non-integer token, an
-    unterminated last clause, a clause count that disagrees with the header)
-    raises DomainError.
+    Malformed text raises DomainError.  A bad, repeated or late header and
+    a non-integer token raise where they are read; after the whole text
+    come, in this order, an unterminated last clause, a missing header, a
+    clause count that disagrees with the header, a negative variable count,
+    a comment that holds a line break and the first literal past the
+    variable count.
 
     After the header, and while no clause is half read, the C scanner
-    (_native.Scanner) reads the clause lines of the usual layout; every
-    other line, split at its newline, goes through the line loop below.
+    (_native.Scanner) reads the clause lines of the usual layout and checks
+    that their literals are within the variable count; every other line,
+    split at its newline, goes through the line loop below, which checks
+    the literals it reads after the header.  So each literal is checked
+    once, and the formula is built with CnfFormula._made.
     The library is built or loaded as for a search, and KernelError says
     it could not be.
     """
@@ -241,6 +272,7 @@ def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
     current: list[int] = []
     # int objects are shared, whether parsed from a token or given by the scanner
     parse = _Memo(int).__getitem__
+    beyond = None  # the first literal the line loop read past variable_count
     scanner = None
     for block in _blocks(source):
         data = block.encode("ascii", "replace")  # one byte per character
@@ -281,6 +313,8 @@ def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
                 lits = tuple(map(parse, line.split()))
             except ValueError:
                 raise DomainError(f"non-integer token in clause line: {line!r}") from None
+            if beyond is None and variable_count is not None:
+                beyond = next((lit for lit in lits if abs(lit) > variable_count), None)
             for lit in lits:
                 if lit == 0:
                     if current:
@@ -296,7 +330,10 @@ def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
         raise DomainError(
             f"header declares {declared_clauses} clauses, found {len(clauses)}"
         )
-    return CnfFormula(variable_count, tuple(clauses), tuple(comments))
+    formula = CnfFormula._made(variable_count, tuple(clauses), tuple(comments))
+    if beyond is not None:
+        raise _beyond(beyond, variable_count)
+    return formula
 
 
 def decode_model(model: Sequence[int], N: int, inst: VdwInstance) -> Coloring:
@@ -379,7 +416,8 @@ def run_external_solver(
     exception while it waits, the solver's whole process group is killed
     first, so no helper process it started outlives the call: the solver
     runs in its own session, where a terminal's Ctrl-C does not reach it.
-    A timeout that is not finite (inf, nan) is no limit.
+    A timeout that is not finite (inf, nan) is no limit.  A comment that is
+    not ASCII raises DomainError before the file is made.
     """
     if timeout is not None and not math.isfinite(timeout):
         timeout = None
@@ -389,6 +427,7 @@ def run_external_solver(
         raise DomainError(f"solver command {command!r} does not parse: {exc}") from exc
     if not argv:
         raise DomainError(f"solver command {command!r} names no program")
+    _require_ascii(formula)
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", encoding="ascii", delete=False
     ) as handle:

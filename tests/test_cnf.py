@@ -10,6 +10,7 @@ import math
 import os
 import signal
 import stat
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,7 @@ class TestEncode:
             f = encode(n, VdwInstance(r, k))
             assert f.variable_count == (n if r == 2 else n * r)
             assert f.clauses == _oracle_clauses(n, r, k), f"N={n} ({r},{k})"
+            _assert_passes_the_public_check(f)
 
     def test_formula_validation(self):
         with pytest.raises(DomainError):
@@ -195,6 +197,15 @@ class TestDimacs:
         assert path.read_text().startswith("p cnf 9 32\n")
         assert read_dimacs(path) == f
 
+    def test_a_non_ascii_comment_leaves_a_file_as_it_was(self, tmp_path):
+        f = read_dimacs(io.StringIO("p cnf 2 1\nc \u00e9t\u00e9\n1 0\n"))
+        path = tmp_path / "instance.cnf"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(DomainError) as info:
+            write_dimacs(f, path)
+        assert str(info.value) == "comment '\u00e9t\u00e9' is not ASCII, as a DIMACS file must be"
+        assert path.read_bytes() == b"old bytes\n"
+
     def test_parse_errors(self):
         with pytest.raises(DomainError):
             read_dimacs(io.StringIO("1 2 0\n"))  # no header
@@ -240,6 +251,14 @@ class TestDimacs:
             # a lone CR splits no line of a StringIO, but would split the
             # comment once written to a file
             ("p cnf 1 1\nc a\rb\n1 0\n", "comment 'a\\rb' holds a line break"),
+            # several faults: a literal past the variable count is reported
+            # last, after the whole text and its comments are checked
+            ("p cnf 2 1\nc a\rb\n1 5 0\n", "comment 'a\\rb' holds a line break"),
+            ("p cnf 2 1\n1 5 0\nc a\rb\n", "comment 'a\\rb' holds a line break"),
+            ("p cnf 2 2\n1 5 0\n", "header declares 2 clauses, found 1"),
+            ("p cnf 2 2\n1 5 0\n1 x 0\n", "non-integer token in clause line: '1 x 0'"),
+            ("p cnf 2 1\n1 5 0 3 0\n", "header declares 1 clauses, found 2"),
+            ("p cnf -1 1\nc a\rb\n1 0\n", "variable_count must be >= 0, got -1"),
         ],
     )
     def test_parse_error_messages(self, text, message):
@@ -297,6 +316,7 @@ class TestDimacs:
         assert g.variable_count == f.variable_count
         assert g.clauses == f.clauses
         assert g.comments == f.comments
+        _assert_passes_the_public_check(g)
 
     def test_written_text_reads_back(self):
         f = CnfFormula(5, ((1, -5), (_Lit.TWO,), (-3, 4, 2)), ("one", " two", ""))
@@ -310,6 +330,12 @@ class TestDimacs:
 class _Lit(enum.IntEnum):
     ONE = 1
     TWO = 2
+
+
+def _assert_passes_the_public_check(f: CnfFormula) -> None:
+    assert all(type(cl) is tuple and all(type(lit) is int for lit in cl) for cl in f.clauses)
+    g = CnfFormula(f.variable_count, f.clauses, f.comments)
+    assert g == f and g.comments == f.comments
 
 
 def _var(i: int, c: int, r: int) -> int:
@@ -557,6 +583,13 @@ class TestExternalSolver:
         cmd = _fake_solver(tmp_path, "print('s UNSATISFIABLE')\n")
         run = run_external_solver(cmd, encode(9, VdwInstance(2, 3)), timeout=timeout)
         assert run.status == "UNSATISFIABLE"
+
+    def test_a_non_ascii_comment_makes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        f = read_dimacs(io.StringIO("p cnf 2 1\nc \u00e9t\u00e9\n1 0\n"))
+        with pytest.raises(DomainError):
+            run_external_solver(["true"], f)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_solver(self):
         with pytest.raises(FileNotFoundError):
