@@ -460,7 +460,8 @@ static double now(void)
  * Returns UNSAT when the stack runs out, SAT with the coloring in colors, or
  * GROW before a branch whose child needs a slot past `slots`.  *made gets
  * the assignments made, all added to *spent, and the branches are added to
- * the kernel's decisions. */
+ * the kernel's decisions.  A walk that answers SAT then stores budget in
+ * *spent, so every walk sharing it stops at its next read. */
 int wd_walk(kernel *K, int32_t *stack, int64_t *sp, word *states, int64_t slots, int64_t *spent,
             int64_t budget, int64_t poll, double seconds, double pause, int64_t *made,
             int32_t *colors)
@@ -511,6 +512,8 @@ int wd_walk(kernel *K, int32_t *stack, int64_t *sp, word *states, int64_t slots,
             }
     }
     __atomic_add_fetch(spent, nodes - charged, __ATOMIC_RELAXED);
+    if (status == SAT) /* the answer spends the count */
+        __atomic_store_n(spent, budget, __ATOMIC_RELAXED);
     __atomic_add_fetch(&K->decisions, branches, __ATOMIC_RELAXED);
     *made = nodes;
     free(block);

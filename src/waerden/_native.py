@@ -52,8 +52,9 @@ _STATUS = {_UNSAT: "UNSAT", _SAT: "SAT", _TIMEOUT: "TIMEOUT"}
 
 # before its first branch and every _POLL_NODES nodes after, wd_walk charges
 # the shared node count and reads it and its clock, so a search stops within
-# _POLL_NODES + N nodes of its deadline or of a decision elsewhere (the caller
-# spends the count when a job answers or fails, or on an interrupt)
+# _POLL_NODES + N nodes of its deadline or of a decision elsewhere (the walk
+# that answers spends the count, and the caller when a job fails or on an
+# interrupt)
 _POLL_NODES = 256
 
 # the longest a wd_walk call runs before it pauses and returns to Python,

@@ -84,14 +84,15 @@ ctypes call releases the GIL: the split makes the shallow nodes of the
 serial pass's path level by level, taking them off the bottom of its walk,
 each node of the last level is one job, and the walk goes on as the first,
 so no assignment is made twice and an UNSAT proof counts the same nodes
-and decisions at any worker count.  SAT short-circuits the rest: it spends
-the shared count, so every running job stops within _native._POLL_NODES +
-N nodes, a job not yet started makes no branch, and the jobs not yet
-started are cancelled; a job's error and an interrupt (KeyboardInterrupt,
-which the calling thread takes while it waits on the jobs) take the same
-path before they are re-raised.  UNSAT requires every job to be
-exhausted.  The SAT/UNSAT answer is identical across worker counts;
-certificates may differ but always verify.
+and decisions at any worker count.  SAT short-circuits the rest: the walk
+that answers spends the shared count in C, so every running job stops
+within _native._POLL_NODES + N nodes, and a job queued behind the answer
+starts and returns at once without a branch.  A job's error and an
+interrupt (KeyboardInterrupt, which the calling thread takes while it
+waits on the jobs) spend the count in Python and cancel the queued jobs
+before they are re-raised.  UNSAT requires every job to be exhausted.  The
+SAT/UNSAT answer is identical across worker counts; certificates may
+differ but always verify.
 
 compute_W searches only above a constructed coloring.  It first takes the
 longest AP-free coloring it finds among Rabung's power-residue colorings
@@ -110,7 +111,7 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count
@@ -277,10 +278,13 @@ def _split(kernel, walk, target, nodes, max_nodes, deadline):
     The walk's stack holds a node per depth of its path, the shallowest at
     the bottom.  A level, the nodes at one depth with the walk's bottom node
     when it is there, is made branch by branch, each by a walk of one branch
-    (Walk.run(1, ...)) whose child node is taken off its stack, until it is
-    at depth 24 or holds `target` nodes (nodes the pass exhausted do not
-    count); the walk keeps its bottom node there and goes on as the first
-    job, and each other node is one job.  `nodes` is the count so far.
+    whose child node is taken off its stack, until it is at depth 24 or
+    holds `target` nodes (nodes the pass exhausted do not count); the walk
+    keeps its bottom node there and goes on as the first job, and each
+    other node is one job.  `nodes` is the count so far, as the walk's
+    shared count holds it; each one-branch walk charges that count and runs
+    to a budget one node past it, capped at max_nodes, so wd_walk stops it
+    after its branch, or before it once max_nodes is spent.
 
     Returns ("jobs", nodes in depth-first order, nodes), or (status,
     colors_or_None, nodes) when the levels find a coloring, run out of
@@ -299,13 +303,12 @@ def _split(kernel, walk, target, nodes, max_nodes, deadline):
         children = []
         for node in level:
             for branch in node:
-                if nodes >= max_nodes:
-                    return "TIMEOUT", None, nodes
-                # one branch: a leaf leaves no children, a node its branches
-                step = _native.Walk(kernel, [branch])
-                status, colors, made = step.run(1, deadline)
+                # one branch, charged to the search's count: a leaf leaves no
+                # children, a node its branches
+                step = _native.Walk(kernel, [branch], walk.spent)
+                status, colors, made = step.run(min(nodes + 1, max_nodes), deadline)
                 if status == "TIMEOUT" and not made:
-                    return "TIMEOUT", None, nodes  # the deadline has passed
+                    return "TIMEOUT", None, nodes  # the budget or the deadline is spent
                 nodes += made
                 if status == "SAT":
                     return status, colors, nodes
@@ -323,9 +326,10 @@ def _search(kernel, threads, max_nodes, deadline):
     worker can run (threads capped at the CPU count), then go on over a
     pool of that many threads, whose jobs walk the one kernel: the serial
     pass's walk first, then each node the split made; SAT short-circuits,
-    UNSAT needs every job exhausted.  However the pool loop ends, by an
-    answer, a job's error or an interrupt, it spends the shared count and
-    cancels the queued jobs on the way out, so no job runs on."""
+    UNSAT needs every job exhausted.  The walk that answers spends the
+    shared count itself, so the other jobs stop and a queued one makes no
+    branch; a job's error or an interrupt spends it on the way out of the
+    wait and cancels the queued jobs, so no job runs on."""
     workers = min(threads, os.cpu_count() or 1)
     # the shared count is a signed 64-bit int, and jobs charge past the
     # budget before they stop; no search nears 2**62 nodes
@@ -341,11 +345,10 @@ def _search(kernel, threads, max_nodes, deadline):
         return status, jobs, nodes
     if nodes >= max_nodes:
         return "TIMEOUT", None, nodes
-    spent = walk.spent
-    spent.value = nodes  # the split's nodes too
 
+    # every job charges the count the serial pass and the split charged
     def job(node):
-        return _native.Walk(kernel, node, spent).run(max_nodes, deadline)
+        return _native.Walk(kernel, node, walk.spent).run(max_nodes, deadline)
 
     # no worker walks before every job is queued: on 2 cores, two walking
     # workers held this thread off the CPU for 1.5-5 ms as it queued them
@@ -355,22 +358,20 @@ def _search(kernel, threads, max_nodes, deadline):
             futures = [pool.submit(walk.run, max_nodes, deadline)]
             futures += [pool.submit(job, node) for node in jobs]
             queued.set()
-            for fut in as_completed(futures):
-                if fut.exception() is not None or fut.result()[0] in ("SAT", "TIMEOUT"):
-                    break
+            wait(futures, return_when=FIRST_EXCEPTION)
         finally:
-            # a running job stops within _native._POLL_NODES + N nodes, one
-            # not yet started returns at once, and no queued job starts
-            spent.value = max_nodes
+            # on a job's error or an interrupt: a running job stops within
+            # _native._POLL_NODES + N nodes, and no queued job starts
+            walk.spent.value = max_nodes
             queued.set()
             pool.shutdown(cancel_futures=True)
-    # re-raises a job's error, now that no job runs on
-    results = [fut.result() for fut in futures if not fut.cancelled()]
+    # re-raises a job's error, now that no job runs on; the jobs start in
+    # order, so a cancelled one comes after the job that raised
+    results = [fut.result() for fut in futures]
     nodes += sum(made for _, _, made in results)
     for status, colors, _ in results:
         if status == "SAT":
             return "SAT", colors, nodes
-    # a job is cancelled only after another has answered SAT or TIMEOUT
     if all(status == "UNSAT" for status, _, _ in results):
         return "UNSAT", None, nodes
     return "TIMEOUT", None, nodes

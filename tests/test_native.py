@@ -3,6 +3,7 @@ the DIMACS clause scanner of the same library."""
 
 from __future__ import annotations
 
+import ctypes
 import io
 import math
 import os
@@ -83,6 +84,20 @@ class TestOracleTrees:
             depths.append(depth)
         assert depths == sorted(set(depths)) and len(depths) > 3
         assert walk.take() == [] and walk.run(10**9, math.inf) == ("UNSAT", None, 0)
+
+
+class TestSharedCount:
+    def test_an_answer_spends_the_shared_count(self):
+        # the walk that answers SAT stores its budget in the count the walks
+        # of its search share, so another walk on that count stops before
+        # its first branch
+        kernel = _native.Kernel(8, 2, 3)
+        spent = ctypes.c_int64()
+        status, _, nodes = _native.Walk(kernel, [kernel.root()], spent).run(100, math.inf)
+        assert status == "SAT" and nodes < 100 <= spent.value
+        decisions = kernel.decisions
+        assert _native.Walk(kernel, [kernel.root()], spent).run(100, math.inf) == ("TIMEOUT", None, 0)
+        assert kernel.decisions == decisions
 
 
 def _unmade(walk):
