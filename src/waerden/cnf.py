@@ -40,6 +40,11 @@ def _beyond(lit: int, variable_count: int) -> DomainError:
     return DomainError(f"literal {lit} references a variable beyond {variable_count}")
 
 
+def _check_comment(line) -> None:
+    if "\n" in str(line) or "\r" in str(line):
+        raise DomainError(f"comment {line!r} holds a line break")
+
+
 @dataclass(frozen=True)
 class CnfFormula(Record):
     """Clauses over variables 1..variable_count; negative literal = negation.
@@ -48,10 +53,10 @@ class CnfFormula(Record):
     do not take part in equality; one that holds a line break is rejected,
     as it would not read back as one comment.
 
-    The constructor checks every literal of the clauses it is given, and
-    raises DomainError for the first bad one in clause order.  encode and
-    read_dimacs check their literals where they make them and build their
-    formulas through _made, which checks only the count and the comments.
+    The constructor checks the count, the comments and every literal of the
+    clauses it is given, and raises DomainError for the first bad one in
+    clause order.  encode and read_dimacs check what they make where they
+    make it and build their formulas through _made, which checks nothing.
     """
 
     variable_count: int
@@ -63,7 +68,8 @@ class CnfFormula(Record):
         clauses = tuple(map(tuple, self.clauses))
         object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "comments", tuple(self.comments))
-        self._check_comments()
+        for line in self.comments:
+            _check_comment(line)
         for cl in clauses:
             if not cl:
                 raise DomainError("empty clause is not allowed at encode time")
@@ -75,21 +81,14 @@ class CnfFormula(Record):
 
     @classmethod
     def _made(cls, variable_count: int, clauses: tuple, comments: tuple) -> CnfFormula:
-        """The formula of clauses already checked: non-empty tuples of ints
-        with 1 <= |lit| <= variable_count.  The count and the comments are
-        checked as the constructor checks them."""
+        """The formula of a count, clauses and comments already checked: an
+        int >= 0, non-empty tuples of ints with 1 <= |lit| <= variable_count,
+        and strings without a line break."""
         formula = object.__new__(cls)
         object.__setattr__(formula, "variable_count", variable_count)
         object.__setattr__(formula, "clauses", clauses)
         object.__setattr__(formula, "comments", comments)
-        require_int(variable_count, 0, "variable_count must be >= 0")
-        formula._check_comments()
         return formula
-
-    def _check_comments(self) -> None:
-        for line in self.comments:
-            if "\n" in str(line) or "\r" in str(line):
-                raise DomainError(f"comment {line!r} holds a line break")
 
     @property
     def clause_count(self) -> int:
@@ -190,9 +189,10 @@ def _require_ascii(formula: CnfFormula) -> None:
 def write_dimacs(formula: CnfFormula, sink: IO[str] | str | Path) -> None:
     """Standard DIMACS CNF: `p cnf V C` header, 0-terminated clause lines.
 
-    Metadata comments follow the header.  Write failures propagate.  A file
-    is written as ASCII: a comment that is not raises DomainError before the
-    file is opened, so an existing file keeps its bytes.
+    Metadata comments follow the header; the clause lines are formatted and
+    written _LINES at a time.  Write failures propagate.  A file is written
+    as ASCII: a comment that is not raises DomainError before the file is
+    opened, so an existing file keeps its bytes.
     """
     if isinstance(sink, (str, Path)):
         _require_ascii(formula)
@@ -202,63 +202,54 @@ def write_dimacs(formula: CnfFormula, sink: IO[str] | str | Path) -> None:
     sink.write(f"p cnf {formula.variable_count} {formula.clause_count}\n")
     for line in formula.comments:
         sink.write(f"c {line}\n")
-    if formula.clauses:
-        text = _Memo(str).__getitem__
-        lines = [" ".join(map(text, clause)) for clause in formula.clauses]
+    text = _Memo(str).__getitem__
+    clauses = formula.clauses
+    for start in range(0, len(clauses), _LINES):
+        lines = [" ".join(map(text, clause)) for clause in clauses[start:start + _LINES]]
         sink.write(" 0\n".join(lines) + " 0\n")
 
 
-# a read asks for _PIECE characters, as many as a text file decodes at a
-# time when its lines are iterated; _BLOCK is about the characters in a block
-_PIECE = 8192
-_BLOCK = 32 * _PIECE
+# write_dimacs formats and writes _LINES clause lines at a time; read_dimacs
+# reads _BLOCK characters at a time
+_LINES = 4096
+_BLOCK = 256 * 1024
 
 
 def _blocks(source: IO[str]):
-    """The text of source in blocks of whole lines, about _BLOCK characters
-    each unless one line is longer; only the last may end without a newline.
-
-    A read that fails (an I/O error, or a text file that does not decode)
-    fails where iterating the lines would have: the whole lines before it
-    come first.
+    """The text of source in blocks of whole lines, one read of _BLOCK
+    characters each, cut after its last newline; the rest is carried into
+    the next block, so a line longer than a read spans several.  Only the
+    last block may end without a newline.  A read that fails raises.
     """
-    pieces, size = [], 0
-    while True:
-        try:
-            piece = source.read(_PIECE)
-        except (OSError, ValueError):
-            text = "".join(pieces)
-            yield text[: text.rfind("\n") + 1]
-            raise
-        if not piece:
-            break
-        size += len(piece)
-        cut = piece.rfind("\n") + 1 if size >= _BLOCK else 0
+    tail: list[str] = []
+    while piece := source.read(_BLOCK):
+        cut = piece.rfind("\n") + 1
         if cut:
-            block = "".join([*pieces, piece[:cut]])
-            pieces, size = [piece[cut:]], len(piece) - cut
-            yield block
+            yield "".join([*tail, piece[:cut]])
+            tail = [piece[cut:]]
         else:
-            pieces.append(piece)
-    yield "".join(pieces)
+            tail.append(piece)
+    yield "".join(tail)
 
 
 def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
     """Parse DIMACS CNF text back into a formula; comments are preserved.
 
-    Malformed text raises DomainError.  A bad, repeated or late header and
-    a non-integer token raise where they are read; after the whole text
-    come, in this order, an unterminated last clause, a missing header, a
-    clause count that disagrees with the header, a negative variable count,
-    a comment that holds a line break and the first literal past the
-    variable count.
+    Malformed text raises DomainError, and each fault raises where it is
+    read, so in a text with several faults the first one wins: a bad,
+    repeated or late header, a negative variable count, a comment that
+    holds a line break, a non-integer token and a literal past the variable
+    count.  Only the faults that need the whole text come after it, in this
+    order: an unterminated last clause, a missing header and a clause count
+    that disagrees with the header.  A read that fails raises at once.
 
     After the header, and while no clause is half read, the C scanner
     (_native.Scanner) reads the clause lines of the usual layout and checks
-    that their literals are within the variable count; every other line,
-    split at its newline, goes through the line loop below, which checks
-    the literals it reads after the header.  So each literal is checked
-    once, and the formula is built with CnfFormula._made.
+    that their literals are within the variable count, stopping in front
+    of any other line; every other line, split at its newline, goes through
+    the line loop below, which checks the literals it reads after the
+    header.  So each literal is checked once, and the formula is built
+    with CnfFormula._made.
     The library is built or loaded as for a search, and KernelError says
     it could not be.
     """
@@ -272,7 +263,6 @@ def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
     current: list[int] = []
     # int objects are shared, whether parsed from a token or given by the scanner
     parse = _Memo(int).__getitem__
-    beyond = None  # the first literal the line loop read past variable_count
     scanner = None
     for block in _blocks(source):
         data = block.encode("ascii", "replace")  # one byte per character
@@ -293,7 +283,9 @@ def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
             if not line:
                 continue
             if line[0] == "c":
-                comments.append(line[2:] if line.startswith("c ") else line[1:])
+                comment = line[2:] if line.startswith("c ") else line[1:]
+                _check_comment(comment)
+                comments.append(comment)
                 continue
             if line[0] == "p":
                 if variable_count is not None:
@@ -308,32 +300,30 @@ def read_dimacs(source: IO[str] | str | Path) -> CnfFormula:
                     declared_clauses = int(parts[3])
                 except ValueError:
                     raise DomainError(f"non-integer count in problem line: {line!r}") from None
+                require_int(variable_count, 0, "variable_count must be >= 0")
                 continue
             try:
                 lits = tuple(map(parse, line.split()))
             except ValueError:
                 raise DomainError(f"non-integer token in clause line: {line!r}") from None
-            if beyond is None and variable_count is not None:
-                beyond = next((lit for lit in lits if abs(lit) > variable_count), None)
             for lit in lits:
                 if lit == 0:
                     if current:
                         clauses.append(tuple(current))
                         current = []
+                elif variable_count is not None and abs(lit) > variable_count:
+                    raise _beyond(lit, variable_count)
                 else:
                     current.append(lit)
     if current:
         raise DomainError("last clause is not 0-terminated")
     if variable_count is None:
         raise DomainError("missing `p cnf` header")
-    if declared_clauses is not None and declared_clauses != len(clauses):
+    if declared_clauses != len(clauses):
         raise DomainError(
             f"header declares {declared_clauses} clauses, found {len(clauses)}"
         )
-    formula = CnfFormula._made(variable_count, tuple(clauses), tuple(comments))
-    if beyond is not None:
-        raise _beyond(beyond, variable_count)
-    return formula
+    return CnfFormula._made(variable_count, tuple(clauses), tuple(comments))
 
 
 def decode_model(model: Sequence[int], N: int, inst: VdwInstance) -> Coloring:

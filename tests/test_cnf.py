@@ -251,14 +251,16 @@ class TestDimacs:
             # a lone CR splits no line of a StringIO, but would split the
             # comment once written to a file
             ("p cnf 1 1\nc a\rb\n1 0\n", "comment 'a\\rb' holds a line break"),
-            # several faults: a literal past the variable count is reported
-            # last, after the whole text and its comments are checked
+            # several faults: each raises where it is read, so the first one
+            # wins, and only the clause count waits for the end of the text
             ("p cnf 2 1\nc a\rb\n1 5 0\n", "comment 'a\\rb' holds a line break"),
-            ("p cnf 2 1\n1 5 0\nc a\rb\n", "comment 'a\\rb' holds a line break"),
-            ("p cnf 2 2\n1 5 0\n", "header declares 2 clauses, found 1"),
-            ("p cnf 2 2\n1 5 0\n1 x 0\n", "non-integer token in clause line: '1 x 0'"),
-            ("p cnf 2 1\n1 5 0 3 0\n", "header declares 1 clauses, found 2"),
+            ("p cnf 2 1\n1 5 0\nc a\rb\n", "literal 5 references a variable beyond 2"),
+            ("p cnf 2 2\n1 5 0\n", "literal 5 references a variable beyond 2"),
+            ("p cnf 2 2\n1 5 0\n1 x 0\n", "literal 5 references a variable beyond 2"),
+            ("p cnf 2 1\n1 5 0 3 0\n", "literal 5 references a variable beyond 2"),
             ("p cnf -1 1\nc a\rb\n1 0\n", "variable_count must be >= 0, got -1"),
+            ("p cnf -1 2\n1 0\n", "variable_count must be >= 0, got -1"),
+            ("p cnf 2 2\nc a\rb\n1 0\n", "comment 'a\\rb' holds a line break"),
         ],
     )
     def test_parse_error_messages(self, text, message):
@@ -297,6 +299,50 @@ class TestDimacs:
         write_dimacs(f, path)
         assert read_dimacs(path).clauses == f.clauses
 
+    def test_a_failed_read_raises(self):
+        error = OSError("the disk went away")
+        source = _FailingSource("p cnf 2 2\n1 -2 0\n", error)
+        with pytest.raises(OSError) as info:
+            read_dimacs(source)
+        assert info.value is error and source.reads == 2
+
+    def test_a_byte_that_does_not_decode_past_the_first_read(self, tmp_path):
+        path = tmp_path / "instance.cnf"
+        text = _LONG + "c \u00e9t\u00e9\n"
+        assert text.index("\u00e9") > cnf._BLOCK
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(UnicodeDecodeError):
+            read_dimacs(path)
+
+    def test_lines_longer_than_a_read(self, tmp_path):
+        clause = tuple(v if v % 2 else -v for v in range(1, 10)) * 30000
+        f = CnfFormula(9, ((1,), clause, (-2, 3)), ("x" * (cnf._BLOCK + 5), "short"))
+        buf = io.StringIO()
+        write_dimacs(f, buf)
+        assert min(map(len, (f.comments[0], " ".join(map(str, clause))))) > cnf._BLOCK
+        g = read_dimacs(io.StringIO(buf.getvalue()))
+        assert (g.variable_count, g.clauses, g.comments) == (f.variable_count, f.clauses, f.comments)
+        path = tmp_path / "instance.cnf"
+        write_dimacs(f, path)
+        assert read_dimacs(path).clauses == f.clauses
+
+    def test_written_lines_of_several_blocks(self):
+        f = encode(600, VdwInstance(2, 6))
+        assert f.clause_count == 71400 > 3 * cnf._LINES
+        buf = io.StringIO()
+        write_dimacs(f, buf)
+        want = "p cnf 600 71400\n" + "".join(f"c {line}\n" for line in f.comments)
+        want += "".join(" ".join(map(str, clause)) + " 0\n" for clause in f.clauses)
+        assert buf.getvalue() == want
+
+    def test_a_formula_without_clauses(self):
+        f = CnfFormula(3, ())
+        buf = io.StringIO()
+        write_dimacs(f, buf)
+        assert buf.getvalue() == "p cnf 3 0\n"
+        g = read_dimacs(io.StringIO(buf.getvalue()))
+        assert (g.variable_count, g.clauses, g.comments) == (3, (), ())
+
     def test_a_crlf_file(self, tmp_path):
         f = encode(30, VdwInstance(3, 3))
         buf = io.StringIO()
@@ -325,6 +371,19 @@ class TestDimacs:
         assert buf.getvalue() == "p cnf 5 3\nc one\nc  two\nc \n1 -5 0\n2 0\n-3 4 2 0\n"
         g = read_dimacs(io.StringIO(buf.getvalue()))
         assert (g.clauses, g.comments) == (f.clauses, f.comments)
+
+
+class _FailingSource:
+    """A text source whose first read returns text and whose second raises error."""
+
+    def __init__(self, text: str, error: OSError):
+        self.text, self.error, self.reads = text, error, 0
+
+    def read(self, size: int) -> str:
+        self.reads += 1
+        if self.reads == 2:
+            raise self.error
+        return self.text
 
 
 class _Lit(enum.IntEnum):
